@@ -327,25 +327,45 @@ def _apply_config(args, parser):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     sections = parse_config(text)
-    known = {a.dest: a for a in parser._actions}
+    known = _flag_actions(parser, args.experiment)
     flat = dict(sections.get("", {}))
     flat.update(sections.get(args.experiment, {}))
     for key, value in flat.items():
         dest = key.replace("-", "_")
         if dest == "experiment":
             continue
-        if dest not in known and not hasattr(args, dest):
+        if dest not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(args, dest, None)
-        if isinstance(current, bool):
-            setattr(args, dest, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, dest, int(value))
-        elif isinstance(current, float):
-            setattr(args, dest, float(value))
-        else:
-            setattr(args, dest, value)
+        setattr(args, dest, _coerce(known[dest], key, value))
     return args
+
+
+def _flag_actions(parser, experiment):
+    """The argparse actions of one experiment's flags, by destination."""
+    sub_action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub_action.choices[experiment]._actions}
+
+
+def _coerce(action, key, value):
+    """A config value converted as its flag would convert it on the command line."""
+    if isinstance(action, argparse._StoreTrueAction):
+        flag = value.lower()
+        if flag in ("1", "true", "yes", "on"):
+            return True
+        if flag in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"config key {key!r} expects a boolean, got {value!r}")
+    items = value.split() if action.nargs in ("*", "+") else [value]
+    if action.type is not None:
+        try:
+            items = [action.type(item) for item in items]
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"config key {key!r} expects {action.type.__name__}, got {value!r}") from None
+    if action.choices is not None and any(item not in action.choices for item in items):
+        raise ConfigError(f"config key {key!r} must be one of {sorted(action.choices)}")
+    return items if action.nargs in ("*", "+") else items[0]
 
 
 def _run_single(argv):
@@ -375,10 +395,7 @@ def cmd_sweep(args, out_dir):
     base = dict(sections.get(experiment, {}))
     base.update(sections.get("", {}))
 
-    parser = build_parser()
-    sub_action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    flag_actions = {a.dest: a for a in sub_action.choices[experiment]._actions}
+    flag_actions = _flag_actions(build_parser(), experiment)
 
     jobs = []
     for i, value in enumerate(values):

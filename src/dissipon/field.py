@@ -264,26 +264,28 @@ def hamiltonian_identity_check(a, grid):
     w = grid.omega()
     mode_energy = float(np.sum(w * np.abs(a) ** 2))
     y, pi = field_from_modes(a, grid)
-    lattice_energy = _field_energy(y, pi, grid)
+    density = 0.5 * (pi**2 + _grad_sq(y, grid))
+    lattice_energy = float(density.sum() * grid.dx**3)
     return abs(mode_energy - lattice_energy)
 
 
-def _field_energy(y, pi, grid):
-    n3 = grid.n**3
-    y_k = np.fft.fftn(y)
-    kx, ky, kz = grid.k_vectors()
-    grad_sq = 0.0
-    for kc in (kx, ky, kz):
-        gc = np.fft.ifftn(1j * kc * y_k)
-        grad_sq = grad_sq + np.abs(gc) ** 2
-    density = 0.5 * (pi**2 + grad_sq)
-    return float(density.sum() * grid.dx**3)
+def _gradient_weights(grid):
+    """|k|^2 / n^3 on the rfftn half spectrum, doubled where the dropped
+    half mirrors it (every kz column but the zero and Nyquist ones)."""
+    kx, ky, _ = grid.k_axes()
+    kz = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
+    ksq = kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
+    mirror = np.full(len(kz), 2.0)
+    mirror[0] = mirror[-1] = 1.0
+    return ksq * mirror / grid.n**3
 
 
-def _trajectory_kinematics(traj):
-    v = traj.velocities
-    acc = traj.accelerations()
-    return v, acc
+def _field_energy(y, pi, grid, weights):
+    """dx^3 sum_x (Pi^2 + |grad Y|^2)/2, the spectral gradient term summed
+    in k-space by Parseval (``weights`` from :func:`_gradient_weights`)."""
+    y_k = np.fft.rfftn(y)
+    grad_sq = float(np.sum(weights * (y_k.real**2 + y_k.imag**2)))
+    return 0.5 * (float(np.sum(pi * pi)) + grad_sq) * grid.dx**3
 
 
 def evolve_field_with_source(traj, coupling, grid, method="kspace",
@@ -399,12 +401,14 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes, energy_every):
         pi = np.zeros_like(y)
     else:
         y, pi = field_from_modes(_checked_amplitudes(initial_amplitudes, grid), grid)
-    v, acc = _trajectory_kinematics(traj)
+    v = traj.velocities
+    acc = traj.accelerations()
     dt = traj.step
     times = traj.times
     n_steps = len(times) - 1
+    weights = _gradient_weights(grid)
     energies = np.empty(len(times))
-    energies[0] = _field_energy(y, pi, grid)
+    energies[0] = _field_energy(y, pi, grid, weights)
 
     # W = dY/dt = Pi + 2 v . N;  staggered half-step start
     w_vel = pi + 2.0 * (n_field @ v[0])
@@ -418,7 +422,7 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes, energy_every):
         w_full = w_half + 0.5 * dt * accel
         pi = w_full - 2.0 * (n_field @ v[i + 1])
         if (i + 1) % energy_every == 0 or i == n_steps - 1:
-            energies[i + 1] = _field_energy(y, pi, grid)
+            energies[i + 1] = _field_energy(y, pi, grid, weights)
         else:
             energies[i + 1] = energies[i]
         w_half = w_half + dt * accel
@@ -443,7 +447,8 @@ def hamiltonian_density(y, pi, particle_velocity, shapes, grid):
 
 
 def _grad_sq(y, grid):
-    # abs keeps the unpaired Nyquist component, matching _field_energy
+    # abs keeps the unpaired Nyquist component, which the Parseval sum of
+    # _field_energy counts too
     y_k = np.fft.fftn(y)
     kx, ky, kz = grid.k_vectors()
     total = 0.0

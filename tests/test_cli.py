@@ -147,6 +147,35 @@ class TestExitCodes:
         assert code == 2
 
 
+    def test_config_value_for_flag_without_default(self, tmp_path):
+        # kt defaults to None, so its type comes from the flag, not the value
+        cfg = tmp_path / "kt.cfg"
+        cfg.write_text("[rates]\nthermal = true\nkt = 1.0\n")
+        out = tmp_path / "out"
+        assert run_cli("rates", "--omega", "0.6931471805599453", "--beta", "0.1",
+                       "--config", str(cfg), "--out", str(out)) == 0
+        _, _, rows = read_table(out / "rates.csv")
+        assert rows[0][2] == pytest.approx(0.2, rel=1e-12)
+
+    def test_config_cutoff_is_numeric(self, tmp_path):
+        cfg = tmp_path / "cut.cfg"
+        cfg.write_text("[kernel]\nuv_cutoff = 50\n")
+        out = tmp_path / "out"
+        assert run_cli("kernel", "--tmax", "1", "--step", "0.01",
+                       "--config", str(cfg), "--out", str(out)) == 0
+        meta, _, _ = read_table(out / "kernel.csv")
+        assert float(meta["uv_cutoff"]) == 50.0
+
+    @pytest.mark.parametrize("line", ["kt = warm", "thermal = maybe", "steps = 1.5"])
+    def test_unparsable_config_value_is_two(self, tmp_path, capsys, line):
+        experiment = "tls" if line.startswith("steps") else "rates"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{experiment}]\n{line}\n")
+        code = run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
+
+
 class TestDeterminismAndOverrides:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         outs = []

@@ -3,7 +3,8 @@ import pytest
 from scipy.special import spherical_jn
 
 from dissipon.errors import DomainError, StabilityError
-from dissipon.field import (FieldGrid, evolve_field_with_source, field_from_modes,
+from dissipon.field import (FieldGrid, _field_energy, _gradient_weights,
+                            evolve_field_with_source, field_from_modes,
                             hamiltonian_density, hamiltonian_identity_check,
                             lagrangian_density, lattice_memory_kernel,
                             modes_from_fields, read_snapshot, source_shapes,
@@ -88,6 +89,20 @@ class TestHamiltonianIdentity:
         a = random_amplitudes(g)
         scale = float(np.sum(g.omega() * np.abs(a) ** 2))
         assert hamiltonian_identity_check(a, g) < 1e-10 * scale
+
+
+    @pytest.mark.parametrize("dx", [0.5, 1.3])
+    def test_parseval_energy_matches_real_space_gradient(self, dx):
+        g = FieldGrid(n=16, dx=dx)
+        rng = np.random.default_rng(17)
+        y = rng.normal(size=(16,) * 3)
+        pi = rng.normal(size=(16,) * 3)
+        # spectral gradient in real space: one forward and three inverse FFTs
+        y_k = np.fft.fftn(y)
+        grad_sq = sum(np.abs(np.fft.ifftn(1j * kc * y_k)) ** 2 for kc in g.k_vectors())
+        expected = float(np.sum(0.5 * (pi**2 + grad_sq)) * dx**3)
+        got = _field_energy(y, pi, g, _gradient_weights(g))
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestSourceShapes:

@@ -2,14 +2,36 @@ import numpy as np
 import pytest
 
 from dissipon.errors import DomainError, StabilityError
-from dissipon.langevin import (PotentialSpec, Trajectory, evolve_mean_markov,
-                               evolve_mean_volterra)
+from dissipon.field import FieldGrid, lattice_memory_kernel
+from dissipon.langevin import (_DIRECT_LAGS, PotentialSpec, Trajectory,
+                               evolve_mean_markov, evolve_mean_volterra)
 from dissipon.oscillator import OscillatorParams, mean_trajectory
 from dissipon.reservoir import CouplingFunction, MemoryKernel
 
 
 def uniform_grid(t_max, h):
     return np.arange(0.0, t_max + h / 2.0, h)
+
+
+def direct_volterra(m, pot, kernel, x0, v0, grid):
+    """The memory equation with the full O(n^2) trapezoid sum at every step."""
+    h = grid[1] - grid[0]
+    n = len(grid)
+    gam = kernel.at(np.arange(n) * h)
+    x = np.empty((n, 3))
+    v = np.empty((n, 3))
+    x[0], v[0] = x0, v0
+    conv0 = 0.5 * h * gam[0]
+    damp = 1.0 + 0.5 * h * conv0 / m
+    a = -pot.gradient(x[0]) / m
+    for i in range(1, n):
+        vh = v[i - 1] + 0.5 * h * a
+        x[i] = x[i - 1] + h * vh
+        tail = h * (gam[i:0:-1] @ v[:i]) - 0.5 * h * gam[i] * v[0]
+        force = -pot.gradient(x[i]) - tail
+        v[i] = (vh + 0.5 * h * force / m) / damp
+        a = (force - conv0 * v[i]) / m
+    return x, v
 
 
 class TestMarkov:
@@ -150,6 +172,25 @@ class TestVolterra:
                                       - ref.positions[::stride, 0])))
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order == pytest.approx(2.0, abs=0.15)
+
+    @pytest.mark.parametrize("steps", [_DIRECT_LAGS - 1, _DIRECT_LAGS, _DIRECT_LAGS + 1,
+                                       2 * _DIRECT_LAGS + 1, 3000])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["canonical", "lattice"])
+    def test_blocked_history_matches_direct_sum(self, steps, lattice):
+        h = 0.02 if lattice else 2e-3
+        grid = np.arange(steps) * h
+        if lattice:
+            coupling = CouplingFunction.canonical(0.1, uv_cutoff=2.8)
+            kern = lattice_memory_kernel(coupling, FieldGrid(n=8, dx=1.0, uv_cutoff=2.8),
+                                         grid)
+        else:
+            kern = MemoryKernel.sample(CouplingFunction.canonical(0.2, uv_cutoff=50.0), grid)
+        pot = PotentialSpec.harmonic(1.0, 0.9)
+        x0, v0 = [0.6, 0.0, 0.8], [0.0, 0.3, 0.0]
+        traj = evolve_mean_volterra(1.0, pot, kern, x0, v0, grid)
+        x, v = direct_volterra(1.0, pot, kern, x0, v0, grid)
+        assert np.max(np.abs(traj.positions - x)) <= 1e-12
+        assert np.max(np.abs(traj.velocities - v)) <= 1e-12
 
     def test_kernel_must_cover_grid(self):
         grid = uniform_grid(10.0, 1e-2)

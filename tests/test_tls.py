@@ -200,6 +200,44 @@ class TestBlochIntegration:
         hist = evolve_bloch_markov(p, BlochState(sz=-1.0), grid, cfg)
         assert np.max(np.abs(hist.sz + 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("beta, omega0", [(0.045, 1.0), (0.05, 0.9)])
+    def test_ground_state_has_no_drift(self, beta, omega0):
+        # acceptance 6's grid and cutoffs, where stepping the affine map
+        # itself drifted by ~1e-10
+        p = canonical_tls(beta=beta, omega0=omega0)
+        grid = np.linspace(0.0, 1.0, 1_000_001)
+        hist = evolve_bloch_markov(p, BlochState(sz=-1.0), grid, shifts_config())
+        assert np.all(hist.sz == -1.0)
+        assert np.all(hist.f == 0.0) and np.all(hist.e_im == 0.0)
+
+    def test_block_powers_match_stepwise_rk4(self):
+        p = canonical_tls(beta=0.05)
+        cfg = shifts_config()
+        spec = coherence_frequencies(p, cfg)
+        mu, gamma = spec.mu, spec.gamma_shifted
+        a_mat = np.array([[-2.0 * mu, 0.0, 0.0],
+                          [0.0, -2.0 * mu, -gamma],
+                          [0.0, p.omega0, 0.0]])
+        c_vec = np.array([-2.0 * mu, 0.0, 0.0])
+        grid = np.linspace(0.0, 200.0, 20_001)
+        h = grid[1] - grid[0]
+        ref = np.empty((len(grid), 3))
+        ref[0] = y = np.array([0.0, 1.0, -0.5])
+
+        def rate(y):
+            return a_mat @ y + c_vec
+
+        for i in range(1, len(grid)):
+            k1 = rate(y)
+            k2 = rate(y + 0.5 * h * k1)
+            k3 = rate(y + 0.5 * h * k2)
+            k4 = rate(y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ref[i] = y
+        hist = evolve_bloch_markov(p, BlochState(sz=0.0, f=1.0, e_im=-0.5), grid, cfg)
+        got = np.column_stack([hist.sz, hist.f, hist.e_im])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
     def test_emission_power_is_nonnegative(self):
         p = canonical_tls(beta=0.05)
         cfg = shifts_config()
