@@ -61,9 +61,9 @@ def _coupling(args):
 
 def _quad_config(args, *frequencies):
     overrides = {}
-    if getattr(args, "uv_cutoff", None):
+    if getattr(args, "uv_cutoff", None) is not None:
         overrides["uv_cutoff"] = args.uv_cutoff
-    if getattr(args, "ir_cutoff", None):
+    if getattr(args, "ir_cutoff", None) is not None:
         overrides["ir_cutoff"] = args.ir_cutoff
     return QuadratureConfig.for_frequencies(*frequencies, **overrides)
 
@@ -184,10 +184,6 @@ def cmd_tls(args, out_dir):
     x12[0] = np.sqrt(args.x12sq)
     p = TwoLevelParams(args.omega0, tuple(x12), coup)
     cfg = _quad_config(args, args.omega0)
-    if cfg.ir_cutoff <= 0:
-        cfg = QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-                               uv_cutoff=cfg.uv_cutoff,
-                               ir_cutoff=1e-6 * args.omega0)
     mu = decay_rate_mu(p)
     grid = np.linspace(0.0, args.tmax, args.steps + 1)
     hist = evolve_bloch_markov(p, BlochState(sz=args.sz0, f=args.f0), grid, cfg)
@@ -318,18 +314,26 @@ def build_parser():
     return parser
 
 
-def _apply_config(args, parser):
-    """Config-file values override flags, per the runner contract."""
-    if not getattr(args, "config", None):
-        return args
+def _read_config(path):
+    """The sections of a config file, by name ("" for the global one)."""
     try:
-        text = Path(args.config).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    sections = parse_config(text)
+    return parse_config(text)
+
+
+def _configure(args, parser, sections, overrides):
+    """Set the config's values on ``args``, converted as their flags convert them.
+
+    Config values override flags, per the runner contract.  The
+    experiment's own section overrides the global one, and ``overrides``
+    (a sweep's parameter) override both.
+    """
     known = _flag_actions(parser, args.experiment)
     flat = dict(sections.get("", {}))
     flat.update(sections.get(args.experiment, {}))
+    flat.update(overrides)
     for key, value in flat.items():
         dest = key.replace("-", "_")
         if dest == "experiment":
@@ -368,10 +372,8 @@ def _coerce(action, key, value):
     return items if action.nargs in ("*", "+") else items[0]
 
 
-def _run_single(argv):
-    """Worker entry for sweeps: run one experiment command line."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run_single(args):
+    """Worker entry for sweeps: run one parsed and configured experiment."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary, outputs = EXPERIMENTS[args.experiment](args, out_dir)
@@ -379,8 +381,7 @@ def _run_single(argv):
 
 
 def cmd_sweep(args, out_dir):
-    text = Path(args.config).read_text()
-    sections = parse_config(text)
+    sections = _read_config(args.config)
     sweep = sections.get("sweep")
     if not sweep:
         raise ConfigError("sweep config needs a [sweep] section")
@@ -392,31 +393,16 @@ def cmd_sweep(args, out_dir):
         raise ConfigError(f"unknown sweep experiment {experiment!r}")
     parameter = sweep["parameter"]
     values = [v for v in sweep["values"].replace(",", " ").split() if v]
-    base = dict(sections.get(experiment, {}))
-    base.update(sections.get("", {}))
 
-    flag_actions = _flag_actions(build_parser(), experiment)
-
+    # every job is configured here, so a bad key or value fails before the pool
+    parser = build_parser()
     jobs = []
     for i, value in enumerate(values):
-        job_dir = out_dir / f"sweep_{i:04d}"
-        argv = [experiment, "--out", str(job_dir)]
-        params = dict(base)
-        params[parameter] = value
-        for key, val in params.items():
-            dest = key.replace("-", "_")
-            action = flag_actions.get(dest)
-            if isinstance(action, argparse._StoreTrueAction):
-                if str(val).lower() in ("1", "true", "yes", "on"):
-                    argv.append(f"--{key.replace('_', '-')}")
-            else:
-                argv += [f"--{key.replace('_', '-')}", str(val)]
-        jobs.append(argv)
+        job = parser.parse_args([experiment, "--out", str(out_dir / f"sweep_{i:04d}")])
+        jobs.append(_configure(job, parser, sections, {parameter: value}))
 
-    results = []
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for summary, outputs in pool.map(_run_single, jobs):
-            results.append((summary, outputs))
+        results = list(pool.map(_run_single, jobs))
 
     rows = []
     for value, (summary, _) in zip(values, results):
@@ -438,8 +424,8 @@ def main(argv=None):
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        if args.experiment != "sweep":
-            args = _apply_config(args, parser)
+        if args.experiment != "sweep" and args.config:
+            _configure(args, parser, _read_config(args.config), {})
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.experiment == "sweep":

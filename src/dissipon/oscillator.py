@@ -26,6 +26,7 @@ import scipy.linalg as sla
 
 from .errors import DomainError, RegimeError
 from .quadrature import QuadratureConfig, integrate_semi_infinite
+from .reservoir import bose_factor
 
 __all__ = [
     "OscillatorParams",
@@ -212,16 +213,11 @@ def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
     if cfg is None:
         cfg = QuadratureConfig.for_frequencies(p.omega, temperature)
     D = _lorentzian_denominator(p)
-
-    def bose(x):
-        arg = x / temperature
-        return 0.0 if arg > 700.0 else 1.0 / math.expm1(arg)
-
     hints = _resonance_hints(p)
     i1, _ = integrate_semi_infinite(
-        lambda x: x / D(x) * bose(x), cfg, singularities=hints)
+        lambda x: x / D(x) * bose_factor(x, temperature), cfg, singularities=hints)
     i3, _ = integrate_semi_infinite(
-        lambda x: x**3 / D(x) * bose(x), cfg, singularities=hints)
+        lambda x: x**3 / D(x) * bose_factor(x, temperature), cfg, singularities=hints)
     direct = 6.0 * p.beta / (np.pi * p.m**2) * (i1 + i3)
     oracle = _mode_sum_oracle(p, temperature, oracle_modes)
     return ThermalSteadyEnergy(direct=direct, mode_sum=oracle)
@@ -268,7 +264,7 @@ def _mode_sum_oracle(p, temperature, oracle_modes):
     a_mat[2 + n_modes + idx, 1] = np.sqrt(2.0) * c
 
     lam, vecs = sla.eig(a_mat)
-    occ = 1.0 / np.expm1(np.minimum(wj / temperature, 700.0))
+    occ = bose_factor(wj, temperature)
     s0 = np.zeros((2 * n_modes + 2, 2 * n_modes + 2))
     s0[2 + idx, 2 + idx] = occ          # thermal-minus-vacuum quadrature variance
     s0[2 + n_modes + idx, 2 + n_modes + idx] = occ

@@ -2,10 +2,10 @@
 
 Semi-infinite bath integrals are mapped to (0, 1) via x = u/(1-u) and
 handled by adaptive Gauss-Kronrod panels (QUADPACK).  Principal values use
-symmetric excision with a shrinking radius, long-time oscillatory
-integrals a split into a resolved head plus Chebyshev-moment (Filon-type)
-tails, and the sinc^2 kernels of finite-time transition probabilities get
-a dedicated routine so the infinite-time delta limit never has to be
+QUADPACK's Cauchy-weight rule (QAWC), long-time oscillatory integrals a
+split into a resolved head plus Chebyshev-moment (Filon-type) tails, and
+the sinc^2 kernels of finite-time transition probabilities get a
+dedicated routine so the infinite-time delta limit never has to be
 represented on a grid.
 
 All routines return ``(value, error_estimate)`` and raise
@@ -139,56 +139,29 @@ def integrate_semi_infinite(f, cfg, singularities=None):
     return _quad(mapped, u0, 1.0, cfg, points=pts)
 
 
-def integrate_principal_value(f, pole, cfg):
-    """Cauchy principal value of ``f`` across a simple pole.
+def integrate_principal_value(g, pole, cfg):
+    """Cauchy principal value PV int g(x) / (x - pole) dx over the window.
 
-    The pole neighbourhood is excised symmetrically and the radius shrunk
-    (factor 4 per pass, with Richardson extrapolation on the leading O(delta)
-    excision error) until the estimate stabilises to the requested
-    tolerance.  A pole outside (ir_cutoff, uv_cutoff) degenerates to the
-    plain integral, with a warning.
+    ``g`` is the numerator, not the full integrand: QUADPACK's Cauchy-weight
+    rule (QAWC; Piessens et al., 1983) integrates the 1/(x - pole) factor
+    through modified Clenshaw-Curtis moments and may evaluate g at the pole
+    itself.  An infinite uv_cutoff keeps QAWC on the window symmetric about
+    the pole and adds the plain tail above it.  A pole outside
+    (ir_cutoff, uv_cutoff) degenerates to the plain integral, with a warning.
     """
     a, b = cfg.ir_cutoff, cfg.uv_cutoff
+    full = lambda x: g(x) / (x - pole)
     if not (a < pole < b):
         warnings.warn(
             f"pole {pole} outside integration window [{a}, {b}]; "
             "falling back to a plain integral", stacklevel=2)
-        return integrate_semi_infinite(f, cfg)
-
-    span_right = (b - pole) if np.isfinite(b) else pole  # symmetric seed radius
-    delta = 0.5 * min(pole - a, span_right)
-    side_cfg = replace(cfg, ir_cutoff=0.0, uv_cutoff=np.inf)
-
-    def shell(d_out, d_in):
-        # contribution of pole +- (d_in, d_out), folded symmetrically
-        left, el = _quad(f, pole - d_out, pole - d_in, cfg)
-        right, er = _quad(f, pole + d_in, pole + d_out, cfg)
-        return left + right, el + er
-
-    outer_left, e1 = _quad(f, a, pole - delta, side_cfg)
+        return integrate_semi_infinite(full, cfg)
     if np.isfinite(b):
-        outer_right, e2 = _quad(f, pole + delta, b, side_cfg)
-    else:
-        tail_cfg = replace(cfg, ir_cutoff=pole + delta, uv_cutoff=b)
-        outer_right, e2 = integrate_semi_infinite(f, tail_cfg)
-    total = outer_left + outer_right
-    err = e1 + e2
-
-    prev = total
-    for _ in range(cfg.max_subdivisions):
-        inner, ei = shell(delta, delta / 4.0)
-        delta /= 4.0
-        total += inner
-        err += ei
-        # excision error is O(delta): extrapolate on the geometric tail
-        extrapolated = total + (total - prev) / 3.0
-        step = abs(extrapolated - total)
-        if step <= cfg.tolerance_for(extrapolated):
-            return extrapolated, err + step
-        prev = total
-    raise QuadratureError(
-        "principal value excision did not stabilise",
-        best_estimate=total, error_estimate=err)
+        return _quad(g, a, b, cfg, weight="cauchy", wvar=pole)
+    split = 2.0 * pole - a
+    near, e1 = _quad(g, a, split, cfg, weight="cauchy", wvar=pole)
+    tail, e2 = integrate_semi_infinite(full, replace(cfg, ir_cutoff=split))
+    return near + tail, e1 + e2
 
 
 def integrate_oscillatory(g, phase_freq, t, cfg, kind="cos"):

@@ -13,9 +13,8 @@ a warning, above 1 an error.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import DomainError, PerturbationTheoryError
 from .oscillator import FockTriple, OscillatorParams
 from .quadrature import QuadratureConfig, integrate_sinc_squared
-from .reservoir import CouplingFunction, ReservoirState
+from .reservoir import CouplingFunction, ReservoirState, bose_factor
 
 __all__ = [
     "RateRequest",
@@ -97,8 +96,8 @@ def finite_time_emission_probability(r, cfg=None):
     if cfg is None:
         cfg = QuadratureConfig.for_frequencies(p.omega,
                                                uv_cutoff=_default_cutoff(r))
-    pref = 2.0 * np.pi * p.omega * r.n.total / (3.0 * p.m)
-    g = lambda w: pref * w**4 * r.coupling(w) ** 2
+    pref = p.omega * r.n.total / (2.0 * np.pi * p.m)
+    g = lambda w: pref * r.coupling.golden_rule(w) / w
     value, _ = integrate_sinc_squared(g, p.omega, r.t, cfg)
     return _guard_probability(value)
 
@@ -119,7 +118,7 @@ def rate_emission_vacuum(r):
     p = r.params
     if r.n.total == 0:
         return 0.0
-    return 4.0 * np.pi**2 * p.omega**5 * r.n.total * r.coupling(p.omega) ** 2 / (3.0 * p.m)
+    return r.n.total * r.coupling.golden_rule(p.omega) / p.m
 
 
 def rates_fock(r, resonance_rel_tol=1e-8):
@@ -135,8 +134,7 @@ def rates_fock(r, resonance_rel_tol=1e-8):
     """
     r._require_reservoir("fock", "rates_fock")
     p = r.params
-    emission = 4.0 * np.pi**2 * p.omega**5 * r.n.total * r.coupling(p.omega) ** 2 \
-        / (3.0 * p.m)
+    emission = rate_emission_vacuum(replace(r, reservoir=ReservoirState.vacuum()))
     res = r.reservoir
     resonant = np.abs(res.frequencies - p.omega) <= resonance_rel_tol * p.omega
     occupancy = np.array([r.n.n1 + 1, r.n.n2 + 1, r.n.n3 + 1], dtype=float)
@@ -157,14 +155,8 @@ def rates_thermal(r):
     """
     r._require_reservoir("thermal", "rates_thermal")
     p = r.params
-    x = p.omega / r.reservoir.temperature
-    base = 4.0 * np.pi**2 * p.omega**5 * r.coupling(p.omega) ** 2 / (3.0 * p.m)
-    if x > 700.0:
-        bose = 0.0
-        stimulated = 1.0
-    else:
-        bose = 1.0 / math.expm1(x)
-        stimulated = 1.0 + bose  # e^x / (e^x - 1)
-    emission = base * r.n.total * stimulated
+    base = r.coupling.golden_rule(p.omega) / p.m
+    bose = bose_factor(p.omega, r.reservoir.temperature)
+    emission = base * r.n.total * (1.0 + bose)  # 1 + bose = e^x / (e^x - 1)
     absorption = base * (r.n.total + 3) * bose
     return RatePair(emission=emission, absorption=absorption)

@@ -15,7 +15,6 @@ beta * v(t) as Lambda grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ __all__ = [
     "memory_kernel",
     "friction_coefficient",
     "occupation",
+    "bose_factor",
 ]
 
 
@@ -119,6 +119,10 @@ class CouplingFunction:
             return float(out)
         return out
 
+    def golden_rule(self, omega):
+        """The golden-rule weight (4 pi^2 / 3) |f(w)|^2 w^5; beta when canonical."""
+        return 4.0 * np.pi**2 / 3.0 * self.spectral_weight(omega)
+
     def default_config(self, cfg=None):
         if cfg is not None:
             return cfg
@@ -184,12 +188,21 @@ def occupation(state, omega, rel_tol=1e-8):
     if state.kind == "vacuum":
         return 0.0
     if state.kind == "thermal":
-        x = omega / state.temperature
-        if x > 700.0:
-            return 0.0
-        return 1.0 / math.expm1(x)
+        return bose_factor(omega, state.temperature)
     resonant = np.abs(state.frequencies - omega) <= rel_tol * omega
     return float(state.weights[resonant].sum())
+
+
+def bose_factor(omega, temperature):
+    """Bose occupation 1/(e^(w/T) - 1), exactly 0 where w/T > 700.
+
+    A scalar ``omega`` gives a float, an array an array.
+    """
+    x = np.asarray(omega, dtype=float) / temperature
+    out = np.zeros_like(x)
+    warm = x <= 700.0
+    out[warm] = 1.0 / np.expm1(x[warm])
+    return float(out) if out.ndim == 0 else out
 
 
 def angular_reduce(G):

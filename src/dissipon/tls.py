@@ -111,8 +111,7 @@ def decay_rate_mu(p, bare=False):
     mu = (4 pi^2 w0^6 / 3) |f(w0)|^2 |x12|^2; the canonical coupling gives
     beta w0 |x12|^2.  ``bare`` drops the dipole factor.
     """
-    f0 = p.coupling(p.omega0)
-    mu = 4.0 * np.pi**2 * p.omega0**6 * f0 * f0 / 3.0
+    mu = p.omega0 * p.coupling.golden_rule(p.omega0)
     if not bare:
         mu *= p.x12_sq
     return mu
@@ -139,16 +138,13 @@ def level_shifts(p, cfg):
         raise DomainError(
             "the canonical coupling makes the level shifts infrared-divergent; "
             "supply a positive ir_cutoff")
-    pref = 4.0 * np.pi**2 * p.omega0**6 * p.x12_sq / 3.0
-
-    def weight(w):
-        f = p.coupling(w)
-        return f * f * w**4
-
-    d1, _ = integrate_principal_value(
-        lambda w: weight(w) / (w - p.omega0), p.omega0, cfg)
-    d2, _ = integrate_semi_infinite(
-        lambda w: weight(w) / (w + p.omega0), cfg)
+    pref = p.omega0**6 * p.x12_sq
+    weight = lambda w: p.coupling.golden_rule(w) / w
+    d1, _ = integrate_principal_value(weight, p.omega0, cfg)
+    # without a panel boundary at w0, QUADPACK flags roundoff on the 1/w
+    # weight and returns a wrong value once Lambda / epsilon reaches a few 1e7
+    d2, _ = integrate_semi_infinite(lambda w: weight(w) / (w + p.omega0), cfg,
+                                    singularities=[p.omega0])
     return LevelShifts(delta1=pref * d1, delta2=pref * d2,
                        ir_cutoff=cfg.ir_cutoff, uv_cutoff=cfg.uv_cutoff)
 

@@ -146,6 +146,24 @@ class TestExitCodes:
         code = run_cli("tls", "--config", str(bad), "--out", str(tmp_path))
         assert code == 2
 
+    def test_explicit_zero_ir_cutoff_is_one(self, tmp_path, capsys):
+        code = run_cli("tls", "--ir-cutoff", "0", "--tmax", "1", "--steps", "10",
+                       "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "infrared-divergent" in err and "Traceback" not in err
+
+    def test_unknown_sweep_parameter_fails_before_pool(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from dissipon import cli
+        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("the pool started"))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sweep]\nexperiment = tls\nparameter = bogus\nvalues = 1 2\n")
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+
 
     def test_config_value_for_flag_without_default(self, tmp_path):
         # kt defaults to None, so its type comes from the flag, not the value
@@ -194,6 +212,20 @@ class TestDeterminismAndOverrides:
                        "--config", str(cfg), "--out", str(out)) == 0
         _, _, rows = read_table(out / "rates.csv")
         assert rows[0][2] == pytest.approx(0.2, rel=1e-12)
+
+    def test_sweep_job_matches_standalone_run(self, tmp_path):
+        # the experiment's section overrides the global one on both paths
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("steps = 100\ntmax = 2\n[tls]\nsteps = 200\n"
+                       "[sweep]\nexperiment = tls\nparameter = sz0\nvalues = 0.5\n")
+        alone, swept = tmp_path / "alone", tmp_path / "swept"
+        assert run_cli("tls", "--sz0", "0.5", "--config", str(cfg),
+                       "--out", str(alone)) == 0
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(swept),
+                       "--workers", "1") == 0
+        table = (alone / "tls_decay.csv").read_bytes()
+        assert (swept / "sweep_0000" / "tls_decay.csv").read_bytes() == table
+        assert len(read_table(alone / "tls_decay.csv")[2]) == 201
 
     def test_sweep_merges_in_input_order(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

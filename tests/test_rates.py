@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dissipon.errors import DomainError, PerturbationTheoryError
 from dissipon.oscillator import FockTriple, OscillatorParams
@@ -161,3 +164,34 @@ class TestThermal:
         assert pair.emission == pytest.approx(
             2.0 * base * np.exp(x) / np.expm1(x), rel=1e-12)
         assert pair.absorption == pytest.approx(5.0 * base / np.expm1(x), rel=1e-12)
+
+
+occupations = st.tuples(*[st.integers(0, 5)] * 3)
+
+
+class TestRateProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(m=st.floats(0.1, 10.0), omega=st.floats(0.01, 10.0),
+           beta=st.floats(1e-4, 1.0), x=st.floats(1e-6, 1500.0), n=occupations)
+    @example(m=1.0, omega=1.0, beta=0.1, x=700.5, n=(1, 0, 0))
+    def test_thermal_rates_canonical(self, m, omega, beta, x, n):
+        kt = omega / x
+        x = omega / kt  # the ratio the rate sees
+        r = canonical_request(beta=beta, omega=omega, m=m, n=n,
+                              reservoir=ReservoirState.thermal(kt))
+        pair = rates_thermal(r)
+        total = sum(n)
+        assert pair.emission == pytest.approx(
+            total * beta / m / -math.expm1(-x), rel=1e-12)  # e^x / (e^x - 1)
+        if x > 700.0:
+            assert pair.absorption == 0.0
+        else:
+            assert pair.absorption == pytest.approx(
+                (total + 3) * beta / m / math.expm1(x), rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(m=st.floats(0.1, 10.0), omega=st.floats(0.01, 10.0),
+           beta=st.floats(1e-4, 1.0), n=occupations)
+    def test_vacuum_rate_canonical(self, m, omega, beta, n):
+        r = canonical_request(beta=beta, omega=omega, m=m, n=n)
+        assert rate_emission_vacuum(r) == pytest.approx(sum(n) * beta / m, rel=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dissipon.errors import DomainError, StabilityError
@@ -101,6 +103,29 @@ class TestLevelShifts:
         p = canonical_tls()
         with pytest.raises(DomainError, match="infrared"):
             level_shifts(p, QuadratureConfig(ir_cutoff=0.0, uv_cutoff=100.0))
+
+
+class TestCanonicalProperties:
+    @settings(deadline=None, max_examples=100)
+    @given(beta=st.floats(1e-3, 1.0), omega0=st.floats(0.1, 5.0),
+           x=st.floats(0.1, 2.0))
+    def test_decay_rate_mu(self, beta, omega0, x):
+        p = canonical_tls(beta=beta, omega0=omega0, x12=(x, 0.0, 0.0))
+        assert decay_rate_mu(p) == pytest.approx(beta * omega0 * x * x, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(beta=st.floats(1e-3, 1.0), omega0=st.floats(0.1, 5.0),
+           x=st.floats(0.1, 2.0), eps_ratio=st.floats(1e-4, 1e-2),
+           lam=st.floats(10.0, 1e4))
+    def test_level_shifts_closed_forms(self, beta, omega0, x, eps_ratio, lam):
+        eps = eps_ratio * omega0
+        p = canonical_tls(beta=beta, omega0=omega0, x12=(x, 0.0, 0.0), lam=lam)
+        shifts = level_shifts(p, shifts_config(eps=eps, lam=lam))
+        scale = beta * omega0**5 * x * x
+        d1 = scale * (np.log((lam - omega0) / lam) - np.log((omega0 - eps) / eps))
+        d2 = scale * np.log(lam * (eps + omega0) / (eps * (lam + omega0)))
+        assert shifts.delta1 == pytest.approx(d1, rel=1e-8)
+        assert shifts.delta2 == pytest.approx(d2, rel=1e-10)
 
 
 class TestPopulation:
