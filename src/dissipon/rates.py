@@ -14,7 +14,7 @@ a warning, above 1 an error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +97,8 @@ def finite_time_emission_probability(r, cfg=None):
         cfg = QuadratureConfig.for_frequencies(p.omega,
                                                uv_cutoff=_default_cutoff(r))
     pref = p.omega * r.n.total / (2.0 * np.pi * p.m)
-    g = lambda w: pref * r.coupling.golden_rule(w) / w
+    # pref |f|^2 w^4, whose w -> 0 limit is 0 for a finite tabulated f
+    g = lambda w: pref * r.coupling.golden_rule(w) / w if w > 0 else 0.0
     value, _ = integrate_sinc_squared(g, p.omega, r.t, cfg)
     return _guard_probability(value)
 
@@ -115,10 +116,14 @@ def rate_emission_vacuum(r):
     Absorption from the vacuum is exactly zero.
     """
     r._require_reservoir("vacuum", "rate_emission_vacuum")
-    p = r.params
     if r.n.total == 0:
         return 0.0
-    return r.n.total * r.coupling.golden_rule(p.omega) / p.m
+    return _golden_rate(r, r.n.total)
+
+
+def _golden_rate(r, quanta):
+    """quanta * golden_rule(w) / m, the rate every reservoir kind scales."""
+    return quanta * r.coupling.golden_rule(r.params.omega) / r.params.m
 
 
 def rates_fock(r, resonance_rel_tol=1e-8):
@@ -134,7 +139,7 @@ def rates_fock(r, resonance_rel_tol=1e-8):
     """
     r._require_reservoir("fock", "rates_fock")
     p = r.params
-    emission = rate_emission_vacuum(replace(r, reservoir=ReservoirState.vacuum()))
+    emission = _golden_rate(r, r.n.total)
     res = r.reservoir
     resonant = np.abs(res.frequencies - p.omega) <= resonance_rel_tol * p.omega
     occupancy = np.array([r.n.n1 + 1, r.n.n2 + 1, r.n.n3 + 1], dtype=float)
@@ -155,8 +160,7 @@ def rates_thermal(r):
     """
     r._require_reservoir("thermal", "rates_thermal")
     p = r.params
-    base = r.coupling.golden_rule(p.omega) / p.m
     bose = bose_factor(p.omega, r.reservoir.temperature)
-    emission = base * r.n.total * (1.0 + bose)  # 1 + bose = e^x / (e^x - 1)
-    absorption = base * (r.n.total + 3) * bose
+    emission = _golden_rate(r, r.n.total) * (1.0 + bose)  # e^x / (e^x - 1)
+    absorption = _golden_rate(r, r.n.total + 3) * bose
     return RatePair(emission=emission, absorption=absorption)

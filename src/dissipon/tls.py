@@ -139,7 +139,9 @@ def level_shifts(p, cfg):
             "the canonical coupling makes the level shifts infrared-divergent; "
             "supply a positive ir_cutoff")
     pref = p.omega0**6 * p.x12_sq
-    weight = lambda w: p.coupling.golden_rule(w) / w
+    # |f|^2 w^4: its w -> 0 limit is 0 for a finite tabulated f, and QUADPACK
+    # evaluates the window's ends when ir_cutoff = 0
+    weight = lambda w: p.coupling.golden_rule(w) / w if w > 0 else 0.0
     d1, _ = integrate_principal_value(weight, p.omega0, cfg)
     # without a panel boundary at w0, QUADPACK flags roundoff on the 1/w
     # weight and returns a wrong value once Lambda / epsilon reaches a few 1e7

@@ -153,6 +153,18 @@ class TestExitCodes:
         assert code == 1
         assert "infrared-divergent" in err and "Traceback" not in err
 
+    def test_explicit_zero_ir_cutoff_with_table_runs(self, tmp_path):
+        # a tabulated coupling has finite level shifts down to w = 0
+        table = tmp_path / "coupling.dat"
+        table.write_text("".join(f"{w} {3e-4 * np.exp(-w / 20.0)}\n"
+                                 for w in np.linspace(0.0, 50.0, 11)))
+        code = run_cli("tls", "--coupling-file", str(table), "--ir-cutoff", "0",
+                       "--uv-cutoff", "50", "--tmax", "1", "--steps", "10",
+                       "--out", str(tmp_path))
+        assert code == 0
+        meta, _, _ = read_table(tmp_path / "tls_decay.csv")
+        assert float(meta["ir_cutoff"]) == 0.0
+
     def test_unknown_sweep_parameter_fails_before_pool(self, tmp_path, capsys,
                                                        monkeypatch):
         from dissipon import cli
@@ -163,7 +175,6 @@ class TestExitCodes:
         code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2
         assert "bogus" in capsys.readouterr().err
-
 
     def test_config_value_for_flag_without_default(self, tmp_path):
         # kt defaults to None, so its type comes from the flag, not the value

@@ -1,0 +1,81 @@
+"""Property-based checks of the golden-rule rates and two-level constants.
+
+Skipped where hypothesis is not installed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dissipon.oscillator import FockTriple, OscillatorParams  # noqa: E402
+from dissipon.quadrature import QuadratureConfig  # noqa: E402
+from dissipon.rates import RateRequest, rate_emission_vacuum, rates_thermal  # noqa: E402
+from dissipon.reservoir import CouplingFunction, ReservoirState  # noqa: E402
+from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E402
+
+occupations = st.tuples(*[st.integers(0, 5)] * 3)
+
+
+def canonical_request(beta, omega, m, n, reservoir):
+    c = CouplingFunction.canonical(beta, uv_cutoff=100.0 * omega)
+    return RateRequest(OscillatorParams(m, omega, beta), FockTriple(*n), reservoir, c)
+
+
+def canonical_tls(beta, omega0, x, lam):
+    c = CouplingFunction.canonical(beta, uv_cutoff=lam)
+    return TwoLevelParams(omega0, (x, 0.0, 0.0), c)
+
+
+class TestRateProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(m=st.floats(0.1, 10.0), omega=st.floats(0.01, 10.0),
+           beta=st.floats(1e-4, 1.0), x=st.floats(1e-6, 1500.0), n=occupations)
+    @example(m=1.0, omega=1.0, beta=0.1, x=700.5, n=(1, 0, 0))
+    def test_thermal_rates_canonical(self, m, omega, beta, x, n):
+        kt = omega / x
+        x = omega / kt  # the ratio the rate sees
+        r = canonical_request(beta, omega, m, n, ReservoirState.thermal(kt))
+        pair = rates_thermal(r)
+        total = sum(n)
+        assert pair.emission == pytest.approx(
+            total * beta / m / -math.expm1(-x), rel=1e-12)  # e^x / (e^x - 1)
+        if x > 700.0:
+            assert pair.absorption == 0.0
+        else:
+            assert pair.absorption == pytest.approx(
+                (total + 3) * beta / m / math.expm1(x), rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(m=st.floats(0.1, 10.0), omega=st.floats(0.01, 10.0),
+           beta=st.floats(1e-4, 1.0), n=occupations)
+    def test_vacuum_rate_canonical(self, m, omega, beta, n):
+        r = canonical_request(beta, omega, m, n, ReservoirState.vacuum())
+        assert rate_emission_vacuum(r) == pytest.approx(sum(n) * beta / m, rel=1e-12)
+
+
+class TestCanonicalProperties:
+    @settings(deadline=None, max_examples=100)
+    @given(beta=st.floats(1e-3, 1.0), omega0=st.floats(0.1, 5.0),
+           x=st.floats(0.1, 2.0))
+    def test_decay_rate_mu(self, beta, omega0, x):
+        p = canonical_tls(beta, omega0, x, lam=100.0)
+        assert decay_rate_mu(p) == pytest.approx(beta * omega0 * x * x, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(beta=st.floats(1e-3, 1.0), omega0=st.floats(0.1, 5.0),
+           x=st.floats(0.1, 2.0), eps_ratio=st.floats(1e-4, 1e-2),
+           lam=st.floats(10.0, 1e4))
+    def test_level_shifts_closed_forms(self, beta, omega0, x, eps_ratio, lam):
+        eps = eps_ratio * omega0
+        p = canonical_tls(beta, omega0, x, lam)
+        shifts = level_shifts(p, QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        scale = beta * omega0**5 * x * x
+        d1 = scale * (np.log((lam - omega0) / lam) - np.log((omega0 - eps) / eps))
+        d2 = scale * np.log(lam * (eps + omega0) / (eps * (lam + omega0)))
+        assert shifts.delta1 == pytest.approx(d1, rel=1e-8)
+        assert shifts.delta2 == pytest.approx(d2, rel=1e-10)

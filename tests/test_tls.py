@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.quadrature import QuadratureConfig
@@ -104,28 +102,27 @@ class TestLevelShifts:
         with pytest.raises(DomainError, match="infrared"):
             level_shifts(p, QuadratureConfig(ir_cutoff=0.0, uv_cutoff=100.0))
 
-
-class TestCanonicalProperties:
-    @settings(deadline=None, max_examples=100)
-    @given(beta=st.floats(1e-3, 1.0), omega0=st.floats(0.1, 5.0),
-           x=st.floats(0.1, 2.0))
-    def test_decay_rate_mu(self, beta, omega0, x):
-        p = canonical_tls(beta=beta, omega0=omega0, x12=(x, 0.0, 0.0))
-        assert decay_rate_mu(p) == pytest.approx(beta * omega0 * x * x, rel=1e-12)
-
-    @settings(deadline=None, max_examples=100)
-    @given(beta=st.floats(1e-3, 1.0), omega0=st.floats(0.1, 5.0),
-           x=st.floats(0.1, 2.0), eps_ratio=st.floats(1e-4, 1e-2),
-           lam=st.floats(10.0, 1e4))
-    def test_level_shifts_closed_forms(self, beta, omega0, x, eps_ratio, lam):
-        eps = eps_ratio * omega0
-        p = canonical_tls(beta=beta, omega0=omega0, x12=(x, 0.0, 0.0), lam=lam)
-        shifts = level_shifts(p, shifts_config(eps=eps, lam=lam))
-        scale = beta * omega0**5 * x * x
-        d1 = scale * (np.log((lam - omega0) / lam) - np.log((omega0 - eps) / eps))
-        d2 = scale * np.log(lam * (eps + omega0) / (eps * (lam + omega0)))
-        assert shifts.delta1 == pytest.approx(d1, rel=1e-8)
-        assert shifts.delta2 == pytest.approx(d2, rel=1e-10)
+    def test_tabulated_coupling_with_zero_ir_cutoff(self):
+        # QUADPACK evaluates the weight at w = 0, where |f|^2 w^4 vanishes
+        omega0, lam = 1.0, 50.0
+        w = np.linspace(0.0, lam, 11)
+        f = 0.01 * np.exp(-w / 20.0)
+        p = TwoLevelParams(omega0, (1, 0, 0), CouplingFunction.tabulated(w, f))
+        shifts = level_shifts(p, QuadratureConfig(uv_cutoff=lam))
+        weight = lambda x: 4.0 * np.pi**2 / 3.0 * np.interp(x, w, f) ** 2 * x**4
+        tight = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+        d1 = d2 = 0.0
+        for a, b in zip(w[:-1], w[1:]):  # the weight is a polynomial on each panel
+            d2 += quad(lambda x: weight(x) / (x + omega0), a, b, **tight)[0]
+            if a < omega0 < b:  # subtract the pole: PV of the constant is a log
+                d1 += quad(lambda x: (weight(x) - weight(omega0)) / (x - omega0),
+                           a, b, **tight)[0]
+                d1 += weight(omega0) * np.log((b - omega0) / (omega0 - a))
+            else:
+                d1 += quad(lambda x: weight(x) / (x - omega0), a, b, **tight)[0]
+        assert shifts.ir_cutoff == 0.0
+        assert shifts.delta1 == pytest.approx(omega0**6 * d1, rel=1e-8)
+        assert shifts.delta2 == pytest.approx(omega0**6 * d2, rel=1e-8)
 
 
 class TestPopulation:
