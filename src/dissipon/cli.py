@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DissiponError
+from .errors import ConfigError, DissiponError, DomainError
 from .field import (FieldGrid, evolve_field_with_source, hamiltonian_identity_check,
                     lattice_memory_kernel, modes_from_fields, write_snapshot)
 from .io import emit_table, parse_config, write_manifest
@@ -68,6 +68,13 @@ def _quad_config(args, *frequencies):
     return QuadratureConfig.for_frequencies(*frequencies, **overrides)
 
 
+def _time_grid(args):
+    """The uniform grid 0, step, ..., tmax of the kernel, langevin and field runs."""
+    if not (args.tmax > 0 and args.step > 0):
+        raise DomainError(f"--tmax ({args.tmax}) and --step ({args.step}) must be positive")
+    return np.arange(0.0, args.tmax + args.step / 2.0, args.step)
+
+
 def _metadata(args, cfg, **extra):
     meta = {
         "experiment": args.experiment,
@@ -83,7 +90,7 @@ def _metadata(args, cfg, **extra):
 def cmd_kernel(args, out_dir):
     coup = _coupling(args)
     cfg = _quad_config(args, args.omega)
-    times = np.arange(0.0, args.tmax + args.step / 2.0, args.step)
+    times = _time_grid(args)
     kern = MemoryKernel.sample(coup, times, cfg)
     from .reservoir import friction_coefficient
     beta_eff = friction_coefficient(coup, cfg)
@@ -97,7 +104,7 @@ def cmd_kernel(args, out_dir):
 def cmd_langevin(args, out_dir):
     pot = PotentialSpec.harmonic(args.m, args.omega) if args.omega > 0 \
         else PotentialSpec.free()
-    grid = np.arange(0.0, args.tmax + args.step / 2.0, args.step)
+    grid = _time_grid(args)
     x0 = _parse_triple(args.x0)
     v0 = _parse_triple(args.v0)
     cfg = _quad_config(args, max(args.omega, 1.0 / args.tmax))
@@ -163,8 +170,7 @@ def cmd_rates(args, out_dir):
                      pair.emission, pair.absorption))
     else:
         state = ReservoirState.vacuum()
-        req = RateRequest(p, n, state, coup,
-                          t=args.t if args.t and args.t > 0 else None)
+        req = RateRequest(p, n, state, coup, t=args.t)
         if req.t is not None:
             prob = finite_time_emission_probability(req, cfg)
             rows.append((f"{n.n1} {n.n2} {n.n3}", f"vacuum t={args.t}",
@@ -201,7 +207,7 @@ def cmd_field(args, out_dir):
     coup = _coupling(args)
     grid = FieldGrid(n=args.modes, dx=args.dx, uv_cutoff=args.uv_cutoff)
     p = OscillatorParams(args.m, args.omega, args.beta)
-    times = np.arange(0.0, args.tmax + args.step / 2.0, args.step)
+    times = _time_grid(args)
     kern = lattice_memory_kernel(coup, grid, times)
     pot = PotentialSpec.harmonic(args.m, args.omega)
     traj = evolve_mean_volterra(args.m, pot, kern,

@@ -107,7 +107,9 @@ def _check_grid(grid):
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError("time grid must be a 1-d array with at least 2 points")
     h = np.diff(grid)
-    if not np.all(h > 0) or not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
+    # a few ulps of the largest time: np.linspace's own rounding, not non-uniformity
+    slack = 1e-10 * h[0] + 4.0 * np.spacing(np.abs(grid).max())
+    if not np.all(h > 0) or not np.all(np.abs(h - h[0]) <= slack):
         raise DomainError("time grid must be uniform and increasing")
     return grid, float(h[0])
 

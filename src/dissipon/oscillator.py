@@ -9,9 +9,12 @@ energy bookkeeping is checked rather than assumed.
 
 The thermal steady state likewise carries an independent mode-sum oracle:
 the bath is discretised into N modes with the coupling's spectral weight,
-the resulting closed linear system is diagonalised exactly, and the
-infinite-time average of the system energy is read off the resonant
-(conjugate) eigenvalue pairs.
+and the resulting closed linear system is diagonalised exactly.  It
+conserves a quadratic energy s^T G s / 2, so in G-scaled coordinates its
+generator is real antisymmetric and couples (x, p_j) only to (v, q_j);
+one real SVD of that (N+1)^2 coupling block gives every eigenvalue +-i sigma
+and eigenvector, and the infinite-time average of the system energy is
+read off the pairs of equal sigma.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DomainError, RegimeError
 from .quadrature import QuadratureConfig, integrate_semi_infinite
@@ -223,21 +225,15 @@ def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
     return ThermalSteadyEnergy(direct=direct, mode_sum=oracle)
 
 
-def _mode_sum_oracle(p, temperature, oracle_modes):
-    """Exact long-time average of the system energy for a discretised bath.
+def _discretised_bath(p, temperature, oracle_modes):
+    """Oracle bath frequencies w_j and panel couplings c_j.
 
-    One Cartesian component couples, through its velocity, to N bath modes
-    carrying the canonical spectral weight (panel-integrated so the
-    discrete kernel matches gamma).  The full linear system is closed and
-    conservative, so its second moments evolve by a similarity with purely
-    imaginary eigenvalues; the infinite-time average of the energy is the
-    sum over eigenvalue pairs lambda_i + lambda_j = 0.  Normal ordering is
-    the thermal-minus-vacuum difference, which removes every zero-point
-    term and all transients exactly.
+    The grid is dense across the resonance w +- 8 beta/m and sparse below
+    and above it; the couplings are panel-integrated so that
+    sum_j 2 c_j^2 w_j cos(w_j t) tracks gamma(t).
     """
     n_res, n_bg = oracle_modes
-    m, w, beta = p.m, p.omega, p.beta
-    g = beta / m
+    w, g = p.omega, p.beta / p.m
     w_max = max(30.0 * temperature, w + 20.0 * g, 8.0 * w)
     lo, hi = max(w - 8.0 * g, 1e-6 * w), w + 8.0 * g
     dense = np.linspace(lo, hi, n_res)
@@ -248,32 +244,46 @@ def _mode_sum_oracle(p, temperature, oracle_modes):
     dw[1:-1] = 0.5 * (wj[2:] - wj[:-2])
     dw[0] = 0.5 * (wj[1] - wj[0])
     dw[-1] = 0.5 * (wj[-1] - wj[-2])
-
-    # panel couplings so that sum_j 2 c_j^2 w_j cos(w_j t) tracks gamma(t)
-    spectral = 3.0 * beta / (4.0 * np.pi**2)  # |f|^2 w^5 of the matching coupling
+    spectral = 3.0 * p.beta / (4.0 * np.pi**2)  # |f|^2 w^5 of the matching coupling
     c = np.sqrt((8.0 * np.pi / 3.0) * spectral * dw / (2.0 * wj))
+    return wj, c
 
-    n_modes = len(wj)
-    a_mat = np.zeros((2 * n_modes + 2, 2 * n_modes + 2))
-    a_mat[0, 1] = 1.0
-    a_mat[1, 0] = -w**2
-    a_mat[1, 2 + n_modes:] = -(np.sqrt(2.0) / m) * c * wj
-    idx = np.arange(n_modes)
-    a_mat[2 + idx, 2 + n_modes + idx] = wj
-    a_mat[2 + n_modes + idx, 2 + idx] = -wj
-    a_mat[2 + n_modes + idx, 1] = np.sqrt(2.0) * c
 
-    lam, vecs = sla.eig(a_mat)
-    occ = bose_factor(wj, temperature)
-    s0 = np.zeros((2 * n_modes + 2, 2 * n_modes + 2))
-    s0[2 + idx, 2 + idx] = occ          # thermal-minus-vacuum quadrature variance
-    s0[2 + n_modes + idx, 2 + n_modes + idx] = occ
-    vinv = np.linalg.inv(vecs)
-    b = vinv @ s0 @ vinv.T
-    energy_form = np.zeros_like(s0)
-    energy_form[0, 0] = 0.5 * m * w**2
-    energy_form[1, 1] = 0.5 * m
-    weights = (vecs.T @ energy_form @ vecs).T * b
-    resonant = np.abs(lam[:, None] + lam[None, :]) <= 1e-9 * np.abs(lam).max()
-    per_component = weights[resonant].sum().real
-    return 3.0 * per_component
+def _mode_sum_oracle(p, temperature, oracle_modes):
+    """Exact long-time average of the system energy for a discretised bath.
+
+    One Cartesian component couples, through its velocity, to N bath modes
+    (q_j, p_j) carrying the canonical spectral weight (see
+    :func:`_discretised_bath`).  The closed linear system s' = A s,
+    s = (x, v, q, p), conserves the energy s^T G s / 2 with
+    G = diag(m w^2, m, w_j, w_j), so in the scaled coordinates G^(1/2) s its
+    generator K = G^(1/2) A G^(-1/2) is real antisymmetric.  K only links
+    (x, p_j) with (v, q_j), K = [[0, C], [-C^T, 0]], so one SVD
+    C = U diag(sigma) V^T gives its whole spectrum: eigenvalues +-i sigma_k
+    with orthonormal eigenvectors (u_k, +-i v_k)/sqrt(2).
+
+    The infinite-time average of the energy keeps the products of equal
+    eigenvalues, sigma_k = sigma_l for each sign, so per component it is
+    2 sum over those (k, l) of M_E[k, l] M_Y[k, l], with
+    M = (U^T diag(y_P) U + V^T diag(y_Q) V) / 2 for the energy form (scaled
+    by G^-1) and for the initial thermal-minus-vacuum variance (scaled by
+    G).  Normal ordering is that difference, which removes every zero-point
+    term and all transients exactly.  A degenerate sigma needs no special
+    case: the sum over a degenerate block does not depend on the basis the
+    SVD picks inside it.
+    """
+    m, w = p.m, p.omega
+    wj, c = _discretised_bath(p, temperature, oracle_modes)
+    # rows (x, p_j), columns (v, q_j) of K
+    c_mat = np.zeros((len(wj) + 1, len(wj) + 1))
+    c_mat[0, 0] = w
+    c_mat[1:, 0] = np.sqrt(2.0 / m) * c * np.sqrt(wj)
+    c_mat[1:, 1:] = np.diag(-wj)
+    u, sigma, vt = np.linalg.svd(c_mat)
+
+    # x and v carry the energy form, q_j and p_j the bath's thermal variance
+    y = np.concatenate([[0.0], wj * bose_factor(wj, temperature)])
+    m_e = 0.25 * (np.outer(u[0], u[0]) + np.outer(vt[:, 0], vt[:, 0]))
+    m_y = 0.5 * ((u.T * y) @ u + (vt * y) @ vt.T)
+    resonant = np.abs(sigma[:, None] - sigma[None, :]) <= 1e-9 * sigma.max()
+    return 3.0 * 2.0 * (m_e * m_y)[resonant].sum()

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, NonMarkovianError
 from .quadrature import QuadratureConfig, integrate_oscillatory
@@ -318,12 +317,12 @@ class MemoryKernel:
         if v.shape[0] != len(self.times):
             raise DomainError("velocity samples must match the kernel grid")
         h = self.step
-        if v.ndim == 1:
-            full = fftconvolve(self.values, v)[: len(v)]
-        else:
-            full = np.stack(
-                [fftconvolve(self.values, v[:, i])[: len(v)] for i in range(v.shape[1])],
-                axis=1)
+        # zero-padded to 2n points, so the circular product is the linear one
+        n = len(v)
+        kern = np.fft.rfft(self.values, 2 * n)
+        spec = np.fft.rfft(v, 2 * n, axis=0)
+        full = np.fft.irfft(spec * (kern if v.ndim == 1 else kern[:, None]),
+                            2 * n, axis=0)[:n]
         corr = 0.5 * (np.multiply.outer(self.values, v[0]) if v.ndim > 1
                       else self.values * v[0])
         corr = corr + 0.5 * self.values[0] * v

@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, StabilityError
+from .langevin import _check_grid
 from .quadrature import (QuadratureConfig, integrate_principal_value,
                          integrate_semi_infinite)
 
@@ -237,11 +238,7 @@ def evolve_bloch_markov(p, initial, grid, cfg, bare=False):
     are filled a block at a time from the precomputed powers S^k, k < B,
     and the jump S^B carries the deviation from block to block.
     """
-    grid = np.asarray(grid, dtype=float)
-    h = np.diff(grid)
-    if len(grid) < 2 or not np.all(h > 0) or not np.allclose(h, h[0], rtol=1e-10, atol=0):
-        raise DomainError("time grid must be uniform and increasing")
-    h = float(h[0])
+    grid, h = _check_grid(grid)
     mu = decay_rate_mu(p, bare=bare)
     spec = coherence_frequencies(p, cfg, bare=bare)
     gamma = spec.gamma_shifted

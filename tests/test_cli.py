@@ -1,8 +1,13 @@
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dissipon
 from dissipon.cli import main
 from dissipon.errors import ConfigError
 from dissipon.io import emit_table, parse_config, read_table, serialize_config
@@ -165,6 +170,33 @@ class TestExitCodes:
         meta, _, _ = read_table(tmp_path / "tls_decay.csv")
         assert float(meta["ir_cutoff"]) == 0.0
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_nonpositive_rate_time_is_one(self, tmp_path, capsys, t):
+        code = run_cli("rates", "--t", t, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "t > 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment, flag, value", [
+        ("kernel", "--tmax", "0"), ("kernel", "--step", "0"),
+        ("langevin", "--tmax", "0"), ("langevin", "--tmax", "-1"),
+        ("langevin", "--step", "0"), ("field", "--tmax", "0"),
+        ("field", "--step", "-0.02"),
+    ])
+    def test_nonpositive_time_grid_is_one(self, tmp_path, capsys, experiment, flag,
+                                          value):
+        code = run_cli(experiment, flag, value, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "must be positive" in err and "Traceback" not in err
+
+    def test_million_step_tls_grid_is_uniform(self, tmp_path):
+        # np.linspace(0, 100, 10**6 + 1) has step spread ~1e-10 from rounding alone
+        assert run_cli("tls", "--steps", "1000000", "--out", str(tmp_path)) == 0
+        with open(tmp_path / "tls_decay.csv") as fh:
+            rows = sum(1 for line in fh if line[0].isdigit())
+        assert rows == 1_000_001
+
     def test_unknown_sweep_parameter_fails_before_pool(self, tmp_path, capsys,
                                                        monkeypatch):
         from dissipon import cli
@@ -252,3 +284,11 @@ class TestDeterminismAndOverrides:
         emission_idx = cols.index("emission")
         emissions = [r[emission_idx] for r in rows]
         assert emissions[0] < emissions[1] < emissions[2]
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    code = "import sys, dissipon.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(dissipon.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

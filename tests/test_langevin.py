@@ -3,7 +3,7 @@ import pytest
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.field import FieldGrid, lattice_memory_kernel
-from dissipon.langevin import (_DIRECT_LAGS, PotentialSpec, Trajectory,
+from dissipon.langevin import (_DIRECT_LAGS, PotentialSpec, Trajectory, _check_grid,
                                evolve_mean_markov, evolve_mean_volterra)
 from dissipon.oscillator import OscillatorParams, mean_trajectory
 from dissipon.reservoir import CouplingFunction, MemoryKernel
@@ -109,6 +109,16 @@ class TestMarkov:
             evolve_mean_markov(1.0, pot, -0.1, [0, 0, 0], [0, 0, 0], uniform_grid(1, 0.1))
         with pytest.raises(DomainError):
             evolve_mean_markov(1.0, pot, 0.1, [0, 0, 0], [0, 0, 0], [0.0, 0.1, 0.3])
+        perturbed = uniform_grid(1, 0.1)
+        perturbed[5:] += 1e-6 * 0.1  # one step 1e-6 relative too long
+        with pytest.raises(DomainError, match="uniform"):
+            evolve_mean_markov(1.0, pot, 0.1, [0, 0, 0], [0, 0, 0], perturbed)
+
+    def test_grid_rounding_of_long_linspace_accepted(self):
+        # step spread ~1e-10 relative from float spacing of t = 100, not non-uniformity
+        grid = np.linspace(0.0, 100.0, 10**6 + 1)
+        _, h = _check_grid(grid)
+        assert h == pytest.approx(1e-4, rel=1e-9)
 
     def test_unstable_step_raises(self):
         pot = PotentialSpec.harmonic(1.0, 1.0)

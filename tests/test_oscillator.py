@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from dissipon.errors import DomainError, RegimeError
-from dissipon.oscillator import (FockTriple, OscillatorParams,
-                                 asymptotic_reservoir_energy,
+from dissipon.oscillator import (FockTriple, OscillatorParams, _discretised_bath,
+                                 _mode_sum_oracle, asymptotic_reservoir_energy,
                                  asymptotic_system_energy, damped_frequency,
                                  lorentzian_moments, mean_trajectory,
                                  thermal_steady_energy)
@@ -12,6 +13,39 @@ from dissipon.quadrature import QuadratureConfig
 
 def bose(x, kt):
     return 1.0 / np.expm1(x / kt)
+
+
+def dense_mode_sum(p, kt, oracle_modes):
+    """The oracle by a general eigendecomposition of the (2N+2)^2 generator.
+
+    s = (x, v, q_j, p_j) evolves by s' = A s; the second moments evolve as
+    e^{At} S0 e^{A^T t}, so the long-time energy keeps the terms with
+    lambda_i + lambda_j = 0 of V^T E V and V^-1 S0 V^-T.
+    """
+    m, w = p.m, p.omega
+    wj, c = _discretised_bath(p, kt, oracle_modes)
+    n = len(wj)
+    a_mat = np.zeros((2 * n + 2, 2 * n + 2))
+    a_mat[0, 1] = 1.0
+    a_mat[1, 0] = -w**2
+    a_mat[1, 2 + n:] = -(np.sqrt(2.0) / m) * c * wj
+    idx = np.arange(n)
+    a_mat[2 + idx, 2 + n + idx] = wj
+    a_mat[2 + n + idx, 2 + idx] = -wj
+    a_mat[2 + n + idx, 1] = np.sqrt(2.0) * c
+
+    lam, vecs = sla.eig(a_mat)
+    s0 = np.zeros_like(a_mat)
+    s0[2 + idx, 2 + idx] = bose(wj, kt)
+    s0[2 + n + idx, 2 + n + idx] = bose(wj, kt)
+    vinv = np.linalg.inv(vecs)
+    b = vinv @ s0 @ vinv.T
+    energy_form = np.zeros_like(a_mat)
+    energy_form[0, 0] = 0.5 * m * w**2
+    energy_form[1, 1] = 0.5 * m
+    weights = (vecs.T @ energy_form @ vecs).T * b
+    resonant = np.abs(lam[:, None] + lam[None, :]) <= 1e-9 * np.abs(lam).max()
+    return 3.0 * weights[resonant].sum().real
 
 
 class TestDampedFrequency:
@@ -192,6 +226,15 @@ class TestThermalSteadyEnergy:
         response_value = 3.0 * beta / (np.pi * m) * (i3 + omega**2 * i1)
         assert r.mode_sum == pytest.approx(response_value, rel=0.05)
         assert r.direct == pytest.approx(2.0 * r.mode_sum, rel=0.08)
+
+    @pytest.mark.parametrize("oracle_modes", [(40, 40), (80, 80)])
+    @pytest.mark.parametrize("beta, kt", [(0.1, 1.0), (0.1, 0.5), (0.05, 1.3),
+                                          (0.2, 0.7), (0.4, 2.0)])
+    def test_mode_sum_oracle_matches_dense_eigendecomposition(self, oracle_modes,
+                                                               beta, kt):
+        p = OscillatorParams(1.0, 1.0, beta)
+        assert _mode_sum_oracle(p, kt, oracle_modes) == pytest.approx(
+            dense_mode_sum(p, kt, oracle_modes), rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(DomainError):

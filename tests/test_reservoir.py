@@ -182,6 +182,23 @@ class TestMemoryKernel:
         assert conv.shape == v.shape
         assert np.allclose(conv[:, 0], kern.convolve(np.cos(times)))
 
+    @pytest.mark.parametrize("n", [2, 3, 200, 201])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_convolve_matches_direct_trapezoid_sum(self, n, columns):
+        rng = np.random.default_rng(n)
+        h = 0.01
+        times = h * np.arange(n)
+        kern = MemoryKernel(times, rng.standard_normal(n))
+        v = rng.standard_normal(n if columns is None else (n, columns))
+        gam = kern.values
+        direct = np.array([
+            h * (np.tensordot(gam[i::-1], v[:i + 1], axes=1)
+                 - 0.5 * gam[i] * v[0] - 0.5 * gam[0] * v[i])
+            for i in range(n)])
+        conv = kern.convolve(v)
+        assert conv.shape == v.shape
+        assert np.max(np.abs(conv - direct)) <= 1e-12 * np.abs(direct).max()
+
     def test_mismatched_grid_rejected(self):
         kern = MemoryKernel(np.linspace(0, 1, 11), np.zeros(11))
         with pytest.raises(DomainError):
