@@ -102,8 +102,7 @@ def cmd_kernel(args, out_dir):
 
 
 def cmd_langevin(args, out_dir):
-    pot = PotentialSpec.harmonic(args.m, args.omega) if args.omega > 0 \
-        else PotentialSpec.free()
+    pot = PotentialSpec.harmonic(args.m, args.omega)  # omega = 0 is the free particle
     grid = _time_grid(args)
     x0 = _parse_triple(args.x0)
     v0 = _parse_triple(args.v0)
@@ -115,11 +114,8 @@ def cmd_langevin(args, out_dir):
     else:
         traj = evolve_mean_markov(args.m, pot, args.beta, x0, v0, grid)
     path = out_dir / "trajectory.csv"
-    rows = ((traj.times[i], *traj.positions[i], *traj.velocities[i])
-            for i in range(len(traj.times)))
-    emit_table(path, ["t", "x1", "x2", "x3", "v1", "v2", "v3"], rows,
-               metadata=_metadata(args, cfg, solver="volterra" if args.volterra
-                                  else "markov"))
+    traj.write_csv(path, metadata=_metadata(args, cfg, solver="volterra" if args.volterra
+                                            else "markov"))
     return {}, [path]
 
 

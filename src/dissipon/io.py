@@ -9,6 +9,7 @@ headers; parse errors carry the offending line number.
 from __future__ import annotations
 
 import time
+from itertools import islice
 
 from .errors import ConfigError
 
@@ -27,20 +28,26 @@ def _format_cell(value):
     return str(value)
 
 
+# rows formatted and written per fh.write by emit_table
+TABLE_CHUNK = 4096
+
+
 def emit_table(path, columns, rows, metadata=None):
     """Stream ``rows`` (iterable of sequences) to a CSV file.
 
     ``metadata`` key/value pairs go into a '#'-prefixed block above the
     header so every output records the tolerances and cutoffs it was
     produced with.  Floats are written with repr, which round-trips
-    IEEE doubles exactly.
+    IEEE doubles exactly.  Rows are formatted and written TABLE_CHUNK at
+    a time, so memory stays bounded for any number of rows.
     """
+    rows = iter(rows)
     with open(path, "w") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key} = {_format_cell(value)}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        while chunk := list(islice(rows, TABLE_CHUNK)):
+            fh.write("".join(",".join(map(_format_cell, row)) + "\n" for row in chunk))
 
 
 def read_table(path):

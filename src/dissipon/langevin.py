@@ -1,14 +1,23 @@
 """Mean-trajectory solvers for the generalized Langevin equation.
 
-The mean of the stochastic force vanishes in every reservoir eigenstate,
-so the mean trajectory obeys the deterministic integro-differential
-equation
+The mean of the stochastic force vanishes in every reservoir eigenstate.
+For a linear force the mean of the force is the force at the mean
+position (Ehrenfest), so the mean trajectory obeys exactly the
+deterministic integro-differential equation
 
-    m x'' + integral_0^t dt' gamma(t - t') x'(t') = -grad v(x)
+    m x'' + integral_0^t dt' gamma(t - t') x'(t') = -k x
 
-solved here with a velocity-Verlet-style step and a trapezoidal memory
-sum (second order overall).  The Markovian specialisation replaces the
-convolution by a local friction beta * x'.
+with a harmonic potential (k = m w^2) or a free particle (k = 0); a
+nonlinear force would not close on the mean.  It is solved with a
+velocity-Verlet-style step and a trapezoidal memory sum (second order
+overall).  The Markovian specialisation replaces the convolution by a
+local friction beta * x'.
+
+Every step is one fixed linear map, so neither solver loops over time
+steps: the Markov solver propagates blocks of rows with precomputed
+powers of its 2x2 step map, and the memory solver propagates blocks of
+B steps with a precomputed response of the block to the history known
+at its start.
 """
 
 from __future__ import annotations
@@ -23,40 +32,31 @@ __all__ = ["PotentialSpec", "Trajectory", "evolve_mean_volterra", "evolve_mean_m
 
 
 class PotentialSpec:
-    """External potential: harmonic (1/2 m w^2 x^2) or a custom gradient."""
+    """Harmonic external potential v(x) = (1/2) k x^2 with stiffness k = m w^2.
 
-    def __init__(self, kind, *, m=None, omega=None, gradient=None):
-        self.kind = kind
-        if kind == "harmonic":
-            if m is None or m <= 0:
-                raise DomainError("harmonic potential requires m > 0")
-            if omega is None or omega < 0:
-                raise DomainError("harmonic potential requires omega >= 0")
-            self.m = float(m)
-            self.omega = float(omega)
-        elif kind == "custom":
-            if gradient is None:
-                raise DomainError("custom potential requires a gradient callable")
-            self._gradient = gradient
-        else:
-            raise DomainError(f"unknown potential kind {kind!r}")
+    ``free()`` is k = 0.  The force is linear, which is what makes the mean
+    equation exact (Ehrenfest) and each solver step one fixed linear map.
+    """
+
+    def __init__(self, stiffness):
+        if not stiffness >= 0.0:
+            raise DomainError("potential stiffness must be nonnegative")
+        self.stiffness = float(stiffness)
 
     @classmethod
     def harmonic(cls, m, omega):
-        return cls("harmonic", m=m, omega=omega)
+        if m is None or m <= 0:
+            raise DomainError("harmonic potential requires m > 0")
+        if omega is None or omega < 0:
+            raise DomainError("harmonic potential requires omega >= 0")
+        return cls(float(m) * float(omega) ** 2)
 
     @classmethod
     def free(cls):
-        return cls("custom", gradient=lambda x: np.zeros(3))
-
-    @classmethod
-    def custom(cls, gradient):
-        return cls("custom", gradient=gradient)
+        return cls(0.0)
 
     def gradient(self, x):
-        if self.kind == "harmonic":
-            return self.m * self.omega**2 * np.asarray(x, dtype=float)
-        return np.asarray(self._gradient(x), dtype=float)
+        return self.stiffness * np.asarray(x, dtype=float)
 
 
 @dataclass
@@ -93,13 +93,15 @@ class Trajectory:
         pot = 0.5 * m * omega**2 * np.sum(self.positions**2, axis=1)
         return kin + pot
 
-    def write_csv(self, path):
-        from .io import emit_table
-        rows = (
-            (self.times[i], *self.positions[i], *self.velocities[i])
-            for i in range(len(self.times))
-        )
-        emit_table(path, ["t", "x1", "x2", "x3", "v1", "v2", "v3"], rows)
+    def write_csv(self, path, metadata=None):
+        """The trajectory as a CSV table (see :func:`dissipon.io.emit_table`)."""
+        from .io import TABLE_CHUNK, emit_table
+        table = np.column_stack([self.times, self.positions, self.velocities])
+        # Python floats, a chunk at a time, so the writer formats them directly
+        rows = (row for start in range(0, len(table), TABLE_CHUNK)
+                for row in table[start:start + TABLE_CHUNK].tolist())
+        emit_table(path, ["t", "x1", "x2", "x3", "v1", "v2", "v3"], rows,
+                   metadata=metadata)
 
 
 def _check_grid(grid):
@@ -114,21 +116,74 @@ def _check_grid(grid):
     return grid, float(h[0])
 
 
-def _energy_guard(pot, m, x, v, e0, label):
+# the energy guard looks at rows 1, 1 + G, 1 + 2G, ...
+_GUARD_EVERY = 256
+# rows filled per batched product when a fixed step map is propagated
+_POWER_BLOCK = 1024
+# precomputed powers and block responses stop short of a full block once an
+# entry passes this, so an unstable step stays finite until the guard sees it
+_GROWTH_CAP = 1e30
+
+
+def _initial_energy(pot, m, x0, v0):
+    return 0.5 * m * v0 @ v0 + 0.5 * pot.stiffness * (x0 @ x0)
+
+
+def _energy_guard(pot, m, x, v, first, e0, label):
+    """Raise if a guarded row of the block x, v (rows first, first + 1, ...)
+    has gained more than 5% of the initial mechanical energy e0."""
     # beta >= 0 dynamics must not gain mechanical energy beyond discretisation
-    if pot.kind != "harmonic" or e0 <= 0.0:
+    skip = (1 - first) % _GUARD_EVERY
+    if pot.stiffness == 0.0 or e0 <= 0.0 or skip >= len(x):
         return
-    e = 0.5 * m * v @ v + 0.5 * pot.m * pot.omega**2 * (x @ x)
-    if e > 1.05 * e0:
+    x, v = x[skip::_GUARD_EVERY], v[skip::_GUARD_EVERY]
+    e = 0.5 * m * np.sum(v * v, axis=1) + 0.5 * pot.stiffness * np.sum(x * x, axis=1)
+    if np.any(e > 1.05 * e0):
         raise StabilityError(
             f"{label}: mechanical energy grew by more than 5%; reduce the step")
 
 
+def _block_powers(step_map, state, n, block=_POWER_BLOCK):
+    """Yield (start, rows), rows[j] = S^(start + j) state, until n rows are out.
+
+    Each block of rows is one product with the precomputed powers S^k,
+    k < block, and the jump S^block carries the state to the next block.
+    The powers stop short of ``block`` once an entry passes _GROWTH_CAP,
+    so a block stays finite for an unstable S; the caller checks each
+    block before it asks for the next.
+    """
+    state = np.asarray(state, dtype=float)
+    dim = len(step_map)
+    powers = np.eye(dim)[None]
+    while len(powers) < min(block, n):
+        more = powers @ (step_map @ powers[-1])  # S^k .. S^(2k-1)
+        bounded = np.abs(more).max(axis=(1, 2)) <= _GROWTH_CAP
+        if not bounded.all():
+            powers = np.concatenate([powers, more[:np.argmin(bounded)]])
+            break
+        powers = np.concatenate([powers, more])
+    powers = powers[:min(block, n)]
+    size = len(powers)
+    jump = step_map @ powers[-1]
+    stacked = powers.reshape(size * dim, dim)  # row dim * k + i holds (S^k)_i
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        yield start, (stacked[:dim * rows] @ state).reshape(rows, *state.shape)
+        if start + size < n:
+            state = jump @ state
+
+
+def _initial_state(*vectors):
+    return np.array([np.broadcast_to(vec, 3) for vec in vectors], dtype=float)
+
+
 def evolve_mean_markov(m, pot, beta, x0, v0, grid):
-    """Integrate m x'' + beta x' = -grad v for the mean trajectory.
+    """Integrate m x'' + beta x' = -k x for the mean trajectory.
 
     Velocity Verlet with the friction half-step folded in implicitly, so
-    the scheme stays second order for any beta >= 0.
+    the scheme stays second order for any beta >= 0.  The step is one
+    fixed 2x2 map on each axis' (x, v), propagated a block of rows at a
+    time by :func:`_block_powers`.
     """
     if m <= 0:
         raise DomainError("mass must be positive")
@@ -136,26 +191,24 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
         raise DomainError("friction must be nonnegative")
     grid, h = _check_grid(grid)
     n = len(grid)
+    k = pot.stiffness
+    # the step applied to the unit states (x, v) = (1, 0) and (0, 1)
+    x, v = np.eye(2)
+    vh = v + 0.5 * h * (-k * x - beta * v) / m
+    x1 = x + h * vh
+    v1 = (vh - 0.5 * h * (k * x1) / m) / (1.0 + h * beta / (2.0 * m))
+    state = _initial_state(x0, v0)
+    e0 = _initial_energy(pot, m, *state)
     x = np.empty((n, 3))
     v = np.empty((n, 3))
-    x[0] = np.asarray(x0, dtype=float)
-    v[0] = np.asarray(v0, dtype=float)
-    e0 = 0.5 * m * v[0] @ v[0] + (
-        0.5 * pot.m * pot.omega**2 * (x[0] @ x[0]) if pot.kind == "harmonic" else 0.0)
-    damp = 1.0 + h * beta / (2.0 * m)
-    f = -pot.gradient(x[0]) - beta * v[0]
-    for i in range(n - 1):
-        vh = v[i] + 0.5 * h * f / m
-        x[i + 1] = x[i] + h * vh
-        grad = pot.gradient(x[i + 1])
-        v[i + 1] = (vh - 0.5 * h * grad / m) / damp
-        f = -grad - beta * v[i + 1]
-        if i % 256 == 0:
-            _energy_guard(pot, m, x[i + 1], v[i + 1], e0, "markov step")
+    for start, rows in _block_powers(np.array([x1, v1]), state, n):
+        stop = start + len(rows)
+        x[start:stop], v[start:stop] = rows[:, 0], rows[:, 1]
+        _energy_guard(pot, m, x[start:stop], v[start:stop], start, e0, "markov step")
     return Trajectory(grid, x, v)
 
 
-# lags below this are summed directly at every step; longer lags go through
+# lags below this couple the outputs of one block; longer lags go through
 # the blocked FFT convolution of evolve_mean_volterra
 _DIRECT_LAGS = 64
 
@@ -170,11 +223,14 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     second order.
 
     The history sum runs as an online blocked convolution (Hairer, Lubich
-    & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): lags below a
-    fixed block B are summed directly at each step, and each dyadic lag
+    & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each dyadic lag
     band [b, 2b), b = B, 2B, 4B, ..., adds its share to the next b outputs
     through one FFT product every b steps, using velocities already known.
-    The cost is O(n log^2 n); the result is the same trapezoid rule up to
+    Outputs are made in blocks aligned to multiples of B.  At a block's
+    start the history of all its outputs is known except the lags inside
+    the block, so the block's (x, v, a) is one linear map of the state
+    before it and of that known history (:func:`_block_response`).  The
+    cost is O(n log^2 n); the result is the same trapezoid rule up to
     roundoff.
     """
     if m <= 0:
@@ -185,46 +241,84 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     if grid[-1] - grid[0] > kernel.times[-1] + 1e-12:
         raise DomainError("kernel samples do not cover the integration window")
     n = len(grid)
-    offsets = np.arange(n) * h
-    gam = kernel.at(offsets)
+    gam = kernel.at(np.arange(n) * h)
     history = _BlockedHistory(gam)
+    m_state, m_force = _block_response(m, pot.stiffness, h, gam)
+    size = m_force.shape[1]
 
+    # (x, v, a) before the next block; the memory integral is empty at t = 0
+    state = _initial_state(x0, v0, 0.0)
+    state[2] = -pot.gradient(state[0]) / m
+    e0 = _initial_energy(pot, m, state[0], state[1])
     x = np.empty((n, 3))
     v = np.empty((n, 3))
-    x[0] = np.asarray(x0, dtype=float)
-    v[0] = np.asarray(v0, dtype=float)
-    e0 = 0.5 * m * v[0] @ v[0] + (
-        0.5 * pot.m * pot.omega**2 * (x[0] @ x[0]) if pot.kind == "harmonic" else 0.0)
-    conv0 = 0.5 * h * gam[0]  # implicit self-weight of the trapezoid endpoint
-    damp = 1.0 + 0.5 * h * conv0 / m
-
-    a = -pot.gradient(x[0]) / m  # the memory integral is empty at t = 0
-    for i in range(n - 1):
-        vh = v[i] + 0.5 * h * a
-        x[i + 1] = x[i] + h * vh
-        # trapezoid over past samples v_0..v_i for the force at t_{i+1}
-        tail = h * history.lagged_sum(v, i + 1) - (0.5 * h * gam[i + 1]) * v[0]
-        force = -pot.gradient(x[i + 1]) - tail
-        v[i + 1] = (vh + 0.5 * h * force / m) / damp
-        a = (force - conv0 * v[i + 1]) / m
-        if i % 256 == 0:
-            _energy_guard(pot, m, x[i + 1], v[i + 1], e0, "volterra step")
+    x[0], v[0] = state[0], state[1]
+    for start in range(0, n, size):
+        lo, hi = max(start, 1), min(start + size, n)
+        if lo == hi:
+            continue
+        rows = hi - lo
+        # each output's trapezoid tail over the samples before the block
+        known = h * history.known_sum(v, lo, hi) - (0.5 * h) * gam[lo:hi, None] * v[0]
+        out = (m_state[:3 * rows] @ state
+               + m_force[:3 * rows, :rows] @ known).reshape(rows, 3, 3)
+        x[lo:hi], v[lo:hi] = out[:, 0], out[:, 1]
+        state = out[-1]
+        _energy_guard(pot, m, x[lo:hi], v[lo:hi], lo, e0, "volterra step")
     return Trajectory(grid, x, v)
 
 
-class _BlockedHistory:
-    """sum_{l=1}^{i} gam[l] v[i-l] for i = 1, 2, ... as v fills in order.
+def _block_response(m, k, h, gam):
+    """A Volterra block's outputs as linear maps of what is known before it.
 
-    Lags 1..B-1 are a direct dot product per output.  The lags [b, 2b) of
-    outputs [s, s+b), s a multiple of b, only touch v[s-2b+1 .. s-1], so
-    they are added to a far-history buffer by one FFT product when output
-    s is first asked for; each band's kernel transform is taken once.
+    Output r of a block depends on the state (x, v, a) just before the
+    block and on the known part e_0..e_r of the memory tails; the lags
+    inside the block couple the outputs.  Running the step recurrence once
+    on unit inputs (three state columns, then one column per e_r) gives
+    M_state (3L x 3) and M_force (3L x L), row 3r + c for component c of
+    output r; a shorter block uses their leading rows and columns.  L is B,
+    halved past the row where an entry passes _GROWTH_CAP.
+    """
+    size = _DIRECT_LAGS
+    near = np.pad(gam, (0, max(size - len(gam), 0)))  # lags 0..B-1 at least
+    conv0 = 0.5 * h * gam[0]  # implicit self-weight of the trapezoid endpoint
+    damp = 1.0 + 0.5 * h * conv0 / m
+    unit = np.eye(3 + size)
+    x, v, a = unit[:3]
+    out = np.empty((size, 3, 3 + size))
+    for r in range(size):
+        vh = v + 0.5 * h * a
+        x = x + h * vh
+        tail = unit[3 + r] + h * (near[r:0:-1] @ out[:r, 1])
+        force = -k * x - tail
+        v = (vh + 0.5 * h * force / m) / damp
+        a = (force - conv0 * v) / m
+        out[r] = x, v, a
+        if np.abs(out[r]).max() > _GROWTH_CAP:
+            size = 1 << (max(r, 1).bit_length() - 1)
+            break
+    out = out[:size, :, :3 + size].reshape(3 * size, 3 + size)
+    return out[:, :3], out[:, 3:]
+
+
+class _BlockedHistory:
+    """sum_{l>=1} gam[l] v[i-l] over the samples before a block of outputs.
+
+    The lags [b, 2b) of outputs [s, s+b), s a multiple of b >= B, only
+    touch v[s-2b+1 .. s-1], so they are added to a far-history buffer by
+    one FFT product when the block at s starts; each band's kernel
+    transform is taken once.  Lags below B that reach back before the
+    block are one Toeplitz product over the B-1 samples before it.
     """
 
     def __init__(self, gam):
         self.n = len(gam)
-        short = max(_DIRECT_LAGS - self.n, 0)
-        self.near = np.pad(gam, (0, short))[_DIRECT_LAGS - 1:0:-1]  # lags B-1 .. 1
+        near = np.pad(gam, (0, max(_DIRECT_LAGS - self.n, 0)))
+        r = np.arange(_DIRECT_LAGS)[:, None]
+        j = np.arange(_DIRECT_LAGS - 1)[None, :]
+        # output r of a block reads v[start - (B-1) + j] at lag r + B-1 - j < B
+        lag = np.minimum(r + _DIRECT_LAGS - 1 - j, _DIRECT_LAGS - 1)
+        self.reach = np.where(j >= r, near[lag], 0.0)
         self.far = np.zeros((self.n, 3))
         self.bands = []  # (b, rfft of gam[b:2b] on 2b points)
         b = _DIRECT_LAGS
@@ -232,20 +326,19 @@ class _BlockedHistory:
             self.bands.append((b, np.fft.rfft(gam[b:2 * b], 2 * b)[:, None]))
             b *= 2
 
-    def lagged_sum(self, v, i):
-        """The sum for output i; v[0..i-1] must be final."""
+    def known_sum(self, v, lo, hi):
+        """The sum over v[:lo] for outputs lo .. hi-1, which must lie in
+        one block of B; v[:lo] must be final."""
         for b, g_hat in self.bands:
-            if i % b:
-                break  # bands are dyadic: no larger b divides i either
-            lo = i - 2 * b + 1
-            seg = v[max(lo, 0):i]
+            if lo % b:
+                break  # bands are dyadic: no larger b divides lo either
+            start = lo - 2 * b + 1
+            seg = v[max(start, 0):lo]
             conv = np.fft.irfft(np.fft.rfft(seg, 2 * b, axis=0) * g_hat, 2 * b, axis=0)
-            # the linear convolution index r + b - 1 of output i + r, shifted
+            # the linear convolution index r + b - 1 of output lo + r, shifted
             # by the zeros the clipped segment omits before v[0]
-            shift = b - 1 - max(-lo, 0)
-            hi = min(i + b, self.n)
-            self.far[i:hi] += conv[shift:shift + hi - i]
-        lo = i - _DIRECT_LAGS + 1
-        if lo >= 0:
-            return self.far[i] + self.near @ v[lo:i]
-        return self.far[i] + self.near[-lo:] @ v[:i]
+            shift = b - 1 - max(-start, 0)
+            end = min(lo + b, self.n)
+            self.far[lo:end] += conv[shift:shift + end - lo]
+        before = v[max(lo - _DIRECT_LAGS + 1, 0):lo]
+        return self.far[lo:hi] + self.reach[:hi - lo, _DIRECT_LAGS - 1 - len(before):] @ before

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .langevin import _check_grid
+from .langevin import _block_powers, _check_grid
 from .quadrature import (QuadratureConfig, integrate_principal_value,
                          integrate_semi_infinite)
 
@@ -223,10 +223,6 @@ def coherence_evolution(p, f0, e0, t, cfg, bare=False):
     return f_t, e_t
 
 
-# rows filled per batched product in evolve_bloch_markov
-_BLOCH_BLOCK = 1024
-
-
 def evolve_bloch_markov(p, initial, grid, cfg, bare=False):
     """RK4 integration of the Markovian Bloch equations on a uniform grid.
 
@@ -235,8 +231,7 @@ def evolve_bloch_markov(p, initial, grid, cfg, bare=False):
     stability check the step size must pass.  The map is applied to the
     deviation from the exact fixed point y* = (-1, 0, 0) (A y* + c = 0
     holds exactly), so the ground state stays exactly stationary.  Rows
-    are filled a block at a time from the precomputed powers S^k, k < B,
-    and the jump S^B carries the deviation from block to block.
+    are filled a block at a time by :func:`dissipon.langevin._block_powers`.
     """
     grid, h = _check_grid(grid)
     mu = decay_rate_mu(p, bare=bare)
@@ -262,21 +257,10 @@ def evolve_bloch_markov(p, initial, grid, cfg, bare=False):
 
     # every RK4 stage vanishes at y*, so the deviation d = y - y* obeys d -> S d
     fixed = np.array([-1.0, 0.0, 0.0])
-    block = min(_BLOCH_BLOCK, len(grid))
-    powers = np.empty((block, 3, 3))
-    powers[0] = np.eye(3)
-    for k in range(1, block):
-        powers[k] = step_map @ powers[k - 1]
-    jump = step_map @ powers[-1]
-    stacked = powers.reshape(3 * block, 3)  # row 3k + i holds (S^k)_i
-
-    n = len(grid)
-    out = np.empty((n, 3))
+    out = np.empty((len(grid), 3))
     d = np.array([initial.sz, initial.f, initial.e_im]) - fixed
-    for start in range(0, n, block):
-        rows = min(block, n - start)
-        out[start:start + rows] = (stacked[:3 * rows] @ d).reshape(rows, 3) + fixed
-        d = jump @ d
+    for start, rows in _block_powers(step_map, d, len(grid)):
+        out[start:start + len(rows)] = rows + fixed
     out[0] = (initial.sz, initial.f, initial.e_im)
     if out[:, 0].min() < -1.0 - 1e-9:
         raise StabilityError("population undershot the ground state; reduce the step")

@@ -11,6 +11,8 @@ import dissipon
 from dissipon.cli import main
 from dissipon.errors import ConfigError
 from dissipon.io import emit_table, parse_config, read_table, serialize_config
+from dissipon.langevin import PotentialSpec, evolve_mean_markov, evolve_mean_volterra
+from dissipon.reservoir import CouplingFunction, MemoryKernel
 
 
 def run_cli(*argv):
@@ -49,6 +51,21 @@ class TestTables:
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert (after - before) / 1024.0 < 100.0  # MiB of extra peak RSS
         assert path.stat().st_size > 10_000_000
+
+
+    def test_mixed_cells_byte_identity(self, tmp_path):
+        # one rule per cell: repr for floats (np.float64 included), str otherwise;
+        # 4100 rows cross the writer's 4096-row chunk boundary
+        path = tmp_path / "mixed.csv"
+        rows = [(f"r{i}", i, np.int64(-i), np.float64(i / 3.0), i / 7.0, np.float32(i) / 3)
+                for i in range(4100)]
+        emit_table(path, ["s", "i", "i64", "f64", "f", "f32"], iter(rows),
+                   metadata={"n": np.int64(4100), "tol": np.float64(0.1), "tag": "x"})
+        expected = "# n = 4100\n# tol = 0.1\n# tag = x\ns,i,i64,f64,f,f32\n" + "".join(
+            f"r{i},{i},{-i},{i / 3.0!r},{i / 7.0!r},{str(np.float32(i) / 3)}\n"
+            for i in range(4100))
+        assert path.read_text() == expected
+        assert "r1,1,-1,0.3333333333333333,0.14285714285714285,0.33333334\n" in expected
 
 
 class TestConfig:
@@ -189,6 +206,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("solver", [[], ["--volterra"]], ids=["markov", "volterra"])
+    def test_langevin_table_bytes(self, tmp_path, solver):
+        # the trajectory table is written as the per-row generator wrote it:
+        # same metadata block, same header, one repr per float
+        out = tmp_path / "run"
+        argv = ["--omega", "0.8", "--beta", "0.3", "--tmax", "5", "--step", "1e-3",
+                "--x0", "0.5,-0.25,1", "--v0", "0,0.5,0", *solver]
+        assert run_cli("langevin", *argv, "--out", str(out)) == 0
+        path = out / "trajectory.csv"
+        meta, _, _ = read_table(path)
+        assert meta["solver"] == ("volterra" if solver else "markov")
+        grid = np.arange(0.0, 5.0 + 1e-3 / 2.0, 1e-3)
+        pot = PotentialSpec.harmonic(1.0, 0.8)
+        if solver:
+            kern = MemoryKernel.sample(CouplingFunction.canonical(
+                0.3, uv_cutoff=float(meta["uv_cutoff"])), grid)
+            traj = evolve_mean_volterra(1.0, pot, kern, [0.5, -0.25, 1], [0, 0.5, 0], grid)
+        else:
+            traj = evolve_mean_markov(1.0, pot, 0.3, [0.5, -0.25, 1], [0, 0.5, 0], grid)
+        ref = tmp_path / "ref.csv"
+        rows = ((traj.times[i], *traj.positions[i], *traj.velocities[i])
+                for i in range(len(traj.times)))
+        emit_table(ref, ["t", "x1", "x2", "x3", "v1", "v2", "v3"], rows, metadata=meta)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_negative_langevin_frequency_is_one(self, tmp_path, capsys):
+        code = run_cli("langevin", "--omega", "-1", "--tmax", "1", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "omega >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_million_step_tls_grid_is_uniform(self, tmp_path):
         # np.linspace(0, 100, 10**6 + 1) has step spread ~1e-10 from rounding alone

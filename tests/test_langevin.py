@@ -1,16 +1,44 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.field import FieldGrid, lattice_memory_kernel
 from dissipon.langevin import (_DIRECT_LAGS, PotentialSpec, Trajectory, _check_grid,
-                               evolve_mean_markov, evolve_mean_volterra)
+                               _energy_guard, evolve_mean_markov, evolve_mean_volterra)
 from dissipon.oscillator import OscillatorParams, mean_trajectory
 from dissipon.reservoir import CouplingFunction, MemoryKernel
 
 
 def uniform_grid(t_max, h):
     return np.arange(0.0, t_max + h / 2.0, h)
+
+
+def _guard_row(pot, m, x, v, i, e0, label):
+    """The energy guard on the single row i, as a per-step loop applies it."""
+    if (i - 1) % 256 == 0:
+        _energy_guard(pot, m, x[i:i + 1], v[i:i + 1], i, e0, label)
+
+
+def stepwise_markov(m, pot, beta, x0, v0, grid):
+    """The Markov solver's step, one Python iteration per time step."""
+    h = grid[1] - grid[0]
+    n = len(grid)
+    x = np.empty((n, 3))
+    v = np.empty((n, 3))
+    x[0], v[0] = x0, v0
+    e0 = 0.5 * m * v[0] @ v[0] + 0.5 * pot.stiffness * (x[0] @ x[0])
+    damp = 1.0 + h * beta / (2.0 * m)
+    f = -pot.gradient(x[0]) - beta * v[0]
+    for i in range(1, n):
+        vh = v[i - 1] + 0.5 * h * f / m
+        x[i] = x[i - 1] + h * vh
+        grad = pot.gradient(x[i])
+        v[i] = (vh - 0.5 * h * grad / m) / damp
+        f = -grad - beta * v[i]
+        _guard_row(pot, m, x, v, i, e0, "markov step")
+    return x, v
 
 
 def direct_volterra(m, pot, kernel, x0, v0, grid):
@@ -21,6 +49,7 @@ def direct_volterra(m, pot, kernel, x0, v0, grid):
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     x[0], v[0] = x0, v0
+    e0 = 0.5 * m * v[0] @ v[0] + 0.5 * pot.stiffness * (x[0] @ x[0])
     conv0 = 0.5 * h * gam[0]
     damp = 1.0 + 0.5 * h * conv0 / m
     a = -pot.gradient(x[0]) / m
@@ -31,6 +60,7 @@ def direct_volterra(m, pot, kernel, x0, v0, grid):
         force = -pot.gradient(x[i]) - tail
         v[i] = (vh + 0.5 * h * force / m) / damp
         a = (force - conv0 * v[i]) / m
+        _guard_row(pot, m, x, v, i, e0, "volterra step")
     return x, v
 
 
@@ -126,6 +156,50 @@ class TestMarkov:
             evolve_mean_markov(1.0, pot, 0.0, [1, 0, 0], [0, 0, 0],
                                uniform_grid(2000.0, 2.5))
 
+    @pytest.mark.parametrize("steps", [2, 1025, 5000])
+    @pytest.mark.parametrize("omega", [0.0, 1.3])
+    def test_block_powers_match_stepwise(self, steps, omega):
+        m, beta = 0.7, 0.3
+        grid = np.arange(steps) * 5e-3
+        pot = PotentialSpec.harmonic(m, omega)
+        x0, v0 = [0.6, -0.2, 0.8], [0.1, 0.3, -0.5]
+        traj = evolve_mean_markov(m, pot, beta, x0, v0, grid)
+        x, v = stepwise_markov(m, pot, beta, x0, v0, grid)
+        assert np.max(np.abs(traj.positions - x)) <= 1e-12
+        assert np.max(np.abs(traj.velocities - v)) <= 1e-12
+
+
+@pytest.mark.parametrize("first", [0, 1, 200, 257])
+def test_energy_guard_reads_rows_one_mod_256(first):
+    # a block holds rows first, first + 1, ...; only rows 1, 257, 513, ... count
+    pot = PotentialSpec.harmonic(1.0, 1.0)
+    x = np.zeros((600, 3))
+    v = np.zeros((600, 3))
+    guarded = [i - first for i in (1, 257, 513) if 0 <= i - first < 600]
+    x[[i + 1 for i in guarded]] = 10.0  # the row after each guarded one
+    _energy_guard(pot, 1.0, x, v, first, 1.0, "block")
+    x[guarded[-1]] = 10.0
+    with pytest.raises(StabilityError, match="block: mechanical energy grew by more than 5%"):
+        _energy_guard(pot, 1.0, x, v, first, 1.0, "block")
+    _energy_guard(PotentialSpec.free(), 1.0, x, v, first, 1.0, "block")  # no guard at k = 0
+
+
+@pytest.mark.parametrize("solver", ["markov", "volterra"])
+@pytest.mark.parametrize("h, omega", [(2.5, 1.0), (1.0, 50.0)])
+def test_unstable_step_raises_before_any_overflow(solver, h, omega):
+    # the precomputed powers and block responses must stay finite until the
+    # energy guard has seen the growth, so no overflow warning comes first
+    grid = uniform_grid(800.0 * h, h)
+    pot = PotentialSpec.harmonic(1.0, omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StabilityError, match="5%"):
+            if solver == "markov":
+                evolve_mean_markov(1.0, pot, 0.0, [1, 0, 0], [0, 0, 0], grid)
+            else:
+                kern = MemoryKernel(grid, np.zeros_like(grid))
+                evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
+
 
 class TestVolterra:
     def test_zero_kernel_is_conservative(self):
@@ -215,6 +289,23 @@ class TestVolterra:
         pot = PotentialSpec.harmonic(1.0, 1.0)
         with pytest.raises(DomainError, match="finely"):
             evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
+
+
+class TestPotentialSpec:
+    def test_linear_potentials(self):
+        assert PotentialSpec.harmonic(2.0, 3.0).stiffness == 18.0
+        assert PotentialSpec.harmonic(2.0, 0.0).stiffness == 0.0
+        assert PotentialSpec.free().stiffness == 0.0
+        np.testing.assert_array_equal(PotentialSpec.harmonic(2.0, 3.0).gradient([1, 0, -2]),
+                                      [18.0, 0.0, -36.0])
+
+    @pytest.mark.parametrize("make", [lambda: PotentialSpec(-1.0),
+                                      lambda: PotentialSpec(float("nan")),
+                                      lambda: PotentialSpec.harmonic(0.0, 1.0),
+                                      lambda: PotentialSpec.harmonic(1.0, -1.0)])
+    def test_invalid(self, make):
+        with pytest.raises(DomainError):
+            make()
 
 
 class TestTrajectory:

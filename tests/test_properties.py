@@ -1,4 +1,5 @@
-"""Property-based checks of the golden-rule rates and two-level constants.
+"""Property-based checks of the golden-rule rates, two-level constants and
+mean-trajectory solvers.
 
 Skipped where hypothesis is not installed.
 """
@@ -12,11 +13,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dissipon.errors import StabilityError  # noqa: E402
+from dissipon.langevin import (PotentialSpec, evolve_mean_markov,  # noqa: E402
+                               evolve_mean_volterra)
 from dissipon.oscillator import FockTriple, OscillatorParams  # noqa: E402
 from dissipon.quadrature import QuadratureConfig  # noqa: E402
 from dissipon.rates import RateRequest, rate_emission_vacuum, rates_thermal  # noqa: E402
-from dissipon.reservoir import CouplingFunction, ReservoirState  # noqa: E402
+from dissipon.reservoir import CouplingFunction, MemoryKernel, ReservoirState  # noqa: E402
 from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E402
+from test_langevin import direct_volterra, stepwise_markov  # noqa: E402
 
 occupations = st.tuples(*[st.integers(0, 5)] * 3)
 
@@ -79,3 +84,37 @@ class TestCanonicalProperties:
         d2 = scale * np.log(lam * (eps + omega0) / (eps * (lam + omega0)))
         assert shifts.delta1 == pytest.approx(d1, rel=1e-8)
         assert shifts.delta2 == pytest.approx(d2, rel=1e-10)
+
+
+solver_steps = st.one_of(st.sampled_from([63, 64, 65, 1024, 1025]), st.integers(2, 1100))
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+class TestLinearSolverProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.floats(0.1, 3.0), omega=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+           beta=st.floats(1e-3, 1.0), lam=st.floats(1.0, 20.0), h=st.floats(1e-3, 0.05),
+           x0=unit_vectors, v0=unit_vectors, n=solver_steps)
+    @example(m=1.0, omega=1.0, beta=0.2, lam=20.0, h=0.05, x0=(1.0, 0.0, 0.0),
+             v0=(0.0, 0.0, 0.0), n=1025)
+    def test_block_solvers_match_stepwise(self, m, omega, beta, lam, h, x0, v0, n):
+        grid = np.arange(n) * h
+        pot = PotentialSpec.harmonic(m, omega)
+        kern = MemoryKernel.sample(CouplingFunction.canonical(beta, uv_cutoff=lam), grid)
+        cases = [
+            (lambda: evolve_mean_markov(m, pot, beta, x0, v0, grid),
+             lambda: stepwise_markov(m, pot, beta, x0, v0, grid)),
+            (lambda: evolve_mean_volterra(m, pot, kern, x0, v0, grid),
+             lambda: direct_volterra(m, pot, kern, x0, v0, grid)),
+        ]
+        for solve, reference in cases:
+            try:
+                x, v = reference()
+            except StabilityError:
+                with pytest.raises(StabilityError):
+                    solve()
+                continue
+            traj = solve()
+            scale = max(1.0, np.abs(x).max(), np.abs(v).max())
+            assert np.max(np.abs(traj.positions - x)) <= 1e-12 * scale
+            assert np.max(np.abs(traj.velocities - v)) <= 1e-12 * scale
