@@ -19,8 +19,7 @@ from .quadrature import (QuadratureConfig, integrate_oscillatory,
 from .rates import (RatePair, RateRequest, finite_time_emission_probability,
                     rate_emission_vacuum, rates_fock, rates_thermal)
 from .reservoir import (CouplingFunction, MemoryKernel, ReservoirState,
-                        angular_reduce, friction_coefficient, memory_kernel,
-                        occupation)
+                        friction_coefficient)
 from .tls import (BlochState, TwoLevelParams, coherence_evolution,
                   coherence_frequencies, decay_rate_mu, evolve_bloch_markov,
                   level_shifts, sigma_z_evolution)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DissiponError, DomainError
-from .field import (FieldGrid, evolve_field_with_source, hamiltonian_identity_check,
-                    lattice_memory_kernel, modes_from_fields, write_snapshot)
+from .field import (FieldGrid, evolve_field_with_source, lattice_memory_kernel,
+                    write_snapshot)
 from .io import emit_table, parse_config, write_manifest
 from .langevin import PotentialSpec, evolve_mean_markov, evolve_mean_volterra
 from .oscillator import (FockTriple, OscillatorParams, asymptotic_reservoir_energy,
@@ -32,7 +32,8 @@ from .oscillator import (FockTriple, OscillatorParams, asymptotic_reservoir_ener
 from .quadrature import QuadratureConfig
 from .rates import (RateRequest, finite_time_emission_probability,
                     rate_emission_vacuum, rates_fock, rates_thermal)
-from .reservoir import CouplingFunction, MemoryKernel, ReservoirState
+from .reservoir import (CouplingFunction, MemoryKernel, ReservoirState,
+                        friction_coefficient)
 from .tls import BlochState, TwoLevelParams, decay_rate_mu, evolve_bloch_markov
 
 EXIT_OK = 0
@@ -44,12 +45,14 @@ def _parse_triple(text):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 3:
         raise ConfigError(f"expected three comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"expected three numbers, got {text!r}") from None
 
 
 def _parse_fock_triple(text):
-    vals = _parse_triple(text)
-    return FockTriple(*(int(v) for v in vals))
+    return FockTriple(*_parse_triple(text))
 
 
 def _coupling(args):
@@ -92,7 +95,6 @@ def cmd_kernel(args, out_dir):
     cfg = _quad_config(args, args.omega)
     times = _time_grid(args)
     kern = MemoryKernel.sample(coup, times, cfg)
-    from .reservoir import friction_coefficient
     beta_eff = friction_coefficient(coup, cfg)
     path = out_dir / "kernel.csv"
     emit_table(path, ["t", "gamma"],
@@ -181,6 +183,10 @@ def cmd_rates(args, out_dir):
 
 
 def cmd_tls(args, out_dir):
+    if not 0.0 <= args.x12sq < np.inf:
+        raise DomainError(f"--x12sq ({args.x12sq}) must be finite and nonnegative")
+    if args.steps < 1:
+        raise DomainError(f"--steps ({args.steps}) must be positive")
     coup = _coupling(args)
     x12 = np.zeros(3)
     x12[0] = np.sqrt(args.x12sq)
@@ -393,6 +399,8 @@ def cmd_sweep(args, out_dir):
     experiment = sweep["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown sweep experiment {experiment!r}")
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers ({args.workers}) must be at least 1")
     parameter = sweep["parameter"]
     values = [v for v in sweep["values"].replace(",", " ").split() if v]
 

@@ -8,9 +8,10 @@ acceleration, and the bath Hamiltonian equals the field energy
 
 Fields are evolved at the level of c-number mode amplitudes (coherent
 expectation values); operator character never enters.  Two integrators
-are provided: exact per-mode rotation in k-space with a trapezoid-in-time
-source, and a real-space leapfrog with a 7-point stencil Laplacian whose
-stability limit dt < dx/sqrt(3) is enforced.
+are provided: exact per-mode rotation in k-space with the source's
+velocity interpolated linearly in time, and a real-space leapfrog with a
+7-point stencil Laplacian whose stability limit dt < dx/sqrt(3) is
+enforced.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "hamiltonian_identity_check",
     "evolve_field_with_source",
     "lattice_memory_kernel",
-    "lagrangian_density",
-    "hamiltonian_density",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -166,7 +165,12 @@ class SourceShapes:
     radial_n: np.ndarray
 
 
-def source_shapes(coupling, grid, cfg=None, n_radial=1200, n_freq=4000):
+# radial samples and Simpson frequency panels of the continuum source shapes
+SHAPE_RADII = 1200
+SHAPE_FREQUENCIES = 4000
+
+
+def source_shapes(coupling, grid, cfg=None):
     """Velocity and acceleration source weights of the coupled field.
 
     The 3-d integrals reduce to spherical-Bessel (j1) radial transforms:
@@ -187,17 +191,17 @@ def source_shapes(coupling, grid, cfg=None, n_radial=1200, n_freq=4000):
             "is only conditionally convergent")
     lo = cfg.ir_cutoff if cfg is not None else 0.0
 
-    k = np.linspace(max(lo, lam * 1e-10), lam, n_freq + 1)
+    k = np.linspace(max(lo, lam * 1e-10), lam, SHAPE_FREQUENCIES + 1)
     fk = np.asarray(coupling(k), dtype=complex)
     norm = np.sqrt(2.0 * (2.0 * np.pi) ** 3)
     gm = np.sqrt(k) * fk / norm          # M-shape weight
     gn = fk / (norm * np.sqrt(k))        # N-shape weight
 
     r_max = np.sqrt(3.0) * grid.box_length / 2.0 * 1.001
-    r = np.linspace(0.0, r_max, n_radial)
+    r = np.linspace(0.0, r_max, SHAPE_RADII)
 
     # S'(r) = -4 pi int k^3 g(k) j1(k r) dk via composite Simpson over k
-    wt = np.full(n_freq + 1, 2.0)
+    wt = np.full(SHAPE_FREQUENCIES + 1, 2.0)
     wt[1::2] = 4.0
     wt[0] = wt[-1] = 1.0
     wt *= (k[1] - k[0]) / 3.0
@@ -222,12 +226,17 @@ def source_shapes(coupling, grid, cfg=None, n_radial=1200, n_freq=4000):
 
 
 def _lattice_source_shapes(coupling, grid):
-    """Lattice-exact source shapes (the mode-sum analogue of the continuum
-    radial reduction), used by the real-space integrator so both evolution
-    methods describe the same discrete system:
+    """Source shapes of the real-space integrator, summed over the lattice's
+    modes:
 
         M(x) = Re sum_k sqrt(w_k/2V) g_k k e^{-ikx},
         N(x) = Im sum_k g_k/sqrt(2V w_k) k e^{-ikx}.
+
+    As the box grows, N converges to the continuum :func:`source_shapes`
+    for a band-limited coupling, and M vanishes for a real one.  The
+    leapfrog still steps with the stencil Laplacian, not the lattice's
+    exact dispersion, so the two integrators do not describe quite the
+    same discrete system.
     """
     g_k, w, mask = _mode_coupling(coupling, grid)
     kx, ky, kz = grid.k_vectors()
@@ -258,15 +267,12 @@ def hamiltonian_identity_check(a, grid):
 
     With c-number amplitudes carrying no zero-point term the two sides are
     a Parseval pair; the residual is numerical noise.  The gradient is
-    spectral.
+    spectral, summed in k-space by :func:`_field_energy`.
     """
     a = _checked_amplitudes(a, grid)
-    w = grid.omega()
-    mode_energy = float(np.sum(w * np.abs(a) ** 2))
+    mode_energy = float(np.sum(grid.omega() * np.abs(a) ** 2))
     y, pi = field_from_modes(a, grid)
-    density = 0.5 * (pi**2 + _grad_sq(y, grid))
-    lattice_energy = float(density.sum() * grid.dx**3)
-    return abs(mode_energy - lattice_energy)
+    return abs(mode_energy - _field_energy(y, pi, grid, _gradient_weights(grid)))
 
 
 def _gradient_weights(grid):
@@ -288,24 +294,24 @@ def _field_energy(y, pi, grid, weights):
     return 0.5 * (float(np.sum(pi * pi)) + grad_sq) * grid.dx**3
 
 
-def evolve_field_with_source(traj, coupling, grid, method="kspace",
-                             initial_amplitudes=None, substeps=1,
-                             energy_every=1):
+def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
+                             initial_amplitudes=None, energy_every=1):
     """Drive the lattice field with a prescribed particle trajectory.
 
-    ``kspace`` rotates every mode exactly and accumulates the source with
-    a trapezoid-in-time (second order) update; ``leapfrog`` steps Y in
-    real space with a 7-point stencil Laplacian and the lattice source
-    shapes.  The trajectory's grid sets the time step; the leapfrog
-    enforces the CFL bound dt < dx / sqrt(3).  ``energy_every`` thins the
-    leapfrog energy trace (entries in between repeat the last value).
+    ``kspace`` rotates every mode exactly and integrates the source
+    exactly over each step against the linear interpolant of the
+    velocity; ``leapfrog`` steps Y in real space with a 7-point stencil
+    Laplacian and the lattice source shapes.  The trajectory's grid sets
+    the time step; the leapfrog enforces the CFL bound dt < dx / sqrt(3).
+    ``energy_every`` thins the leapfrog energy trace (entries in between
+    repeat the last value).
 
     Returns the energy trace (bath Hamiltonian identity form) and the
     final field state.
     """
     dt_full = traj.step
     if method == "kspace":
-        return _evolve_kspace(traj, coupling, grid, initial_amplitudes, substeps)
+        return _evolve_kspace(traj, coupling, grid, initial_amplitudes)
     if method == "leapfrog":
         if dt_full >= grid.dx / np.sqrt(3.0):
             raise StabilityError(
@@ -341,7 +347,7 @@ def lattice_memory_kernel(coupling, grid, times):
     return MemoryKernel(times, values)
 
 
-def _evolve_kspace(traj, coupling, grid, initial_amplitudes, substeps):
+def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     g_k, w, mask = _mode_coupling(coupling, grid)
     kx, ky, kz = grid.k_vectors()
     if initial_amplitudes is None:
@@ -359,10 +365,10 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes, substeps):
     gm = g_k[mask]
     kdot = np.stack([kx[mask], ky[mask], kz[mask]], axis=-1)
     am = a[mask]
-    dt = traj.step / substeps
+    dt = traj.step
     theta = wm * dt
     rot = np.exp(-1j * theta)
-    # trapezoid-in-time source: integral of the linear interpolant of v
+    # exact integral of the rotating source against the linear interpolant of v
     with np.errstate(invalid="ignore", divide="ignore"):
         b_new = (1.0 - (1.0 - rot) / (1j * theta)) / (1j * wm)
         b_old = (1.0 - rot) / (1j * wm) - b_new
@@ -371,14 +377,7 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes, substeps):
     b_old[small] = dt / 2.0
 
     for i in range(n_steps):
-        v0 = v[i]
-        v1 = v[i + 1]
-        for s in range(substeps):
-            f = (substeps - s) / substeps
-            f1 = (substeps - s - 1) / substeps
-            va = f * v0 + (1 - f) * v1
-            vb = f1 * v0 + (1 - f1) * v1
-            am = rot * am + 1j * gm * (b_old * (kdot @ va) + b_new * (kdot @ vb))
+        am = rot * am + 1j * gm * (b_old * (kdot @ v[i]) + b_new * (kdot @ v[i + 1]))
         energies[i + 1] = float(np.sum(wm * np.abs(am) ** 2))
     a = np.zeros((grid.n,) * 3, dtype=complex)
     a[mask] = am
@@ -428,34 +427,6 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes, energy_every):
         w_half = w_half + dt * accel
     return FieldHistory(times=times.copy(), energy=energies,
                         final_y=y, final_pi=pi, final_amplitudes=None)
-
-
-def lagrangian_density(y, y_dot, particle_velocity, shapes, grid):
-    """Pointwise Lagrangian density of the sourced field (diagnostic)."""
-    grad_sq = _grad_sq(y, grid)
-    vn = shapes.n_field @ np.asarray(particle_velocity, dtype=float)
-    vm = shapes.m_field @ np.asarray(particle_velocity, dtype=float)
-    return 0.5 * y_dot**2 - 0.5 * grad_sq - 2.0 * vn * y_dot + 2.0 * vm * y
-
-
-def hamiltonian_density(y, pi, particle_velocity, shapes, grid):
-    """Pointwise Hamiltonian density of the sourced field (diagnostic)."""
-    grad_sq = _grad_sq(y, grid)
-    vn = shapes.n_field @ np.asarray(particle_velocity, dtype=float)
-    vm = shapes.m_field @ np.asarray(particle_velocity, dtype=float)
-    return 0.5 * (pi + 2.0 * vn) ** 2 + 0.5 * grad_sq - 2.0 * vm * y
-
-
-def _grad_sq(y, grid):
-    # abs keeps the unpaired Nyquist component, which the Parseval sum of
-    # _field_energy counts too
-    y_k = np.fft.fftn(y)
-    kx, ky, kz = grid.k_vectors()
-    total = 0.0
-    for kc in (kx, ky, kz):
-        gc = np.fft.ifftn(1j * kc * y_k)
-        total = total + np.abs(gc) ** 2
-    return total
 
 
 SNAPSHOT_MAGIC = b"DISSIPON"

@@ -17,7 +17,6 @@ __all__ = [
     "emit_table",
     "read_table",
     "parse_config",
-    "serialize_config",
     "write_manifest",
 ]
 
@@ -111,21 +110,6 @@ def parse_config(text):
             raise ConfigError("empty key", line=lineno)
         sections[current][key] = value.strip()
     return sections
-
-
-def serialize_config(sections):
-    """Inverse of :func:`parse_config` (round-trip idempotent)."""
-    out = []
-    plain = sections.get("", {})
-    for key, value in plain.items():
-        out.append(f"{key} = {value}")
-    for name, body in sections.items():
-        if name == "":
-            continue
-        out.append(f"[{name}]")
-        for key, value in body.items():
-            out.append(f"{key} = {value}")
-    return "\n".join(out) + "\n"
 
 
 def write_manifest(path, params, wall_time_s, outputs=()):

@@ -78,9 +78,11 @@ class FockTriple:
     n3: int = 0
 
     def __post_init__(self):
-        for n in (self.n1, self.n2, self.n3):
-            if n < 0 or n != int(n):
+        for name in ("n1", "n2", "n3"):
+            n = getattr(self, name)
+            if not (n >= 0 and float(n).is_integer()):
                 raise DomainError("occupation numbers must be nonnegative integers")
+            object.__setattr__(self, name, int(n))
 
     @property
     def total(self):

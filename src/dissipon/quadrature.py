@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 
@@ -85,6 +84,9 @@ class QuadratureConfig:
 
 def _quad(f, a, b, cfg, points=None, weight=None, wvar=None):
     """QUADPACK call honouring the config; raises on uncertified results."""
+    # imported here: scipy.integrate is most of a cold import of the package,
+    # and the field and Volterra runs never integrate
+    from scipy.integrate import quad
     kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
                   full_output=True)
     if points is not None and np.isfinite(b):
@@ -97,7 +99,7 @@ def _quad(f, a, b, cfg, points=None, weight=None, wvar=None):
         kwargs["wvar"] = wvar
         if not np.isfinite(b):
             kwargs["limlst"] = max(cfg.max_subdivisions, 50)
-    out = integrate.quad(f, a, b, **kwargs)
+    out = quad(f, a, b, **kwargs)
     value, err = out[0], out[1]
     if len(out) > 3:  # QUADPACK flagged trouble
         if err <= 10.0 * cfg.tolerance_for(value):

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 FIRST_ORDER_WARN = 0.1
+# a Fock quantum is resonant when its frequency is within this fraction of w
+RESONANCE_REL_TOL = 1e-8
 
 
 class RatePair(NamedTuple):
@@ -126,7 +128,7 @@ def _golden_rate(r, quanta):
     return quanta * r.coupling.golden_rule(r.params.omega) / r.params.m
 
 
-def rates_fock(r, resonance_rel_tol=1e-8):
+def rates_fock(r):
     """(emission, absorption) against a reservoir holding discrete quanta.
 
     Emission equals the vacuum rate (no stimulated enhancement appears at
@@ -141,7 +143,7 @@ def rates_fock(r, resonance_rel_tol=1e-8):
     p = r.params
     emission = _golden_rate(r, r.n.total)
     res = r.reservoir
-    resonant = np.abs(res.frequencies - p.omega) <= resonance_rel_tol * p.omega
+    resonant = np.abs(res.frequencies - p.omega) <= RESONANCE_REL_TOL * p.omega
     occupancy = np.array([r.n.n1 + 1, r.n.n2 + 1, r.n.n3 + 1], dtype=float)
     dipole_sum = float(
         (res.weights[resonant, None] * res.momenta[resonant] ** 2 @ occupancy).sum())

@@ -15,7 +15,7 @@ beta * v(t) as Lambda grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,7 @@ __all__ = [
     "CouplingFunction",
     "ReservoirState",
     "MemoryKernel",
-    "angular_reduce",
-    "memory_kernel",
     "friction_coefficient",
-    "occupation",
     "bose_factor",
 ]
 
@@ -80,17 +77,25 @@ class CouplingFunction:
     @classmethod
     def from_file(cls, path, uv_cutoff=None):
         """Load a two-column (w, f) text table; '#' starts a comment."""
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read coupling table: {exc}") from None
         rows = []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise DomainError(
-                        f"{path}:{lineno}: expected two columns, got {len(parts)}")
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise DomainError(
+                    f"{path}:{lineno}: expected two columns, got {len(parts)}")
+            try:
                 rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise DomainError(
+                    f"{path}:{lineno}: non-numeric entry {line!r}") from None
         if len(rows) < 2:
             raise DomainError(f"{path}: need at least two tabulated points")
         grid, values = zip(*rows)
@@ -133,8 +138,8 @@ class CouplingFunction:
 class ReservoirState:
     """Vacuum, a list of Fock quanta, or a thermal distribution.
 
-    Carries exactly the expectation rules the trace formulas need: the
-    occupation at a frequency, nothing operator-valued.
+    Carries what the rate formulas read: the temperature, or the quanta's
+    momenta, frequencies and line-width weights; nothing operator-valued.
     """
 
     def __init__(self, kind, *, temperature=None, momenta=None, weights=None):
@@ -175,23 +180,6 @@ class ReservoirState:
         return cls("fock", momenta=momenta, weights=weights)
 
 
-def occupation(state, omega, rel_tol=1e-8):
-    """Mean occupation of the reservoir at frequency ``omega``.
-
-    Vacuum gives 0, thermal the Bose factor 1/(e^(w/T) - 1); for a Fock
-    state the deltas are resolved analytically, so the result is the summed
-    line-width weight of the quanta resonant with ``omega``.
-    """
-    if omega <= 0:
-        raise DomainError("occupation is defined for omega > 0")
-    if state.kind == "vacuum":
-        return 0.0
-    if state.kind == "thermal":
-        return bose_factor(omega, state.temperature)
-    resonant = np.abs(state.frequencies - omega) <= rel_tol * omega
-    return float(state.weights[resonant].sum())
-
-
 def bose_factor(omega, temperature):
     """Bose occupation 1/(e^(w/T) - 1), exactly 0 where w/T > 700.
 
@@ -204,20 +192,6 @@ def bose_factor(omega, temperature):
     return float(out) if out.ndim == 0 else out
 
 
-def angular_reduce(G):
-    """Reduce a rotationally invariant 3-d mode integral to one dimension.
-
-    For any scalar weight G(w) the Cartesian-component integral
-    integral d^3k G(w) k_i k_j collapses to delta_ij (4 pi / 3)
-    integral dw w^4 G(w); the returned callable is that reduced radial
-    integrand, per component.
-    """
-    def reduced(omega):
-        omega = np.asarray(omega, dtype=float)
-        return (4.0 * np.pi / 3.0) * omega**4 * G(omega)
-    return reduced
-
-
 def _table_cosine_transform(coupling, times, cfg):
     """Dense-Simpson cosine transform of the spectral weight.
 
@@ -225,10 +199,7 @@ def _table_cosine_transform(coupling, times, cfg):
     panels can certify; a phase- and knot-resolving fixed grid is the
     appropriate evaluator for them.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     lam = cfg.uv_cutoff
-    if not np.isfinite(lam):
-        raise DomainError("tabulated kernels need a finite UV cutoff")
     t_max = max(float(times.max()), 1e-12)
     n_w = int(max(8192, 8 * lam * t_max / np.pi, 4 * len(coupling.grid)))
     n_w += n_w % 2
@@ -241,34 +212,13 @@ def _table_cosine_transform(coupling, times, cfg):
     return np.cos(np.outer(times, w)) @ s
 
 
-def memory_kernel(coupling, t, cfg=None):
-    """Cutoff-regularised kernel gamma(t) at a single time.
-
-    For the canonical coupling this equals (2 beta / pi) sin(Lambda t)/t.
-    """
-    if t < 0:
-        raise DomainError("the memory kernel is defined for t >= 0")
-    cfg = coupling.default_config(cfg)
-    if coupling.kind == "tabulated":
-        return float(_table_cosine_transform(coupling, [t], cfg)[0])
-    pref = 8.0 * np.pi / 3.0
-    value, _ = integrate_oscillatory(
-        lambda w: pref * coupling.spectral_weight(w), 1.0, t, cfg, kind="cos")
-    return value
-
-
 @dataclass
 class MemoryKernel:
-    """gamma(t) sampled on a uniform grid, plus its friction limit if known.
-
-    ``friction_limit`` is the Ohmic coefficient the kernel tends to (filled
-    in by :func:`friction_coefficient`, or analytically for the canonical
-    coupling).
-    """
+    """gamma(t) sampled on a uniform time grid; its Ohmic friction limit is
+    :func:`friction_coefficient`."""
 
     times: np.ndarray
     values: np.ndarray
-    friction_limit: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -290,6 +240,8 @@ class MemoryKernel:
         tabulated coupling goes through a dense cosine-transform panel sum.
         """
         times = np.asarray(times, dtype=float)
+        if np.any(times < 0):
+            raise DomainError("the memory kernel is defined for t >= 0")
         cfg = coupling.default_config(cfg)
         lam = cfg.uv_cutoff
         if not np.isfinite(lam):
@@ -301,7 +253,7 @@ class MemoryKernel:
             vals[small] = 2.0 * beta * lam / np.pi
             tt = times[~small]
             vals[~small] = 2.0 * beta / np.pi * np.sin(lam * tt) / tt
-            return cls(times, vals, friction_limit=beta)
+            return cls(times, vals)
         return cls(times, _table_cosine_transform(coupling, times, cfg))
 
     def at(self, t):

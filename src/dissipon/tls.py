@@ -26,8 +26,7 @@ imaginary part mu and the coherence envelope decays at exactly that rate
 the free mu = 0 oscillation, so it is fixed by the characteristic
 equation).
 
-``bare=True`` drops the dipole factor |x12|^2 from mu, exposing the bare
-constant (4 pi^2 w0^6 / 3) |f(w0)|^2 for unit-dipole conventions.
+A unit dipole, |x12|^2 = 1, gives the bare constant (4 pi^2 w0^6 / 3) |f(w0)|^2.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .langevin import _block_powers, _check_grid
-from .quadrature import (QuadratureConfig, integrate_principal_value,
-                         integrate_semi_infinite)
+from .quadrature import integrate_principal_value, integrate_semi_infinite
 
 __all__ = [
     "TwoLevelParams",
@@ -106,16 +104,13 @@ class BlochHistory(NamedTuple):
     e_im: np.ndarray
 
 
-def decay_rate_mu(p, bare=False):
+def decay_rate_mu(p):
     """Population decay constant mu.
 
     mu = (4 pi^2 w0^6 / 3) |f(w0)|^2 |x12|^2; the canonical coupling gives
-    beta w0 |x12|^2.  ``bare`` drops the dipole factor.
+    beta w0 |x12|^2.
     """
-    mu = p.omega0 * p.coupling.golden_rule(p.omega0)
-    if not bare:
-        mu *= p.x12_sq
-    return mu
+    return p.omega0 * p.coupling.golden_rule(p.omega0) * p.x12_sq
 
 
 class LevelShifts(NamedTuple):
@@ -159,14 +154,14 @@ class CoherenceSpectrum(NamedTuple):
     omega_minus: complex
 
 
-def coherence_frequencies(p, cfg, bare=False):
+def coherence_frequencies(p, cfg):
     """mu, the shifted frequency Gamma and the characteristic pair Omega_pm.
 
     Omega_pm = i mu +- i sqrt(mu^2 - w0 Gamma) are the exact roots of the
     coherence pair; F ~ e^{i Omega t}.  When w0 Gamma > mu^2 both roots
     share the imaginary part mu: damped oscillation at rate mu.
     """
-    mu = decay_rate_mu(p, bare=bare)
+    mu = decay_rate_mu(p)
     shifts = level_shifts(p, cfg)
     gamma = p.omega0 - 2.0 * shifts.delta2 - 2.0 * shifts.delta1
     radical = cmath.sqrt(complex(mu * mu - p.omega0 * gamma))
@@ -176,17 +171,17 @@ def coherence_frequencies(p, cfg, bare=False):
                              omega_plus=omega_plus, omega_minus=omega_minus)
 
 
-def sigma_z_evolution(p, sz0, t, bare=False):
+def sigma_z_evolution(p, sz0, t):
     """Closed-form population inversion: -1 + (1 + sz0) e^{-2 mu t}."""
     if abs(sz0) > 1.0 + 1e-9:
         raise DomainError("|<s_z>(0)| cannot exceed 1")
-    mu = decay_rate_mu(p, bare=bare)
+    mu = decay_rate_mu(p)
     t = np.asarray(t, dtype=float)
     out = -1.0 + (1.0 + sz0) * np.exp(-2.0 * mu * t)
     return float(out) if out.ndim == 0 else out
 
 
-def coherence_evolution(p, f0, e0, t, cfg, bare=False):
+def coherence_evolution(p, f0, e0, t, cfg):
     """Closed-form coherence pair (F(t), E(t)) from initial values (f0, e0).
 
     F(t) = C1 e^{i Omega_+ t} + C2 e^{i Omega_- t} and
@@ -194,7 +189,7 @@ def coherence_evolution(p, f0, e0, t, cfg, bare=False):
     with C1, C2 solving the 2x2 initial-value system.  A degenerate pair
     Omega_+ = Omega_- falls back to the secular (t e^{i Omega t}) form.
     """
-    spec = coherence_frequencies(p, cfg, bare=bare)
+    spec = coherence_frequencies(p, cfg)
     t = np.asarray(t, dtype=float)
     w0 = p.omega0
     s_plus = 1j * spec.omega_plus   # characteristic exponents: F ~ e^{s t}
@@ -223,7 +218,7 @@ def coherence_evolution(p, f0, e0, t, cfg, bare=False):
     return f_t, e_t
 
 
-def evolve_bloch_markov(p, initial, grid, cfg, bare=False):
+def evolve_bloch_markov(p, initial, grid, cfg):
     """RK4 integration of the Markovian Bloch equations on a uniform grid.
 
     The system is linear and time invariant, so the classical RK4 update
@@ -234,9 +229,8 @@ def evolve_bloch_markov(p, initial, grid, cfg, bare=False):
     are filled a block at a time by :func:`dissipon.langevin._block_powers`.
     """
     grid, h = _check_grid(grid)
-    mu = decay_rate_mu(p, bare=bare)
-    spec = coherence_frequencies(p, cfg, bare=bare)
-    gamma = spec.gamma_shifted
+    spec = coherence_frequencies(p, cfg)
+    mu, gamma = spec.mu, spec.gamma_shifted
 
     # state y = (sz, f, e_im):  y' = A y + c,  c = (-2 mu, 0, 0)
     a_mat = np.array([

@@ -4,11 +4,10 @@ from scipy.special import spherical_jn
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.field import (FieldGrid, _field_energy, _gradient_weights,
-                            evolve_field_with_source, field_from_modes,
-                            hamiltonian_density, hamiltonian_identity_check,
-                            lagrangian_density, lattice_memory_kernel,
-                            modes_from_fields, read_snapshot, source_shapes,
-                            write_snapshot)
+                            _lattice_source_shapes, evolve_field_with_source,
+                            field_from_modes, hamiltonian_identity_check,
+                            lattice_memory_kernel, modes_from_fields,
+                            read_snapshot, source_shapes, write_snapshot)
 from dissipon.langevin import PotentialSpec, Trajectory, evolve_mean_volterra
 from dissipon.oscillator import OscillatorParams, mean_trajectory
 from dissipon.reservoir import CouplingFunction
@@ -161,6 +160,24 @@ class TestSourceShapes:
         with pytest.raises(DomainError, match="cutoff"):
             source_shapes(CouplingFunction.canonical(0.1), g)
 
+    def test_lattice_shapes_converge_to_continuum(self):
+        # the continuum shapes are the oracle of the mode sums the leapfrog
+        # uses; a band-limited table, since the canonical coupling's do not
+        # converge
+        k = np.linspace(1e-3, 2.0, 2000)
+        c = CouplingFunction.tabulated(k, np.exp(-((k - 1.0) / 0.3) ** 2) / k**2,
+                                       uv_cutoff=2.0)
+        errs = []
+        for n in (16, 32, 64):
+            g = FieldGrid(n=n, dx=1.0, uv_cutoff=2.0)
+            continuum = source_shapes(c, g)
+            m_field, n_field = _lattice_source_shapes(c, g)
+            scale = np.abs(continuum.n_field).max()
+            errs.append(np.abs(n_field - continuum.n_field).max() / scale)
+            assert np.abs(m_field).max() < 1e-14 * scale
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 3e-4
+
 
 class TestEvolution:
     def test_kspace_free_mode_is_exact(self):
@@ -247,8 +264,7 @@ class TestEvolution:
             traj = Trajectory(times, xs, vs)
             lf = evolve_field_with_source(traj, coup, g, method="leapfrog",
                                           energy_every=10**9)
-            ks = evolve_field_with_source(traj, coup, g, method="kspace",
-                                          substeps=8)
+            ks = evolve_field_with_source(traj, coup, g, method="kspace")
             devs.append(np.max(np.abs(lf.final_y - ks.final_y)))
             steps.append(dt)
         order = np.log2(devs[0] / devs[1])
@@ -273,30 +289,6 @@ class TestEvolution:
         period = int(round(2.0 * np.pi / omega / h))
         coarse = hist.energy[::period]
         assert np.all(np.diff(coarse) > 0.0)
-
-
-class TestDensities:
-    def test_hamiltonian_density_integrates_to_energy_without_motion(self):
-        g = FieldGrid(n=16, dx=0.5)
-        c = CouplingFunction.canonical(0.1, uv_cutoff=5.0)
-        sh = source_shapes(c, g)
-        a = random_amplitudes(g)
-        y, pi = field_from_modes(a, g)
-        dens = hamiltonian_density(y, pi, [0.0, 0.0, 0.0], sh, g)
-        total = float(dens.sum() * g.dx**3)
-        assert total == pytest.approx(float(np.sum(g.omega() * np.abs(a) ** 2)),
-                                      rel=1e-10)
-
-    def test_lagrangian_free_field_value(self):
-        g = FieldGrid(n=8, dx=0.5)
-        c = CouplingFunction.canonical(0.1, uv_cutoff=5.0)
-        sh = source_shapes(c, g)
-        a = random_amplitudes(g, seed=5)
-        y, pi = field_from_modes(a, g)
-        # with zero particle velocity: L = pi^2/2 - |grad Y|^2/2 pointwise
-        lag = lagrangian_density(y, pi, [0.0, 0.0, 0.0], sh, g)
-        ham = hamiltonian_density(y, pi, [0.0, 0.0, 0.0], sh, g)
-        assert np.allclose(lag + ham, pi**2, atol=1e-12 * np.abs(pi).max() ** 2)
 
 
 class TestSnapshots:

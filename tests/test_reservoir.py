@@ -2,10 +2,24 @@ import numpy as np
 import pytest
 
 from dissipon.errors import DomainError, NonMarkovianError
-from dissipon.quadrature import QuadratureConfig, integrate_semi_infinite
+from dissipon.quadrature import (QuadratureConfig, integrate_oscillatory,
+                                 integrate_semi_infinite)
 from dissipon.reservoir import (CouplingFunction, MemoryKernel, ReservoirState,
-                                angular_reduce, friction_coefficient,
-                                memory_kernel, occupation)
+                                bose_factor, friction_coefficient)
+
+
+def quadpack_kernel(coupling, t):
+    """gamma(t) as QUADPACK's cosine-weighted integral of (8 pi/3) S(w)."""
+    cfg = coupling.default_config()
+    value, _ = integrate_oscillatory(
+        lambda w: 8.0 * np.pi / 3.0 * coupling.spectral_weight(w), 1.0, t, cfg,
+        kind="cos")
+    return value
+
+
+def sampled_kernel(coupling, t):
+    """gamma(t) from MemoryKernel.sample on the grid (0, t)."""
+    return MemoryKernel.sample(coupling, [0.0, t]).values[1]
 
 
 def gaussian_tail_coupling(beta=0.3, lam=60.0, n=20000):
@@ -52,56 +66,38 @@ class TestCoupling:
             CouplingFunction.from_file(path)
 
 
-class TestAngularReduce:
-    def test_canonical_weight(self):
-        # (4 pi/3) w^4 |f|^2 = beta/(pi w) for the canonical coupling
-        beta = 0.7
-        c = CouplingFunction.canonical(beta)
-        reduced = angular_reduce(lambda w: c(w) ** 2)
-        assert reduced(1.0) == pytest.approx(beta / np.pi)
-        assert reduced(2.0) == pytest.approx(beta / (2.0 * np.pi))
-
-    def test_zero(self):
-        reduced = angular_reduce(lambda w: 0.0 * w)
-        assert reduced(3.0) == 0.0
-
-    def test_narrow_bump_weight(self):
-        # delta-like bump of weight wgt at w0 integrates to (4 pi/3) w0^4 wgt
-        w0, wgt, sigma = 2.0, 0.3, 1e-3
-        norm = wgt / (sigma * np.sqrt(2.0 * np.pi))
-        bump = lambda w: norm * np.exp(-((w - w0) ** 2) / (2 * sigma**2))
-        reduced = angular_reduce(bump)
-        cfg = QuadratureConfig(uv_cutoff=4.0)
-        total, _ = integrate_semi_infinite(reduced, cfg, singularities=[w0])
-        assert total == pytest.approx(4.0 * np.pi / 3.0 * w0**4 * wgt, rel=1e-5)
-
-
 class TestMemoryKernel:
+    # the canonical closed form in MemoryKernel.sample, and QUADPACK's
+    # cosine-weighted integral of the spectral weight as its oracle
     def test_canonical_zero_crossing(self):
         c = CouplingFunction.canonical(1.0, uv_cutoff=50.0)
-        assert memory_kernel(c, np.pi / 50.0) == pytest.approx(0.0, abs=1e-10)
+        for kernel in (sampled_kernel, quadpack_kernel):
+            assert kernel(c, np.pi / 50.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_short_time_limit(self):
         beta, lam = 1.0, 50.0
         c = CouplingFunction.canonical(beta, uv_cutoff=lam)
-        assert memory_kernel(c, 1e-12) == pytest.approx(2.0 * beta * lam / np.pi,
-                                                        rel=1e-9)
+        for kernel in (sampled_kernel, quadpack_kernel):
+            assert kernel(c, 1e-12) == pytest.approx(2.0 * beta * lam / np.pi,
+                                                     rel=1e-9)
 
     def test_closed_form(self):
         beta, lam = 0.4, 80.0
         c = CouplingFunction.canonical(beta, uv_cutoff=lam)
         for t in (0.05, 0.31, 1.7):
             expect = 2.0 * beta / np.pi * np.sin(lam * t) / t
-            assert memory_kernel(c, t) == pytest.approx(expect, abs=1e-8)
+            assert sampled_kernel(c, t) == pytest.approx(expect, abs=1e-8)
+            assert quadpack_kernel(c, t) == pytest.approx(expect, abs=1e-8)
 
     def test_zero_coupling(self):
         c = CouplingFunction.zero(uv_cutoff=10.0)
-        assert memory_kernel(c, 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert sampled_kernel(c, 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert quadpack_kernel(c, 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_time_rejected(self):
         c = CouplingFunction.canonical(1.0, uv_cutoff=10.0)
         with pytest.raises(DomainError):
-            memory_kernel(c, -0.1)
+            MemoryKernel.sample(c, [-0.1, 0.0])
 
     def test_even_in_time(self):
         # the kernel is a cosine transform: the mirrored formula coincides
@@ -114,14 +110,6 @@ class TestMemoryKernel:
             minus, _ = integrate_semi_infinite(
                 lambda w: pref * c.spectral_weight(w) * np.cos(w * (-t)), cfg)
             assert plus == pytest.approx(minus, rel=1e-12)
-
-    def test_sampling_matches_pointwise(self):
-        c = gaussian_tail_coupling()
-        times = np.linspace(0.0, 2.0, 41)
-        kern = MemoryKernel.sample(c, times)
-        for idx in (0, 7, 40):
-            assert kern.values[idx] == pytest.approx(
-                memory_kernel(c, times[idx]), rel=1e-6, abs=1e-9)
 
     def test_tabulated_sampling_vs_dense_oracle(self):
         # independent fine-grid Simpson of the table integrand
@@ -225,28 +213,15 @@ class TestFriction:
 
 
 class TestReservoirState:
-    def test_vacuum(self):
-        assert occupation(ReservoirState.vacuum(), 1.0) == 0.0
-
     def test_thermal_log2(self):
-        state = ReservoirState.thermal(1.0)
-        assert occupation(state, np.log(2.0)) == pytest.approx(1.0, rel=1e-14)
+        assert bose_factor(np.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_thermal_frozen(self):
-        state = ReservoirState.thermal(1.0)
-        assert occupation(state, 100.0) == pytest.approx(0.0, abs=1e-40)
-
-    def test_fock_resonant_weight(self):
-        state = ReservoirState.fock([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]],
-                                    weights=[0.5, 0.25])
-        assert occupation(state, 2.0) == pytest.approx(0.5)
-        assert occupation(state, 3.0) == pytest.approx(0.25)
-        assert occupation(state, 2.5) == 0.0
+        assert bose_factor(100.0, 1.0) == pytest.approx(0.0, abs=1e-40)
+        assert bose_factor(100.0, 0.1) == 0.0  # w/T > 700: frozen out exactly
 
     def test_validation(self):
         with pytest.raises(DomainError):
             ReservoirState.thermal(0.0)
         with pytest.raises(DomainError):
             ReservoirState.fock([[0.0, 0.0, 0.0]])
-        with pytest.raises(DomainError):
-            occupation(ReservoirState.vacuum(), -1.0)

@@ -42,9 +42,9 @@ class TestDecayConstant:
         p = canonical_tls(beta=0.1, omega0=2.0, x12=(0.5, 0.0, 0.0))
         assert decay_rate_mu(p) == pytest.approx(0.05, rel=1e-12)
 
-    def test_bare_constant_drops_dipole(self):
-        p = canonical_tls(beta=0.1, omega0=2.0, x12=(0.5, 0.0, 0.0))
-        assert decay_rate_mu(p, bare=True) == pytest.approx(0.2, rel=1e-12)
+    def test_unit_dipole_gives_bare_constant(self):
+        p = canonical_tls(beta=0.1, omega0=2.0, x12=(1.0, 0.0, 0.0))
+        assert decay_rate_mu(p) == pytest.approx(0.2, rel=1e-12)
 
     def test_zero_coupling(self):
         p = TwoLevelParams(1.0, (1, 0, 0), CouplingFunction.zero(uv_cutoff=10.0))
