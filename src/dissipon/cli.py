@@ -71,11 +71,28 @@ def _quad_config(args, *frequencies):
     return QuadratureConfig.for_frequencies(*frequencies, **overrides)
 
 
+# no float64 array of more points can be allocated at all
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _allocate_grid(points, make):
+    """``make()`` a time grid of ``points`` points, rejecting one too large
+    to allocate before trying, or when the allocation fails."""
+    if not points <= _MAX_GRID_POINTS:
+        raise DomainError(f"a time grid of {points:.3g} points is too large to allocate")
+    try:
+        return make()
+    except MemoryError:
+        raise DomainError(f"a time grid of {points:.3g} points does not fit in memory") from None
+
+
 def _time_grid(args):
     """The uniform grid 0, step, ..., tmax of the kernel, langevin and field runs."""
-    if not (args.tmax > 0 and args.step > 0):
-        raise DomainError(f"--tmax ({args.tmax}) and --step ({args.step}) must be positive")
-    return np.arange(0.0, args.tmax + args.step / 2.0, args.step)
+    if not (0.0 < args.tmax < np.inf and 0.0 < args.step < np.inf):
+        raise DomainError(
+            f"--tmax ({args.tmax}) and --step ({args.step}) must be positive and finite")
+    return _allocate_grid(args.tmax / args.step + 1.0,
+                          lambda: np.arange(0.0, args.tmax + args.step / 2.0, args.step))
 
 
 def _metadata(args, cfg, **extra):
@@ -187,13 +204,16 @@ def cmd_tls(args, out_dir):
         raise DomainError(f"--x12sq ({args.x12sq}) must be finite and nonnegative")
     if args.steps < 1:
         raise DomainError(f"--steps ({args.steps}) must be positive")
+    if not 0.0 < args.tmax < np.inf:
+        raise DomainError(f"--tmax ({args.tmax}) must be positive and finite")
     coup = _coupling(args)
     x12 = np.zeros(3)
     x12[0] = np.sqrt(args.x12sq)
     p = TwoLevelParams(args.omega0, tuple(x12), coup)
     cfg = _quad_config(args, args.omega0)
     mu = decay_rate_mu(p)
-    grid = np.linspace(0.0, args.tmax, args.steps + 1)
+    grid = _allocate_grid(args.steps + 1,
+                          lambda: np.linspace(0.0, args.tmax, args.steps + 1))
     hist = evolve_bloch_markov(p, BlochState(sz=args.sz0, f=args.f0), grid, cfg)
     path = out_dir / "tls_decay.csv"
     # ReF is the population-coherence quadrature <s + s^dag> (real for

@@ -9,9 +9,18 @@ acceleration, and the bath Hamiltonian equals the field energy
 Fields are evolved at the level of c-number mode amplitudes (coherent
 expectation values); operator character never enters.  Two integrators
 are provided: exact per-mode rotation in k-space with the source's
-velocity interpolated linearly in time, and a real-space leapfrog with a
-7-point stencil Laplacian whose stability limit dt < dx/sqrt(3) is
-enforced.
+velocity interpolated linearly in time, and a leapfrog with a 7-point
+stencil Laplacian whose stability limit dt < dx/sqrt(3) is enforced.
+
+Both run on classes of equivalent modes, keyed by exact integers built
+from the fft index triple (i, j, l): the k-space rotation per shell of one
+i^2 + j^2 + l^2 (one |k|, one coupling), the leapfrog per cubic orbit of
+one sorted (|i|, |j|, |l|) (also one stencil symbol).  By linearity every
+mode is a fixed combination of its class's state, so each step costs
+O(classes), and the modes and fields are rebuilt once, at the end.  The
+discrete schemes are unchanged: the same rotation and source integral
+per mode, and the same stencil leapfrog per grid point, read in Fourier
+space.
 """
 
 from __future__ import annotations
@@ -108,6 +117,10 @@ def _checked_amplitudes(a, grid):
         raise DomainError(f"amplitudes must have shape {(grid.n,) * 3}")
     if abs(a[0, 0, 0]) != 0.0:
         raise DomainError("the zero mode carries no dynamics; its amplitude must be 0")
+    if np.any(a[~grid.mode_mask()]):
+        raise DomainError(
+            f"modes above the UV cutoff {grid.uv_cutoff} carry no dynamics; "
+            "their amplitudes must be 0")
     return a
 
 
@@ -117,18 +130,23 @@ def field_from_modes(a, grid):
     Y(x)  = sum_k (2 V w_k)^(-1/2) (a_k e^{ikx} + a_k* e^{-ikx})
     Pi(x) = i sum_k (w_k / 2V)^(1/2) (a_k* e^{-ikx} - a_k e^{ikx})
     """
+    y_hat, pi_hat = _field_spectra(a, grid)
+    return np.real(np.fft.ifftn(y_hat)), np.real(np.fft.ifftn(pi_hat))
+
+
+def _field_spectra(a, grid):
+    """Discrete Fourier transforms (numpy's ``fftn`` convention) of the
+    fields (Y, Pi) of :func:`field_from_modes`."""
     a = _checked_amplitudes(a, grid)
     w = grid.omega()
     mask = grid.mode_mask()
     root = np.zeros_like(w)
     root[mask] = 1.0 / np.sqrt(2.0 * grid.volume * w[mask])
     a_rev = _reverse_modes(a)
-    y_k = root * (a + np.conj(a_rev))
-    pi_k = 1j * np.where(mask, w, 0.0) * root * (np.conj(a_rev) - a)
     n3 = grid.n**3
-    y = np.real(np.fft.ifftn(y_k) * n3)
-    pi = np.real(np.fft.ifftn(pi_k) * n3)
-    return y, pi
+    y_hat = root * (a + np.conj(a_rev)) * n3
+    pi_hat = 1j * np.where(mask, w, 0.0) * root * (np.conj(a_rev) - a) * n3
+    return y_hat, pi_hat
 
 
 def _reverse_modes(a):
@@ -225,35 +243,6 @@ def source_shapes(coupling, grid, cfg=None):
         radial_r=r, radial_m=radial_m, radial_n=radial_n)
 
 
-def _lattice_source_shapes(coupling, grid):
-    """Source shapes of the real-space integrator, summed over the lattice's
-    modes:
-
-        M(x) = Re sum_k sqrt(w_k/2V) g_k k e^{-ikx},
-        N(x) = Im sum_k g_k/sqrt(2V w_k) k e^{-ikx}.
-
-    As the box grows, N converges to the continuum :func:`source_shapes`
-    for a band-limited coupling, and M vanishes for a real one.  The
-    leapfrog still steps with the stencil Laplacian, not the lattice's
-    exact dispersion, so the two integrators do not describe quite the
-    same discrete system.
-    """
-    g_k, w, mask = _mode_coupling(coupling, grid)
-    kx, ky, kz = grid.k_vectors()
-    n3 = grid.n**3
-    w_masked = np.where(mask, w, 1.0)
-    weight_m = g_k * np.sqrt(np.where(mask, w, 0.0) / (2.0 * grid.volume))
-    weight_n = g_k * mask / np.sqrt(2.0 * grid.volume * w_masked)
-    m_comps, n_comps = [], []
-    for kc in (kx, ky, kz):
-        # sum_k c_k e^{-ikx} = conj(n^3 ifftn(conj(c)))
-        sm = np.conj(np.fft.ifftn(np.conj(weight_m * kc)) * n3)
-        sn = np.conj(np.fft.ifftn(np.conj(weight_n * kc)) * n3)
-        m_comps.append(np.real(sm))
-        n_comps.append(np.imag(sn))
-    return np.stack(m_comps, axis=-1), np.stack(n_comps, axis=-1)
-
-
 class FieldHistory(NamedTuple):
     times: np.ndarray
     energy: np.ndarray
@@ -295,138 +284,236 @@ def _field_energy(y, pi, grid, weights):
 
 
 def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
-                             initial_amplitudes=None, energy_every=1):
+                             initial_amplitudes=None):
     """Drive the lattice field with a prescribed particle trajectory.
 
     ``kspace`` rotates every mode exactly and integrates the source
     exactly over each step against the linear interpolant of the
-    velocity; ``leapfrog`` steps Y in real space with a 7-point stencil
-    Laplacian and the lattice source shapes.  The trajectory's grid sets
-    the time step; the leapfrog enforces the CFL bound dt < dx / sqrt(3).
-    ``energy_every`` thins the leapfrog energy trace (entries in between
-    repeat the last value).
+    velocity; ``leapfrog`` steps Y with a 7-point stencil Laplacian and the
+    lattice source shapes.  Both advance one state per class of equivalent
+    modes (see the module docstring) and rebuild the modes and fields once,
+    at the end.  The trajectory's grid sets the time step; the leapfrog
+    enforces the CFL bound dt < dx / sqrt(3).
 
-    Returns the energy trace (bath Hamiltonian identity form) and the
-    final field state.
+    Returns the energy trace (bath Hamiltonian identity form) at every
+    time and the final field state.
     """
-    dt_full = traj.step
     if method == "kspace":
         return _evolve_kspace(traj, coupling, grid, initial_amplitudes)
     if method == "leapfrog":
-        if dt_full >= grid.dx / np.sqrt(3.0):
+        if traj.step >= grid.dx / np.sqrt(3.0):
             raise StabilityError(
-                f"CFL violation: dt = {dt_full:.3g} >= dx/sqrt(3) = "
+                f"CFL violation: dt = {traj.step:.3g} >= dx/sqrt(3) = "
                 f"{grid.dx / np.sqrt(3.0):.3g}")
-        return _evolve_leapfrog(traj, coupling, grid, initial_amplitudes,
-                                energy_every)
+        return _evolve_leapfrog(traj, coupling, grid, initial_amplitudes)
     raise DomainError(f"unknown method {method!r}")
 
 
-def _mode_coupling(coupling, grid):
-    w = grid.omega()
+class _Modes(NamedTuple):
+    """The masked modes, flattened in grid order."""
+
+    mask: np.ndarray   # (n, n, n) modes carrying dynamics
+    index: np.ndarray  # (M, 3) integer fft indices (i, j, l)
+    k: np.ndarray      # (M, 3) wave vectors
+    w: np.ndarray      # |k|
+    g: np.ndarray      # lattice coupling f(|k|) dk^(3/2)
+
+
+def _masked_modes(coupling, grid):
     mask = grid.mode_mask()
-    g_k = np.zeros_like(w)
-    g_k[mask] = np.asarray(coupling(w[mask]), dtype=float) * np.sqrt(grid.dk**3)
-    return g_k, w, mask
+    i = np.arange(grid.n)
+    i = np.where(i < grid.n // 2, i, i - grid.n)
+    index = np.stack(np.meshgrid(i, i, i, indexing="ij"), axis=-1)[mask]
+    w = grid.omega()[mask]
+    g = np.asarray(coupling(w), dtype=float) * np.sqrt(grid.dk**3)
+    return _Modes(mask, index, np.stack(grid.k_vectors(), axis=-1)[mask], w, g)
+
+
+def _classes(keys):
+    """Each mode's class label and each class's first mode, for exact
+    integer class keys."""
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+    return label, first
+
+
+def _shells(modes):
+    """Shells, one value of i^2 + j^2 + l^2: the modes share |k| and g_k."""
+    return _classes(np.sum(modes.index**2, axis=1))
+
+
+def _cubic_orbits(modes, n):
+    """Cubic orbits, one sorted (|i|, |j|, |l|): the modes of a shell that
+    also share the stencil symbol."""
+    a = np.sort(np.abs(modes.index), axis=1)
+    base = n // 2 + 1
+    return _classes((a[:, 0] * base + a[:, 1]) * base + a[:, 2])
+
+
+def _class_sums(label, count, values):
+    """Sum of ``values`` (one row per mode) over each class."""
+    out = np.zeros((count,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, label, values)
+    return out
+
+
+def _class_energies(states, gram):
+    """sum_k |basis_k . s_c|^2 over the modes k of each class c, for every
+    row of ``states`` (classes, rows, columns); ``gram`` holds each class's
+    sum of basis_k conj(basis_k)^T.  Returns (classes, rows)."""
+    return np.einsum("crj,crj->cr", states.conj(), states @ gram).real
+
+
+# rows of the energy trace evaluated per batched product
+_ENERGY_BLOCK = 64
+
+
+def _row_blocks(n_rows):
+    for start in range(0, n_rows, _ENERGY_BLOCK):
+        yield np.arange(start, min(start + _ENERGY_BLOCK, n_rows))
+
+
+def _initial_amplitudes(a, grid):
+    if a is None:
+        return np.zeros((grid.n,) * 3, dtype=complex)
+    return _checked_amplitudes(a, grid)
 
 
 def lattice_memory_kernel(coupling, grid, times):
     """Memory kernel the finite mode lattice exerts on the particle.
 
     Per Cartesian component, gamma(t) = sum_k 2 g_k^2 w_k k_x^2 cos(w_k t)
-    over the masked modes; feeding this kernel to the mean-trajectory
-    solver makes particle and lattice members of the same closed system,
-    so their energy exchange balances exactly (up to integration error).
+    over the masked modes, with the weights summed per shell of one |k|
+    before the cosines are taken; feeding this kernel to the
+    mean-trajectory solver makes particle and lattice members of the same
+    closed system, so their energy exchange balances exactly (up to
+    integration error).
     """
     from .reservoir import MemoryKernel
-    g_k, w, mask = _mode_coupling(coupling, grid)
-    kx = grid.k_vectors()[0]
-    weights = 2.0 * (g_k[mask] ** 2) * w[mask] * kx[mask] ** 2
+    modes = _masked_modes(coupling, grid)
+    label, first = _shells(modes)
+    weights = np.bincount(label, weights=2.0 * modes.g**2 * modes.w * modes.k[:, 0] ** 2)
     times = np.asarray(times, dtype=float)
-    values = np.cos(np.outer(times, w[mask])) @ weights
+    values = np.cos(np.outer(times, modes.w[first])) @ weights
     return MemoryKernel(times, values)
 
 
 def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
-    g_k, w, mask = _mode_coupling(coupling, grid)
-    kx, ky, kz = grid.k_vectors()
-    if initial_amplitudes is None:
-        a = np.zeros((grid.n,) * 3, dtype=complex)
-    else:
-        a = _checked_amplitudes(initial_amplitudes, grid).copy()
-
-    times = traj.times
-    v = traj.velocities
-    n_steps = len(times) - 1
-    energies = np.empty(len(times))
-    energies[0] = float(np.sum(w * np.abs(a) ** 2))
-
-    wm = w[mask]
-    gm = g_k[mask]
-    kdot = np.stack([kx[mask], ky[mask], kz[mask]], axis=-1)
-    am = a[mask]
+    modes = _masked_modes(coupling, grid)
+    label, first = _shells(modes)
+    # a mode of shell s is a_k(n) = k . Z_s(n) + a_k(0) rot_s^n: one complex
+    # 4-vector z_s = (Z_s, rot_s^n) per shell against the basis (k, a_k(0))
+    basis = np.column_stack(
+        [modes.k, _initial_amplitudes(initial_amplitudes, grid)[modes.mask]])
+    gram = _class_sums(label, len(first), basis[:, :, None] * basis[:, None, :].conj())
+    w, g = modes.w[first], modes.g[first]
     dt = traj.step
-    theta = wm * dt
+    theta = w * dt
     rot = np.exp(-1j * theta)
     # exact integral of the rotating source against the linear interpolant of v
     with np.errstate(invalid="ignore", divide="ignore"):
-        b_new = (1.0 - (1.0 - rot) / (1j * theta)) / (1j * wm)
-        b_old = (1.0 - rot) / (1j * wm) - b_new
+        b_new = (1.0 - (1.0 - rot) / (1j * theta)) / (1j * w)
+        b_old = (1.0 - rot) / (1j * w) - b_new
     small = theta < 1e-6
     b_new[small] = dt / 2.0
     b_old[small] = dt / 2.0
 
-    for i in range(n_steps):
-        am = rot * am + 1j * gm * (b_old * (kdot @ v[i]) + b_new * (kdot @ v[i + 1]))
-        energies[i + 1] = float(np.sum(wm * np.abs(am) ** 2))
+    n_rows = len(traj.times)
+    u = np.zeros((n_rows, 4))
+    u[:, :3] = traj.velocities
+    kick_old = (1j * g * b_old)[:, None]
+    kick_new = (1j * g * b_new)[:, None]
+    rot = rot[:, None]
+    z = np.zeros((len(w), 4), dtype=complex)
+    z[:, 3] = 1.0
+    energies = np.empty(n_rows)
+    for rows in _row_blocks(n_rows):
+        kicks = (kick_old * u[np.maximum(rows - 1, 0), None]
+                 + kick_new * u[rows, None])
+        zs = np.empty((len(w), len(rows), 4), dtype=complex)
+        for j, i in enumerate(rows):
+            if i:
+                z = rot * z + kicks[j]
+            zs[:, j] = z
+        energies[rows] = w @ _class_energies(zs, gram)
     a = np.zeros((grid.n,) * 3, dtype=complex)
-    a[mask] = am
+    a[modes.mask] = np.sum(basis * z[label], axis=1)
     y, pi = field_from_modes(a, grid)
-    return FieldHistory(times=times.copy(), energy=energies,
+    return FieldHistory(times=traj.times.copy(), energy=energies,
                         final_y=y, final_pi=pi, final_amplitudes=a)
 
 
-def _stencil_laplacian(y, dx):
-    out = -6.0 * y
-    for axis in range(3):
-        out = out + np.roll(y, 1, axis=axis) + np.roll(y, -1, axis=axis)
-    return out / (dx * dx)
+def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
+    modes = _masked_modes(coupling, grid)
+    label, first = _cubic_orbits(modes, grid.n)
+    n3 = grid.n**3
+    # The lattice source shapes
+    #     M(x) = Re sum_k sqrt(w_k/2V) g_k k e^{-ikx},
+    #     N(x) = Im sum_k g_k/sqrt(2V w_k) k e^{-ikx}
+    # have the discrete Fourier transforms N^_k = n^3 i c_N k_odd and
+    # M^_k = n^3 c_M k_nyq, with c_N = g_k / sqrt(2V w_k) and
+    # c_M = g_k sqrt(w_k / 2V).  k_nyq keeps the components on a Nyquist index,
+    # where k and -k alias: the sine source loses them and the cosine source
+    # gains them, so M vanishes only when no masked mode sits on a Nyquist
+    # plane.
+    k_nyq = np.where(modes.index == -(grid.n // 2), modes.k, 0.0)
+    k_odd = modes.k - k_nyq
+    c_n = modes.g / np.sqrt(2.0 * grid.volume * modes.w)
+    c_m = modes.g * np.sqrt(modes.w / (2.0 * grid.volume))
+    y_hat0, pi_hat0 = _field_spectra(_initial_amplitudes(initial_amplitudes, grid), grid)
+    # (Y^_k, Pi^_k) = basis_k . (y_o, pi_o): one real 8-vector pair per orbit,
+    # each column stepped by the scalar leapfrog of the orbit's stencil symbol
+    # sigma_o.  Columns 0-2 are driven by the acceleration through N (and
+    # W - Pi = 2 v . N), 3-5 by the velocity through M; 6 and 7 start at unit
+    # Y and unit Pi.  By Parseval the energy is
+    # dx^3 / (2 n^3) sum_o (pi_o^T G_o pi_o + |k_o|^2 y_o^T G_o y_o), with G_o
+    # the real part of the orbit's sum of basis_k conj(basis_k)^T (the states
+    # are real).
+    basis = np.column_stack([2j * n3 * c_n[:, None] * k_odd,
+                             2.0 * n3 * c_m[:, None] * k_nyq,
+                             y_hat0[modes.mask], pi_hat0[modes.mask]])
+    gram = _class_sums(label, len(first),
+                       (basis[:, :, None] * basis[:, None, :].conj()).real)
+    k_first = modes.k[first]
+    sigma = (4.0 / grid.dx**2) * np.sum(np.sin(0.5 * grid.dx * k_first) ** 2, axis=1)
+    ksq = np.sum(k_first**2, axis=1)
 
-
-def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes, energy_every):
-    m_field, n_field = _lattice_source_shapes(coupling, grid)
-    if initial_amplitudes is None:
-        y = np.zeros((grid.n,) * 3)
-        pi = np.zeros_like(y)
-    else:
-        y, pi = field_from_modes(_checked_amplitudes(initial_amplitudes, grid), grid)
+    n_rows = len(traj.times)
     v = traj.velocities
-    acc = traj.accelerations()
+    source = np.zeros((n_rows, 8))
+    source[:, :3] = traj.accelerations()
+    source[:, 3:6] = v
+    offset = np.zeros((n_rows, 8))
+    offset[:, :3] = v
+    y = np.zeros((len(first), 8))
+    y[:, 6] = 1.0
+    pi = np.zeros_like(y)
+    pi[:, 7] = 1.0
+    sigma = sigma[:, None]
     dt = traj.step
-    times = traj.times
-    n_steps = len(times) - 1
-    weights = _gradient_weights(grid)
-    energies = np.empty(len(times))
-    energies[0] = _field_energy(y, pi, grid, weights)
-
     # W = dY/dt = Pi + 2 v . N;  staggered half-step start
-    w_vel = pi + 2.0 * (n_field @ v[0])
-    source0 = 2.0 * (n_field @ acc[0]) + 2.0 * (m_field @ v[0])
-    w_half = w_vel + 0.5 * dt * (_stencil_laplacian(y, grid.dx) + source0)
-    for i in range(n_steps):
-        y = y + dt * w_half
-        source = 2.0 * (n_field @ acc[i + 1]) + 2.0 * (m_field @ v[i + 1])
-        accel = _stencil_laplacian(y, grid.dx) + source
-        # canonical momentum at the new full step, for the energy trace
-        w_full = w_half + 0.5 * dt * accel
-        pi = w_full - 2.0 * (n_field @ v[i + 1])
-        if (i + 1) % energy_every == 0 or i == n_steps - 1:
-            energies[i + 1] = _field_energy(y, pi, grid, weights)
-        else:
-            energies[i + 1] = energies[i]
-        w_half = w_half + dt * accel
-    return FieldHistory(times=times.copy(), energy=energies,
-                        final_y=y, final_pi=pi, final_amplitudes=None)
+    w_half = pi + offset[0] + 0.5 * dt * (source[0] - sigma * y)
+    energies = np.empty(n_rows)
+    for rows in _row_blocks(n_rows):
+        ys = np.empty((len(first), len(rows), 8))
+        pis = np.empty_like(ys)
+        for j, i in enumerate(rows):
+            if i:
+                y = y + dt * w_half
+                accel = source[i] - sigma * y
+                # canonical momentum at the new full step, for the energy trace
+                pi = w_half + 0.5 * dt * accel - offset[i]
+                w_half = w_half + dt * accel
+            ys[:, j] = y
+            pis[:, j] = pi
+        energies[rows] = (_class_energies(pis, gram).sum(axis=0)
+                          + ksq @ _class_energies(ys, gram)) * (0.5 * grid.dx**3 / n3)
+    fields = []
+    for state in (y, pi):
+        spectrum = np.zeros((grid.n,) * 3, dtype=complex)
+        spectrum[modes.mask] = np.sum(basis * state[label], axis=1)
+        fields.append(np.real(np.fft.ifftn(spectrum)))
+    return FieldHistory(times=traj.times.copy(), energy=energies,
+                        final_y=fields[0], final_pi=fields[1], final_amplitudes=None)
 
 
 SNAPSHOT_MAGIC = b"DISSIPON"

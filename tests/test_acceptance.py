@@ -251,8 +251,7 @@ def test_10_solver_orders():
         still = Trajectory(t_grid, np.zeros((len(t_grid), 3)),
                            np.zeros((len(t_grid), 3)))
         hist = evolve_field_with_source(still, CouplingFunction.zero(), g,
-                                        method="leapfrog", initial_amplitudes=a0,
-                                        energy_every=10**9)
+                                        method="leapfrog", initial_amplitudes=a0)
         x = dx * np.arange(n)
         amp = 1.0 / np.sqrt(2.0 * g.volume * k0)
         y_exact = 2.0 * amp * np.real(np.exp(-1j * k0 * t_grid[-1])

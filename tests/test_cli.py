@@ -238,6 +238,12 @@ class TestExitCodes:
         (["langevin", "--x0", "a,0,0"], 2),
         (["rates", "--fock", "1,x,0"], 2),
         (["sweep", "--config", "{sweep}", "--workers", "0"], 2),
+        (["field", "--tmax", "inf"], 1),
+        (["kernel", "--tmax", "inf"], 1),
+        (["langevin", "--tmax", "inf"], 1),
+        (["kernel", "--step", "1e-300"], 1),
+        (["tls", "--tmax", "inf"], 1),
+        (["tls", "--steps", str(2**62)], 1),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_a_diagnostic(self, tmp_path, capsys, argv, expected):
         (tmp_path / "directory").mkdir()
@@ -251,6 +257,17 @@ class TestExitCodes:
         assert code == expected
         assert "dissipon: " in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.csv"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["tls", "--tmax", "inf"], "must be positive and finite"),
+        (["tls", "--tmax", "nan"], "must be positive and finite"),
+        (["kernel", "--step", "1e-300"], "too large to allocate"),
+    ])
+    def test_unusable_time_grid_warns_nothing(self, tmp_path, capsys, argv, message):
+        # rejected before the grid is differenced or allocated
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert message in capsys.readouterr().err
 
     def test_negative_langevin_frequency_is_one(self, tmp_path, capsys):
         code = run_cli("langevin", "--omega", "-1", "--tmax", "1", "--out", str(tmp_path))

@@ -3,11 +3,12 @@ import pytest
 from scipy.special import spherical_jn
 
 from dissipon.errors import DomainError, StabilityError
-from dissipon.field import (FieldGrid, _field_energy, _gradient_weights,
-                            _lattice_source_shapes, evolve_field_with_source,
-                            field_from_modes, hamiltonian_identity_check,
-                            lattice_memory_kernel, modes_from_fields,
-                            read_snapshot, source_shapes, write_snapshot)
+from dissipon.field import (FieldGrid, _cubic_orbits, _field_energy,
+                            _gradient_weights, _masked_modes, _shells,
+                            evolve_field_with_source, field_from_modes,
+                            hamiltonian_identity_check, lattice_memory_kernel,
+                            modes_from_fields, read_snapshot, source_shapes,
+                            write_snapshot)
 from dissipon.langevin import PotentialSpec, Trajectory, evolve_mean_volterra
 from dissipon.oscillator import OscillatorParams, mean_trajectory
 from dissipon.reservoir import CouplingFunction
@@ -23,6 +24,148 @@ def random_amplitudes(grid, seed=7):
 def still_trajectory(times):
     n = len(times)
     return Trajectory(times, np.zeros((n, 3)), np.zeros((n, 3)))
+
+
+# The per-mode and real-space integrators that the class integrators of
+# dissipon.field replaced, kept as references.
+
+def mode_coupling(coupling, grid):
+    w = grid.omega()
+    mask = grid.mode_mask()
+    g_k = np.zeros_like(w)
+    g_k[mask] = np.asarray(coupling(w[mask]), dtype=float) * np.sqrt(grid.dk**3)
+    return g_k, w, mask
+
+
+def permode_kernel(coupling, grid, times):
+    g_k, w, mask = mode_coupling(coupling, grid)
+    kx = grid.k_vectors()[0]
+    weights = 2.0 * (g_k[mask] ** 2) * w[mask] * kx[mask] ** 2
+    return np.cos(np.outer(times, w[mask])) @ weights
+
+
+def permode_kspace(traj, coupling, grid, a0=None):
+    """Energy trace, final (Y, Pi) and final amplitudes, one mode at a time."""
+    g_k, w, mask = mode_coupling(coupling, grid)
+    kx, ky, kz = grid.k_vectors()
+    a = np.zeros((grid.n,) * 3, dtype=complex) if a0 is None else a0.copy()
+    times = traj.times
+    v = traj.velocities
+    energies = np.empty(len(times))
+    energies[0] = float(np.sum(w * np.abs(a) ** 2))
+    wm, gm, am = w[mask], g_k[mask], a[mask]
+    kdot = np.stack([kx[mask], ky[mask], kz[mask]], axis=-1)
+    dt = traj.step
+    theta = wm * dt
+    rot = np.exp(-1j * theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b_new = (1.0 - (1.0 - rot) / (1j * theta)) / (1j * wm)
+        b_old = (1.0 - rot) / (1j * wm) - b_new
+    small = theta < 1e-6
+    b_new[small] = dt / 2.0
+    b_old[small] = dt / 2.0
+    for i in range(len(times) - 1):
+        am = rot * am + 1j * gm * (b_old * (kdot @ v[i]) + b_new * (kdot @ v[i + 1]))
+        energies[i + 1] = float(np.sum(wm * np.abs(am) ** 2))
+    a = np.zeros((grid.n,) * 3, dtype=complex)
+    a[mask] = am
+    y, pi = field_from_modes(a, grid)
+    return energies, y, pi, a
+
+
+def lattice_source_shapes(coupling, grid):
+    """Source shapes of the real-space leapfrog, summed over the lattice's
+    modes:
+
+        M(x) = Re sum_k sqrt(w_k/2V) g_k k e^{-ikx},
+        N(x) = Im sum_k g_k/sqrt(2V w_k) k e^{-ikx}.
+
+    As the box grows, N converges to the continuum :func:`source_shapes`
+    for a band-limited coupling.  For a real coupling M vanishes unless the
+    mask holds modes on a Nyquist plane (``uv_cutoff=None``), where k and
+    -k alias.
+    """
+    g_k, w, mask = mode_coupling(coupling, grid)
+    n3 = grid.n**3
+    w_masked = np.where(mask, w, 1.0)
+    weight_m = g_k * np.sqrt(np.where(mask, w, 0.0) / (2.0 * grid.volume))
+    weight_n = g_k * mask / np.sqrt(2.0 * grid.volume * w_masked)
+    m_comps, n_comps = [], []
+    for kc in grid.k_vectors():
+        # sum_k c_k e^{-ikx} = conj(n^3 ifftn(conj(c)))
+        sm = np.conj(np.fft.ifftn(np.conj(weight_m * kc)) * n3)
+        sn = np.conj(np.fft.ifftn(np.conj(weight_n * kc)) * n3)
+        m_comps.append(np.real(sm))
+        n_comps.append(np.imag(sn))
+    return np.stack(m_comps, axis=-1), np.stack(n_comps, axis=-1)
+
+
+def stencil_laplacian(y, dx):
+    out = -6.0 * y
+    for axis in range(3):
+        out = out + np.roll(y, 1, axis=axis) + np.roll(y, -1, axis=axis)
+    return out / (dx * dx)
+
+
+def realspace_leapfrog(traj, coupling, grid, a0=None):
+    """Energy trace and final (Y, Pi), one grid point at a time."""
+    m_field, n_field = lattice_source_shapes(coupling, grid)
+    if a0 is None:
+        y = np.zeros((grid.n,) * 3)
+        pi = np.zeros_like(y)
+    else:
+        y, pi = field_from_modes(a0, grid)
+    v = traj.velocities
+    acc = traj.accelerations()
+    dt = traj.step
+    weights = _gradient_weights(grid)
+    energies = np.empty(len(traj.times))
+    energies[0] = _field_energy(y, pi, grid, weights)
+    # W = dY/dt = Pi + 2 v . N;  staggered half-step start
+    w_vel = pi + 2.0 * (n_field @ v[0])
+    source0 = 2.0 * (n_field @ acc[0]) + 2.0 * (m_field @ v[0])
+    w_half = w_vel + 0.5 * dt * (stencil_laplacian(y, grid.dx) + source0)
+    for i in range(len(traj.times) - 1):
+        y = y + dt * w_half
+        source = 2.0 * (n_field @ acc[i + 1]) + 2.0 * (m_field @ v[i + 1])
+        accel = stencil_laplacian(y, grid.dx) + source
+        w_full = w_half + 0.5 * dt * accel
+        pi = w_full - 2.0 * (n_field @ v[i + 1])
+        energies[i + 1] = _field_energy(y, pi, grid, weights)
+        w_half = w_half + dt * accel
+    return energies, y, pi
+
+
+def rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def driven_trajectory(dx, steps=120):
+    """A damped oscillator's mean path, moving along all three axes."""
+    dt = 0.2 * dx
+    times = np.arange(steps + 1) * dt
+    xs = mean_trajectory(OscillatorParams(1.0, 1.0, 0.1), [1.0, -0.5, 0.3],
+                         [0.0, 0.4, -0.2], times)
+    return Trajectory(times, xs, np.gradient(xs, times, axis=0))
+
+
+def lattice_coupling(kind, cutoff):
+    if kind == "canonical":
+        return CouplingFunction.canonical(0.1, uv_cutoff=cutoff)
+    # band-limited, and still nonzero on the Nyquist planes of dx = 0.5 and 1
+    k = np.linspace(1e-3, 8.0, 800)
+    return CouplingFunction.tabulated(k, np.exp(-(((k - 2.0) / 1.5) ** 2)) / k**2,
+                                      uv_cutoff=cutoff)
+
+
+# every combination of grid, cutoff (None puts the Nyquist planes in the
+# mask), coupling and initial amplitudes the class integrators must match
+# their references on
+REFERENCE_CASES = [
+    pytest.param(n, dx, cutoff, kind, id=f"n{n}-dx{dx}-cut{cutoff}-{kind}")
+    for n in (8, 16) for dx in (0.5, 1.0) for cutoff in (None, 2.0)
+    for kind in ("canonical", "table")
+]
 
 
 class TestGrid:
@@ -68,6 +211,20 @@ class TestModeFieldMaps:
         a[0, 0, 0] = 1.0
         with pytest.raises(DomainError):
             field_from_modes(a, g)
+
+    @pytest.mark.parametrize("use", ["field_from_modes", "kspace", "leapfrog"])
+    def test_amplitudes_above_cutoff_rejected(self, use):
+        # the k-space trace used to count them at t = 0 and drop them after
+        g = FieldGrid(n=8, dx=1.0, uv_cutoff=2.0)
+        a = random_amplitudes(g)
+        a[3, 3, 3] = 0.5  # |k| = 4.08 > 2
+        with pytest.raises(DomainError, match="UV cutoff"):
+            if use == "field_from_modes":
+                field_from_modes(a, g)
+            else:
+                evolve_field_with_source(still_trajectory(np.arange(3) * 0.1),
+                                         CouplingFunction.zero(), g, method=use,
+                                         initial_amplitudes=a)
 
 
 class TestHamiltonianIdentity:
@@ -171,12 +328,68 @@ class TestSourceShapes:
         for n in (16, 32, 64):
             g = FieldGrid(n=n, dx=1.0, uv_cutoff=2.0)
             continuum = source_shapes(c, g)
-            m_field, n_field = _lattice_source_shapes(c, g)
+            m_field, n_field = lattice_source_shapes(c, g)
             scale = np.abs(continuum.n_field).max()
             errs.append(np.abs(n_field - continuum.n_field).max() / scale)
             assert np.abs(m_field).max() < 1e-14 * scale
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 3e-4
+
+
+class TestClassIntegrators:
+    @pytest.mark.parametrize("n, dx, cutoff", [(16, 0.5, None), (32, 1.0, 2.8)])
+    def test_classes_are_the_integer_partitions(self, n, dx, cutoff):
+        grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
+        modes = _masked_modes(CouplingFunction.zero(), grid)
+        assert np.allclose(modes.index * grid.dk, modes.k, rtol=1e-14, atol=0.0)
+        triples = modes.index.tolist()
+        shell_keys = [i * i + j * j + l * l for i, j, l in triples]
+        orbit_keys = [tuple(sorted(map(abs, t))) for t in triples]
+        for (label, first), keys in ((_shells(modes), shell_keys),
+                                     (_cubic_orbits(modes, n), orbit_keys)):
+            # one class per key and one key per class: float keys split shells
+            assert len(first) == len(set(keys))
+            assert len(set(zip(label.tolist(), keys))) == len(first)
+        if n == 32:
+            counts = (len(modes.w), len(_shells(modes)[1]),
+                      len(_cubic_orbits(modes, n)[1]))
+            assert counts == (12148, 171, 360)
+
+    @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
+    def test_kernel_matches_permode(self, n, dx, cutoff, kind):
+        grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
+        coup = lattice_coupling(kind, cutoff)
+        times = np.arange(0.0, 20.0, 0.05)
+        got = lattice_memory_kernel(coup, grid, times).values
+        assert rel_dev(got, permode_kernel(coup, grid, times)) <= 1e-12
+
+    @pytest.mark.parametrize("start", ["rest", "random"])
+    @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
+    def test_kspace_matches_permode(self, n, dx, cutoff, kind, start):
+        grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
+        coup = lattice_coupling(kind, cutoff)
+        a0 = None if start == "rest" else 0.01 * random_amplitudes(grid)
+        traj = driven_trajectory(dx)
+        hist = evolve_field_with_source(traj, coup, grid, method="kspace",
+                                        initial_amplitudes=a0)
+        refs = permode_kspace(traj, coup, grid, a0)
+        got = (hist.energy, hist.final_y, hist.final_pi, hist.final_amplitudes)
+        for name, value, ref in zip(("energy", "y", "pi", "amplitudes"), got, refs):
+            assert rel_dev(value, ref) <= 1e-12, name
+
+    @pytest.mark.parametrize("start", ["rest", "random"])
+    @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
+    def test_leapfrog_matches_realspace(self, n, dx, cutoff, kind, start):
+        grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
+        coup = lattice_coupling(kind, cutoff)
+        a0 = None if start == "rest" else 0.01 * random_amplitudes(grid)
+        traj = driven_trajectory(dx)
+        hist = evolve_field_with_source(traj, coup, grid, method="leapfrog",
+                                        initial_amplitudes=a0)
+        refs = realspace_leapfrog(traj, coup, grid, a0)
+        got = (hist.energy, hist.final_y, hist.final_pi)
+        for name, value, ref in zip(("energy", "y", "pi"), got, refs):
+            assert rel_dev(value, ref) <= 1e-12, name
 
 
 class TestEvolution:
@@ -239,8 +452,7 @@ class TestEvolution:
             hist = evolve_field_with_source(still_trajectory(times),
                                             CouplingFunction.zero(), g,
                                             method="leapfrog",
-                                            initial_amplitudes=a0,
-                                            energy_every=10**9)
+                                            initial_amplitudes=a0)
             x = dx * np.arange(n)
             amp = 1.0 / np.sqrt(2.0 * g.volume * k0)
             y_exact = 2.0 * amp * np.real(np.exp(-1j * k0 * times[-1])
@@ -262,8 +474,7 @@ class TestEvolution:
             xs = mean_trajectory(p, [1.0, 0, 0], [0.0, 0, 0], times)
             vs = np.gradient(xs, times, axis=0)
             traj = Trajectory(times, xs, vs)
-            lf = evolve_field_with_source(traj, coup, g, method="leapfrog",
-                                          energy_every=10**9)
+            lf = evolve_field_with_source(traj, coup, g, method="leapfrog")
             ks = evolve_field_with_source(traj, coup, g, method="kspace")
             devs.append(np.max(np.abs(lf.final_y - ks.final_y)))
             steps.append(dt)

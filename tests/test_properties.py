@@ -1,5 +1,5 @@
-"""Property-based checks of the golden-rule rates, two-level constants and
-mean-trajectory solvers.
+"""Property-based checks of the golden-rule rates, two-level constants,
+mean-trajectory solvers and lattice field maps.
 
 Skipped where hypothesis is not installed.
 """
@@ -14,6 +14,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dissipon.errors import StabilityError  # noqa: E402
+from dissipon.field import (FieldGrid, field_from_modes,  # noqa: E402
+                            hamiltonian_identity_check, modes_from_fields)
 from dissipon.langevin import (PotentialSpec, evolve_mean_markov,  # noqa: E402
                                evolve_mean_volterra)
 from dissipon.oscillator import FockTriple, OscillatorParams  # noqa: E402
@@ -118,3 +120,34 @@ class TestLinearSolverProperties:
             scale = max(1.0, np.abs(x).max(), np.abs(v).max())
             assert np.max(np.abs(traj.positions - x)) <= 1e-12 * scale
             assert np.max(np.abs(traj.velocities - v)) <= 1e-12 * scale
+
+
+# (n, dx, cutoff as a fraction of the Nyquist bound pi/dx, or None: every
+# nonzero mode, Nyquist planes included)
+field_grids = st.tuples(st.sampled_from([2, 4, 8, 16]), st.floats(0.05, 5.0),
+                        st.one_of(st.none(), st.floats(0.01, 0.999)))
+
+
+def masked_amplitudes(grid_spec, seed):
+    n, dx, frac = grid_spec
+    grid = FieldGrid(n=n, dx=dx, uv_cutoff=None if frac is None else frac * np.pi / dx)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n,) * 3) + 1j * rng.normal(size=(n,) * 3)
+    a[~grid.mode_mask()] = 0.0
+    return grid, a
+
+
+class TestFieldMapProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(grid_spec=field_grids, seed=st.integers(0, 2**32 - 1))
+    def test_parseval_residual(self, grid_spec, seed):
+        grid, a = masked_amplitudes(grid_spec, seed)
+        scale = float(np.sum(grid.omega() * np.abs(a) ** 2))
+        assert hamiltonian_identity_check(a, grid) <= 1e-12 * scale
+
+    @settings(deadline=None, max_examples=80)
+    @given(grid_spec=field_grids, seed=st.integers(0, 2**32 - 1))
+    def test_modes_from_fields_inverts_field_from_modes(self, grid_spec, seed):
+        grid, a = masked_amplitudes(grid_spec, seed)
+        back = modes_from_fields(*field_from_modes(a, grid), grid)
+        assert np.max(np.abs(back - a)) <= 1e-12 * max(1.0, np.abs(a).max())
