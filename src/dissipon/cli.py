@@ -77,13 +77,10 @@ _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 def _allocate_grid(points, make):
     """``make()`` a time grid of ``points`` points, rejecting one too large
-    to allocate before trying, or when the allocation fails."""
+    to allocate before trying; :func:`main` reports a failed allocation."""
     if not points <= _MAX_GRID_POINTS:
         raise DomainError(f"a time grid of {points:.3g} points is too large to allocate")
-    try:
-        return make()
-    except MemoryError:
-        raise DomainError(f"a time grid of {points:.3g} points does not fit in memory") from None
+    return make()
 
 
 def _time_grid(args):
@@ -467,6 +464,9 @@ def main(argv=None):
         return EXIT_USAGE
     except DissiponError as exc:
         print(f"dissipon: {args.experiment}: {exc}", file=sys.stderr)
+        return EXIT_PHYSICS
+    except MemoryError as exc:
+        print(f"dissipon: {args.experiment}: out of memory: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     wall = time.perf_counter() - start
     params = {k: v for k, v in vars(args).items()

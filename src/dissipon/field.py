@@ -53,7 +53,8 @@ class FieldGrid:
 
     ``n`` modes per axis (a power of two), real-space spacing ``dx``; the
     box length is L = n dx, the mode spacing dk = 2 pi / L, and the radial
-    UV cutoff must respect the Nyquist bound dx * cutoff < pi.
+    UV cutoff must respect the Nyquist bound dx * cutoff < pi and reach
+    the first shell, dk <= cutoff.
     """
 
     n: int
@@ -63,12 +64,22 @@ class FieldGrid:
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise DomainError("mode count per axis must be a power of two")
-        if self.dx <= 0:
-            raise DomainError("grid spacing must be positive")
-        if self.uv_cutoff is not None and self.dx * self.uv_cutoff >= np.pi:
+        # a complex array of n^3 points must be indexable at all
+        if int(self.n) ** 3 > np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+            raise DomainError(f"a lattice of {self.n}^3 modes is too large to allocate")
+        if not 0.0 < self.dx < np.inf:
+            raise DomainError("grid spacing must be positive and finite")
+        if self.uv_cutoff is None:
+            return
+        if self.dx * self.uv_cutoff >= np.pi:
             raise DomainError(
                 f"Nyquist violation: dx * cutoff = {self.dx * self.uv_cutoff:.3g} "
                 ">= pi; refine the grid or lower the cutoff")
+        # the first shell's |k| as mode_mask computes it, within an ulp of dk
+        if not self.uv_cutoff >= self.k_axes()[0][1]:
+            raise DomainError(
+                f"UV cutoff {self.uv_cutoff} is below the mode spacing dk = {self.dk:.3g}; "
+                "no mode carries dynamics")
 
     @property
     def box_length(self):

@@ -17,7 +17,8 @@ Every step is one fixed linear map, so neither solver loops over time
 steps: the Markov solver propagates blocks of rows with precomputed
 powers of its 2x2 step map, and the memory solver propagates blocks of
 B steps with a precomputed response of the block to the history known
-at its start.
+at its start.  That history is a divide-and-conquer fast convolution
+(Hairer, Lubich & Schlichte), one FFT product per block, O(n log^2 n).
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class PotentialSpec:
 
     @classmethod
     def harmonic(cls, m, omega):
-        if m is None or m <= 0:
+        if m is None or not m > 0:
             raise DomainError("harmonic potential requires m > 0")
-        if omega is None or omega < 0:
+        if omega is None or not omega >= 0:
             raise DomainError("harmonic potential requires omega >= 0")
         return cls(float(m) * float(omega) ** 2)
 
@@ -68,12 +69,10 @@ class Trajectory:
     velocities: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times, _ = _check_grid(self.times)
         self.positions = np.asarray(self.positions, dtype=float)
         self.velocities = np.asarray(self.velocities, dtype=float)
         n = len(self.times)
-        if not np.all(np.diff(self.times) > 0):
-            raise DomainError("trajectory grid must be strictly increasing")
         if self.positions.shape != (n, 3) or self.velocities.shape != (n, 3):
             raise DomainError("positions/velocities must be (n, 3) arrays")
         if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))):
@@ -185,9 +184,9 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     fixed 2x2 map on each axis' (x, v), propagated a block of rows at a
     time by :func:`_block_powers`.
     """
-    if m <= 0:
+    if not m > 0:
         raise DomainError("mass must be positive")
-    if beta < 0:
+    if not beta >= 0:
         raise DomainError("friction must be nonnegative")
     grid, h = _check_grid(grid)
     n = len(grid)
@@ -208,8 +207,9 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     return Trajectory(grid, x, v)
 
 
-# lags below this couple the outputs of one block; longer lags go through
-# the blocked FFT convolution of evolve_mean_volterra
+# the Volterra block size B: lags inside a block couple its outputs
+# (_block_response); the samples before it reach it through the FFT
+# products of evolve_mean_volterra
 _DIRECT_LAGS = 64
 
 
@@ -222,18 +222,22 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     the half-weight endpoint is solved for exactly), keeping the scheme
     second order.
 
-    The history sum runs as an online blocked convolution (Hairer, Lubich
-    & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each dyadic lag
-    band [b, 2b), b = B, 2B, 4B, ..., adds its share to the next b outputs
-    through one FFT product every b steps, using velocities already known.
-    Outputs are made in blocks aligned to multiples of B.  At a block's
-    start the history of all its outputs is known except the lags inside
-    the block, so the block's (x, v, a) is one linear map of the state
-    before it and of that known history (:func:`_block_response`).  The
-    cost is O(n log^2 n); the result is the same trapezoid rule up to
-    roundoff.
+    The history sum is the fast convolution of Hairer, Lubich & Schlichte
+    (SIAM J. Sci. Stat. Comput. 6 (1985) 532) in its divide-and-conquer
+    form.  Outputs are made in blocks of L rows aligned to multiples of L,
+    where L is B, or less where :func:`_block_response` halves it.  When
+    the block at row s >= L starts, the b = s & -s samples before it are
+    added to the history of rows s .. s + b - 1 by one FFT product on 2b
+    points.  A sample j and a row i > j in different blocks meet there
+    exactly once: at i rounded down to a multiple of 2^k, 2^k the highest
+    bit in which i and j differ, which is no later than i's own block.
+    The first block's rows know only v[0].  So at a block's start the
+    history of all its outputs is known except the lags inside the block,
+    and the block's (x, v, a) is one linear map of the state before it and
+    of that known history.  The cost is O(n log^2 n); the result is the
+    same trapezoid rule up to roundoff.
     """
-    if m <= 0:
+    if not m > 0:
         raise DomainError("mass must be positive")
     grid, h = _check_grid(grid)
     if kernel.step > h * (1.0 + 1e-9):
@@ -242,7 +246,6 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
         raise DomainError("kernel samples do not cover the integration window")
     n = len(grid)
     gam = kernel.at(np.arange(n) * h)
-    history = _BlockedHistory(gam)
     m_state, m_force = _block_response(m, pot.stiffness, h, gam)
     size = m_force.shape[1]
 
@@ -253,13 +256,25 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     x[0], v[0] = state[0], state[1]
+    # far[i] = sum_j gam[i - j] v[j] over the samples j < i added so far
+    far = np.zeros((n, 3))
+    far[1:size] = gam[1:size, None] * v[0]
+    g_hat = {}  # b -> rfft of gam[:2b] on 2b points
     for start in range(0, n, size):
         lo, hi = max(start, 1), min(start + size, n)
         if lo == hi:
             continue
+        if start:
+            b = start & -start
+            if b not in g_hat:
+                g_hat[b] = np.fft.rfft(gam[:2 * b], 2 * b)[:, None]
+            conv = np.fft.irfft(np.fft.rfft(v[start - b:start], 2 * b, axis=0) * g_hat[b],
+                                2 * b, axis=0)
+            end = min(start + b, n)
+            far[start:end] += conv[b:b + end - start]
         rows = hi - lo
         # each output's trapezoid tail over the samples before the block
-        known = h * history.known_sum(v, lo, hi) - (0.5 * h) * gam[lo:hi, None] * v[0]
+        known = h * far[lo:hi] - (0.5 * h) * gam[lo:hi, None] * v[0]
         out = (m_state[:3 * rows] @ state
                + m_force[:3 * rows, :rows] @ known).reshape(rows, 3, 3)
         x[lo:hi], v[lo:hi] = out[:, 0], out[:, 1]
@@ -299,46 +314,3 @@ def _block_response(m, k, h, gam):
             break
     out = out[:size, :, :3 + size].reshape(3 * size, 3 + size)
     return out[:, :3], out[:, 3:]
-
-
-class _BlockedHistory:
-    """sum_{l>=1} gam[l] v[i-l] over the samples before a block of outputs.
-
-    The lags [b, 2b) of outputs [s, s+b), s a multiple of b >= B, only
-    touch v[s-2b+1 .. s-1], so they are added to a far-history buffer by
-    one FFT product when the block at s starts; each band's kernel
-    transform is taken once.  Lags below B that reach back before the
-    block are one Toeplitz product over the B-1 samples before it.
-    """
-
-    def __init__(self, gam):
-        self.n = len(gam)
-        near = np.pad(gam, (0, max(_DIRECT_LAGS - self.n, 0)))
-        r = np.arange(_DIRECT_LAGS)[:, None]
-        j = np.arange(_DIRECT_LAGS - 1)[None, :]
-        # output r of a block reads v[start - (B-1) + j] at lag r + B-1 - j < B
-        lag = np.minimum(r + _DIRECT_LAGS - 1 - j, _DIRECT_LAGS - 1)
-        self.reach = np.where(j >= r, near[lag], 0.0)
-        self.far = np.zeros((self.n, 3))
-        self.bands = []  # (b, rfft of gam[b:2b] on 2b points)
-        b = _DIRECT_LAGS
-        while b < self.n:
-            self.bands.append((b, np.fft.rfft(gam[b:2 * b], 2 * b)[:, None]))
-            b *= 2
-
-    def known_sum(self, v, lo, hi):
-        """The sum over v[:lo] for outputs lo .. hi-1, which must lie in
-        one block of B; v[:lo] must be final."""
-        for b, g_hat in self.bands:
-            if lo % b:
-                break  # bands are dyadic: no larger b divides lo either
-            start = lo - 2 * b + 1
-            seg = v[max(start, 0):lo]
-            conv = np.fft.irfft(np.fft.rfft(seg, 2 * b, axis=0) * g_hat, 2 * b, axis=0)
-            # the linear convolution index r + b - 1 of output lo + r, shifted
-            # by the zeros the clipped segment omits before v[0]
-            shift = b - 1 - max(-start, 0)
-            end = min(lo + b, self.n)
-            self.far[lo:end] += conv[shift:shift + end - lo]
-        before = v[max(lo - _DIRECT_LAGS + 1, 0):lo]
-        return self.far[lo:hi] + self.reach[:hi - lo, _DIRECT_LAGS - 1 - len(before):] @ before

@@ -53,11 +53,11 @@ class OscillatorParams:
     beta: float
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise DomainError("mass must be positive")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise DomainError("frequency must be positive")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise DomainError("friction must be nonnegative")
 
     @property
@@ -210,7 +210,7 @@ def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
     independent discretised-bath value (see :func:`_mode_sum_oracle`), so
     the two can be compared rather than trusted blindly.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise DomainError("temperature must be positive")
     if p.beta <= 0:
         raise RegimeError("thermal steady state requires beta > 0")

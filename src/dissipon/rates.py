@@ -58,7 +58,7 @@ class RateRequest:
     t: float | None = None
 
     def __post_init__(self):
-        if self.t is not None and self.t <= 0:
+        if self.t is not None and not self.t > 0:
             raise DomainError("finite-time mode requires t > 0")
 
     def _require_reservoir(self, kind, op):

@@ -67,7 +67,7 @@ class TwoLevelParams:
     coupling: object
 
     def __post_init__(self):
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise DomainError("the level splitting must be positive")
         x = np.asarray(self.x12, dtype=float)
         if x.shape != (3,):
@@ -93,8 +93,10 @@ class BlochState:
     e_im: float = 0.0
 
     def __post_init__(self):
-        if abs(self.sz) > 1.0 + 1e-9:
+        if not abs(self.sz) <= 1.0 + 1e-9:
             raise DomainError("|<s_z>| cannot exceed 1")
+        if not abs(self.f) < np.inf:
+            raise DomainError("<s + s^dag> must be finite")
 
 
 class BlochHistory(NamedTuple):

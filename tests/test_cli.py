@@ -244,6 +244,21 @@ class TestExitCodes:
         (["kernel", "--step", "1e-300"], 1),
         (["tls", "--tmax", "inf"], 1),
         (["tls", "--steps", str(2**62)], 1),
+        (["rates", "--thermal", "--kt", "nan"], 1),
+        (["rates", "--m", "nan"], 1),
+        (["rates", "--t", "nan"], 1),
+        (["tls", "--sz0", "nan"], 1),
+        (["tls", "--f0", "nan"], 1),
+        (["oscillator", "--beta", "nan"], 1),
+        (["oscillator", "--kt", "nan"], 1),
+        (["langevin", "--m", "nan"], 1),
+        (["langevin", "--beta", "nan"], 1),
+        (["kernel", "--beta", "nan"], 1),
+        (["field", "--dx", "nan"], 1),
+        (["field", "--uv-cutoff", "nan"], 1),
+        (["field", "--uv-cutoff", "0"], 1),
+        (["field", "--uv-cutoff", "-1"], 1),
+        (["field", "--modes", "4194304"], 1),  # rejected before any allocation
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_a_diagnostic(self, tmp_path, capsys, argv, expected):
         (tmp_path / "directory").mkdir()
@@ -255,7 +270,9 @@ class TestExitCodes:
         argv = [arg.format(**files) for arg in argv]
         code = run_cli(*argv, "--out", str(tmp_path / "out"))
         assert code == expected
-        assert "dissipon: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dissipon: " in err
+        assert "did not converge" not in err and "Traceback" not in err
         assert not list(tmp_path.glob("out/*.csv"))
 
     @pytest.mark.filterwarnings("error")
@@ -268,6 +285,35 @@ class TestExitCodes:
         # rejected before the grid is differenced or allocated
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["field", "sweep"])
+    def test_memory_error_is_one(self, tmp_path, capsys, monkeypatch, experiment):
+        # a failed allocation, faked: no test may allocate that much
+        from dissipon import cli
+
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        class InProcessPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "_time_grid", exhausted)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sweep]\nexperiment = field\nparameter = tmax\nvalues = 1 2\n")
+        argv = ["--config", str(cfg)] if experiment == "sweep" else []
+        assert run_cli(experiment, *argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "out of memory: Unable to allocate" in err and "Traceback" not in err
 
     def test_negative_langevin_frequency_is_one(self, tmp_path, capsys):
         code = run_cli("langevin", "--omega", "-1", "--tmax", "1", "--out", str(tmp_path))

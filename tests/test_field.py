@@ -174,6 +174,14 @@ class TestGrid:
             FieldGrid(n=12, dx=0.5)  # not a power of two
         with pytest.raises(DomainError):
             FieldGrid(n=16, dx=0.5, uv_cutoff=7.0)  # dx * cutoff >= pi
+        for dx in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="spacing must be positive"):
+                FieldGrid(n=8, dx=dx)
+        for cutoff in (np.nan, 0.0, -1.0, 0.7):  # dk = 2 pi / 8 = 0.785
+            with pytest.raises(DomainError, match="below the mode spacing"):
+                FieldGrid(n=8, dx=1.0, uv_cutoff=cutoff)
+        with pytest.raises(DomainError, match="too large"):
+            FieldGrid(n=2**21, dx=1.0)  # 2^63 points: no array indexes them
 
     def test_box_relations(self):
         g = FieldGrid(n=16, dx=0.5)

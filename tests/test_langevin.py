@@ -5,8 +5,9 @@ import pytest
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.field import FieldGrid, lattice_memory_kernel
-from dissipon.langevin import (_DIRECT_LAGS, PotentialSpec, Trajectory, _check_grid,
-                               _energy_guard, evolve_mean_markov, evolve_mean_volterra)
+from dissipon.langevin import (_DIRECT_LAGS, PotentialSpec, Trajectory, _block_response,
+                               _check_grid, _energy_guard, evolve_mean_markov,
+                               evolve_mean_volterra)
 from dissipon.oscillator import OscillatorParams, mean_trajectory
 from dissipon.reservoir import CouplingFunction, MemoryKernel
 
@@ -257,24 +258,36 @@ class TestVolterra:
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order == pytest.approx(2.0, abs=0.15)
 
-    @pytest.mark.parametrize("steps", [_DIRECT_LAGS - 1, _DIRECT_LAGS, _DIRECT_LAGS + 1,
-                                       2 * _DIRECT_LAGS + 1, 3000])
-    @pytest.mark.parametrize("lattice", [False, True], ids=["canonical", "lattice"])
-    def test_blocked_history_matches_direct_sum(self, steps, lattice):
-        h = 0.02 if lattice else 2e-3
+    @pytest.mark.parametrize("kernel, steps", [
+        *((kernel, steps) for kernel in ("canonical", "lattice")
+          for steps in (_DIRECT_LAGS - 1, _DIRECT_LAGS, _DIRECT_LAGS + 1,
+                        2 * _DIRECT_LAGS + 1, 4 * _DIRECT_LAGS, 4 * _DIRECT_LAGS + 1,
+                        8 * _DIRECT_LAGS + _DIRECT_LAGS // 2, 1025, 3000, 4097)),
+        # a growing free particle, whose block response halves to 32 and 16 rows
+        ("block32", 100), ("block16", 100)])
+    def test_blocked_history_matches_direct_sum(self, kernel, steps):
+        h = {"canonical": 2e-3, "lattice": 0.02}.get(kernel, 0.5)
         grid = np.arange(steps) * h
-        if lattice:
+        pot = PotentialSpec.harmonic(1.0, 0.9)
+        if kernel == "lattice":
             coupling = CouplingFunction.canonical(0.1, uv_cutoff=2.8)
             kern = lattice_memory_kernel(coupling, FieldGrid(n=8, dx=1.0, uv_cutoff=2.8),
                                          grid)
-        else:
+        elif kernel == "canonical":
             kern = MemoryKernel.sample(CouplingFunction.canonical(0.2, uv_cutoff=50.0), grid)
-        pot = PotentialSpec.harmonic(1.0, 0.9)
+        else:
+            size = int(kernel[5:])
+            kern = MemoryKernel(grid, np.full(steps, -50.0 if size == 32 else -20.0))
+            pot = PotentialSpec.free()
+            assert _block_response(1.0, 0.0, h, kern.values)[1].shape[1] == size
         x0, v0 = [0.6, 0.0, 0.8], [0.0, 0.3, 0.0]
         traj = evolve_mean_volterra(1.0, pot, kern, x0, v0, grid)
         x, v = direct_volterra(1.0, pot, kern, x0, v0, grid)
-        assert np.max(np.abs(traj.positions - x)) <= 1e-12
-        assert np.max(np.abs(traj.velocities - v)) <= 1e-12
+        grows = kernel.startswith("block")
+        assert np.all(np.abs(traj.positions - x)
+                      <= 1e-12 * (np.maximum(1.0, np.abs(x)) if grows else 1.0))
+        assert np.all(np.abs(traj.velocities - v)
+                      <= 1e-12 * (np.maximum(1.0, np.abs(v)) if grows else 1.0))
 
     def test_kernel_must_cover_grid(self):
         grid = uniform_grid(10.0, 1e-2)
@@ -316,6 +329,8 @@ class TestTrajectory:
             Trajectory([0.0, 0.0], np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(DomainError):
             Trajectory([0.0, 1.0], np.full((2, 3), np.nan), np.zeros((2, 3)))
+        with pytest.raises(DomainError, match="uniform"):
+            Trajectory([0.0, 0.1, 0.15, 0.9, 2.5], np.zeros((5, 3)), np.zeros((5, 3)))
 
     def test_csv_round_trip(self, tmp_path):
         from dissipon.io import read_table

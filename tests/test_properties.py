@@ -123,9 +123,11 @@ class TestLinearSolverProperties:
 
 
 # (n, dx, cutoff as a fraction of the Nyquist bound pi/dx, or None: every
-# nonzero mode, Nyquist planes included)
-field_grids = st.tuples(st.sampled_from([2, 4, 8, 16]), st.floats(0.05, 5.0),
-                        st.one_of(st.none(), st.floats(0.01, 0.999)))
+# nonzero mode, Nyquist planes included); a cutoff reaches the first shell,
+# dk = (2/n) pi/dx up to rounding, so at n = 2 every mode is on a Nyquist plane
+field_grids = st.sampled_from([2, 4, 8, 16]).flatmap(lambda n: st.tuples(
+    st.just(n), st.floats(0.05, 5.0),
+    st.none() if n == 2 else st.one_of(st.none(), st.floats(2.0 / n + 1e-9, 0.999))))
 
 
 def masked_amplitudes(grid_spec, seed):
