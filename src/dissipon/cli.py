@@ -468,6 +468,10 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"dissipon: {args.experiment}: out of memory: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # finite but extreme inputs (1e308, 1e-308) overflow on the way
+        print(f"dissipon: {args.experiment}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PHYSICS
     wall = time.perf_counter() - start
     params = {k: v for k, v in vars(args).items()
               if k not in ("experiment", "config", "out") and v is not None}

@@ -210,8 +210,8 @@ def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
     independent discretised-bath value (see :func:`_mode_sum_oracle`), so
     the two can be compared rather than trusted blindly.
     """
-    if not temperature > 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < temperature < np.inf:
+        raise DomainError("temperature must be positive and finite")
     if p.beta <= 0:
         raise RegimeError("thermal steady state requires beta > 0")
     if cfg is None:

@@ -8,6 +8,11 @@ the sinc^2 kernels of finite-time transition probabilities get a
 dedicated routine so the infinite-time delta limit never has to be
 represented on a grid.
 
+QUADPACK is scipy's compiled extension ``scipy.integrate._quadpack``, loaded
+by itself on the first integral and called directly.  Importing the
+``scipy.integrate`` package around it would load scipy.special,
+scipy.optimize, scipy.sparse and scipy.linalg, most of a cold run's time.
+
 All routines return ``(value, error_estimate)`` and raise
 :class:`~dissipon.errors.QuadratureError` carrying the best estimate when
 the requested tolerance cannot be certified.
@@ -15,8 +20,12 @@ the requested tolerance cannot be certified.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -82,33 +91,94 @@ class QuadratureConfig:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
 
+_QUADPACK = "scipy.integrate._quadpack"
+
+# first line of scipy.integrate.quad's message for each ier it reports as a
+# warning; the cos/sin tail to infinity (QAWF) words 1, 4 and 7 per cycle
+_IER_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.",
+    2: "The occurrence of roundoff error is detected, which prevents ",
+    3: "Extremely bad integrand behavior occurs at some points of the",
+    4: "The algorithm does not converge.  Roundoff error is detected",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine.  The estimates for result",
+}
+_QAWF_IER_MESSAGES = {
+    **_IER_MESSAGES,
+    1: "The maximum number of cycles allowed has been achieved., e.e.",
+    4: "The extrapolation table constructed for convergence acceleration",
+    7: "Bad integrand behavior occurs within one or more of the cycles.",
+}
+
+
+def _quadpack():
+    """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``.
+
+    The extension loads in milliseconds; the ``scipy.integrate`` package
+    around it pulls in scipy.special, scipy.optimize, scipy.sparse and
+    scipy.linalg, most of a cold run's cost.  The module is registered
+    under scipy's own name, so a later ``import scipy.integrate`` reuses it
+    (and one imported earlier is reused here).
+    """
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        import scipy  # light: scipy loads its subpackages on first access
+        directory = os.path.join(scipy.__path__[0], "integrate")
+        found = PathFinder.find_spec("_quadpack", [directory])
+        if found is None:
+            raise ImportError(f"scipy's compiled QUADPACK (_quadpack) not found in {directory}")
+        spec = importlib.util.spec_from_file_location(_QUADPACK, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_QUADPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 def _quad(f, a, b, cfg, points=None, weight=None, wvar=None):
-    """QUADPACK call honouring the config; raises on uncertified results."""
-    # imported here: scipy.integrate is most of a cold import of the package,
-    # and the field and Volterra runs never integrate
-    from scipy.integrate import quad
-    kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-                  full_output=True)
-    if points is not None and np.isfinite(b):
+    """QUADPACK call honouring the config; raises on uncertified results.
+
+    Calls the routines of ``scipy.integrate.quad`` (QAGS, QAGP, QAWC, QAWO,
+    QAWF) with the arguments it passes, so values and error estimates are
+    the same bit for bit.  ``weight`` is None, 'cauchy', 'cos' or 'sin';
+    ``points`` are dropped when there is a weight, as ``quad`` drops them.
+    """
+    if a == b:
+        return 0.0, 0.0
+    pts = None
+    if points is not None and weight is None and np.isfinite(b):
         pts = [p for p in points if a < p < b]
-        if pts:
-            kwargs["points"] = pts
-    if weight is not None:
-        kwargs.pop("points", None)
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-        if not np.isfinite(b):
-            kwargs["limlst"] = max(cfg.max_subdivisions, 50)
-    out = quad(f, a, b, **kwargs)
-    value, err = out[0], out[1]
-    if len(out) > 3:  # QUADPACK flagged trouble
-        if err <= 10.0 * cfg.tolerance_for(value):
-            return value, err
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: {out[3].splitlines()[0]}",
-            best_estimate=value, error_estimate=err,
-        )
-    return value, err
+    # b < a when integrate_sinc_squared's resonance window lies past the
+    # cutoff; quad's sign flip makes its head and tail still add up
+    flip, lo, hi = b < a, min(a, b), max(a, b)
+    qp = _quadpack()
+    limit = cfg.max_subdivisions
+    tols = (cfg.abs_tol, cfg.rel_tol, limit)
+    fourier = weight in ("cos", "sin") and not np.isfinite(hi)
+    if weight == "cauchy":
+        out = qp._qawce(f, lo, hi, wvar, (), 1, *tols)
+    elif fourier:
+        out = qp._qawfe(f, lo, wvar, 1 if weight == "cos" else 2, (), 1,
+                        cfg.abs_tol, max(limit, 50), limit, 50)
+    elif weight is not None:
+        out = qp._qawoe(f, lo, hi, wvar, 1 if weight == "cos" else 2, (), 1, *tols, 50, 1)
+    elif pts:
+        # quad's padding: QAGP counts two slots past the break points
+        the_points = np.concatenate((np.unique(pts), (0.0, 0.0)))
+        out = qp._qagpe(f, lo, hi, the_points, (), 1, *tols)
+    else:
+        out = qp._qagse(f, lo, hi, (), 1, *tols)
+    value, err, ier = out[0], out[1], out[-1]
+    if flip:
+        value = -value
+    if ier == 0:
+        return value, err
+    if ier not in _IER_MESSAGES:
+        raise ValueError(f"QUADPACK rejected its input on [{a}, {b}] (ier {ier})")
+    if err <= 10.0 * cfg.tolerance_for(value):
+        return value, err
+    message = (_QAWF_IER_MESSAGES if fourier else _IER_MESSAGES)[ier].format(limit=limit)
+    raise QuadratureError(f"quadrature did not converge on [{a}, {b}]: {message}",
+                          best_estimate=value, error_estimate=err)
 
 
 def integrate_semi_infinite(f, cfg, singularities=None):

@@ -42,8 +42,8 @@ class CouplingFunction:
     def __init__(self, kind, *, beta=None, grid=None, values=None, uv_cutoff=None):
         self.kind = kind
         if kind == "canonical":
-            if beta is None or not beta > 0:
-                raise DomainError("canonical coupling requires beta > 0")
+            if beta is None or not 0 < beta < np.inf:
+                raise DomainError("canonical coupling requires a finite beta > 0")
             self.beta = float(beta)
         elif kind == "tabulated":
             grid = np.asarray(grid, dtype=float)
@@ -185,7 +185,8 @@ def bose_factor(omega, temperature):
 
     A scalar ``omega`` gives a float, an array an array.
     """
-    x = np.asarray(omega, dtype=float) / temperature
+    with np.errstate(over="ignore"):  # w/T = inf is past 700 too
+        x = np.asarray(omega, dtype=float) / temperature
     out = np.zeros_like(x)
     warm = x <= 700.0
     out[warm] = 1.0 / np.expm1(x[warm])

@@ -259,6 +259,15 @@ class TestExitCodes:
         (["field", "--uv-cutoff", "0"], 1),
         (["field", "--uv-cutoff", "-1"], 1),
         (["field", "--modes", "4194304"], 1),  # rejected before any allocation
+        # finite but extreme values overflow or break a linear solve
+        (["oscillator", "--beta", "1e308"], 1),
+        (["oscillator", "--m", "1e-308"], 1),
+        (["oscillator", "--kt", "inf"], 1),
+        (["tls", "--x12sq", "1e308", "--steps", "200"], 1),
+        (["tls", "--omega0", "1e308"], 1),
+        (["langevin", "--omega", "1e308", "--tmax", "1"], 1),
+        (["field", "--dx", "1e-308", "--tmax", "1", "--modes", "8"], 1),
+        (["rates", "--beta", "inf"], 1),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_a_diagnostic(self, tmp_path, capsys, argv, expected):
         (tmp_path / "directory").mkdir()
@@ -418,13 +427,17 @@ class TestDeterminismAndOverrides:
         assert emissions[0] < emissions[1] < emissions[2]
 
 
-def _loaded_by_cli_import(module):
-    """Whether a fresh ``import dissipon.cli`` puts ``module`` in sys.modules."""
-    code = f"import sys, dissipon.cli; print({module!r} in sys.modules)"
+def run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter on this checkout."""
     src = str(Path(dissipon.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_by_cli_import(module):
+    """Whether a fresh ``import dissipon.cli`` puts ``module`` in sys.modules."""
+    return run_python(f"import sys, dissipon.cli; print({module!r} in sys.modules)") == "True"
 
 
 def test_cli_import_does_not_load_scipy_signal():
@@ -432,5 +445,21 @@ def test_cli_import_does_not_load_scipy_signal():
 
 
 def test_cli_import_does_not_load_scipy_integrate():
-    # QUADPACK is imported on the first integral, so runs without one skip it
+    # QUADPACK's compiled extension is loaded on the first integral, so runs
+    # without one skip even that
     assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_integrals_do_not_load_scipy_integrate():
+    # only the compiled extension is loaded, not the scipy.integrate package
+    # (nor the scipy.special and scipy.optimize it imports); the oscillatory
+    # tail runs to infinity, so QAWF is among the routines called
+    assert run_python(
+        "import sys, numpy as np\n"
+        "from dissipon.quadrature import (QuadratureConfig, integrate_oscillatory,\n"
+        "                                 integrate_semi_infinite)\n"
+        "integrate_semi_infinite(lambda x: np.exp(-x), QuadratureConfig())\n"
+        "integrate_oscillatory(lambda x: 1 / (1 + x * x), 1.0, 50.0, QuadratureConfig())\n"
+        "print(*(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
+        "        if m in sys.modules))\n"
+    ) == ""

@@ -1,10 +1,11 @@
 """Property-based checks of the golden-rule rates, two-level constants,
-mean-trajectory solvers and lattice field maps.
+mean-trajectory solvers, lattice field maps and the CLI's exit codes.
 
 Skipped where hypothesis is not installed.
 """
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dissipon.cli import build_parser, main  # noqa: E402
 from dissipon.errors import StabilityError  # noqa: E402
 from dissipon.field import (FieldGrid, field_from_modes,  # noqa: E402
                             hamiltonian_identity_check, modes_from_fields)
@@ -153,3 +155,38 @@ class TestFieldMapProperties:
         grid, a = masked_amplitudes(grid_spec, seed)
         back = modes_from_fields(*field_from_modes(a, grid), grid)
         assert np.max(np.abs(back - a)) <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+# small grids keep a run to milliseconds: the drawn flag comes last and wins
+CLI_BASES = {"kernel": ["--tmax", "1"], "langevin": ["--tmax", "1"],
+             "field": ["--tmax", "1", "--modes", "8"], "tls": ["--steps", "200"],
+             "oscillator": [], "rates": []}
+# a large --workers would start that many processes; the others name files
+CLI_UNDRAWN = {"--workers", "--out", "--config", "--coupling-file"}
+CLI_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "3"]
+_subparsers = next(a for a in build_parser()._actions if a.dest == "experiment").choices
+CLI_FLAGS = {command: [a.option_strings[-1] for a in _subparsers[command]._actions
+                       if a.option_strings and a.nargs != 0
+                       and not CLI_UNDRAWN & set(a.option_strings)]
+             for command in CLI_BASES}
+cli_cases = st.sampled_from(sorted(CLI_BASES)).flatmap(lambda command: st.tuples(
+    st.just(command), st.sampled_from(CLI_FLAGS[command]), st.sampled_from(CLI_TOKENS)))
+
+
+class TestCliExitCodes:
+    @settings(deadline=None, max_examples=100)
+    @given(case=cli_cases)
+    @example(case=("oscillator", "--beta", "1e308"))
+    @example(case=("oscillator", "--m", "1e-308"))
+    @example(case=("oscillator", "--kt", "inf"))
+    @example(case=("tls", "--x12sq", "1e308"))
+    @example(case=("tls", "--omega0", "1e308"))
+    @example(case=("langevin", "--omega", "1e308"))
+    @example(case=("field", "--dx", "1e-308"))
+    def test_every_failure_exits_1_or_2(self, case):
+        # a bad value ends in a diagnostic (exit 1) or a usage error (exit 2),
+        # never in a traceback; "--flag=value" keeps "-inf" a value
+        command, flag, token = case
+        with tempfile.TemporaryDirectory() as out:
+            code = main([command, *CLI_BASES[command], f"{flag}={token}", "--out", out])
+        assert code in (0, 1, 2)

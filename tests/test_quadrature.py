@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dissipon.errors import DomainError, QuadratureError
-from dissipon.quadrature import (QuadratureConfig, integrate_oscillatory,
+from dissipon.quadrature import (QuadratureConfig, _quad, integrate_oscillatory,
                                  integrate_principal_value,
                                  integrate_semi_infinite,
                                  integrate_sinc_squared)
+from test_cli import run_python
 
 # 1e6-point Simpson oracle for x / (((1-x^2)^2 + 0.01 x^2)(e^x - 1)) on (0, 50),
 # cross-checked against 30-digit adaptive quadrature (9.36786797651810453...)
@@ -174,3 +175,72 @@ class TestOscillatory:
         with pytest.raises(DomainError):
             integrate_oscillatory(lambda x: np.exp(-x), 1.0, 1.0,
                                   QuadratureConfig(), kind="tan")
+
+
+def _scipy_quad(f, a, b, cfg, weight=None, wvar=None, points=None):
+    """``scipy.integrate.quad`` with the arguments dissipon's QUADPACK calls use."""
+    from scipy.integrate import quad
+    kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
+                  full_output=True, points=points, weight=weight, wvar=wvar)
+    if weight in ("cos", "sin") and not np.isfinite(b):
+        kwargs["limlst"] = max(cfg.max_subdivisions, 50)
+    return quad(f, a, b, **kwargs)
+
+
+class TestQuadpackParity:
+    """The direct QUADPACK calls reproduce ``scipy.integrate.quad`` bit for bit."""
+
+    @pytest.mark.parametrize("a, b, kwargs", [
+        pytest.param(0.0, 3.0, {}, id="qagse"),
+        pytest.param(3.0, 0.0, {}, id="qagse-reversed"),
+        pytest.param(0.0, 3.0, dict(points=[1.0, 0.5, 1.0]), id="qagpe"),
+        pytest.param(0.0, 3.0, dict(weight="cauchy", wvar=1.2), id="qawce"),
+        pytest.param(0.0, 3.0, dict(weight="cos", wvar=7.0), id="qawoe-cos"),
+        pytest.param(0.5, 3.0, dict(weight="sin", wvar=7.0), id="qawoe-sin"),
+        pytest.param(0.5, np.inf, dict(weight="cos", wvar=3.0), id="qawfe-cos"),
+        pytest.param(0.5, np.inf, dict(weight="sin", wvar=3.0), id="qawfe-sin"),
+    ])
+    def test_value_and_error_estimate(self, a, b, kwargs):
+        f = lambda x: np.exp(-x) / np.sqrt(1.0 + (x - 1.0) ** 2)
+        cfg = QuadratureConfig()
+        out = _scipy_quad(f, a, b, cfg, **kwargs)
+        assert len(out) == 3  # QUADPACK flagged nothing
+        assert _quad(f, a, b, cfg, **kwargs) == out[:2]
+
+    def test_flagged_result_within_slack_is_accepted(self):
+        # QAGS reports roundoff (ier 2) at a 1e-14 request but its estimate
+        # stays within 10x of it
+        f = lambda x: np.exp(-x)
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300)
+        out = _scipy_quad(f, 0.0, 1.0, cfg)
+        assert len(out) > 3 and out[1] <= 10.0 * cfg.tolerance_for(out[0])
+        assert _quad(f, 0.0, 1.0, cfg) == out[:2]
+
+    @pytest.mark.parametrize("b, weight", [(50.0, None), (np.inf, "cos")])
+    def test_flagged_result_outside_slack_raises_with_quads_message(self, b, weight):
+        # three panels: QAGS stops at its subdivision limit (ier 1), QAWF
+        # reports bad behaviour within the cycles (ier 7)
+        f = lambda x: np.cos(37.3 * x) / np.sqrt(abs(x - 7.123) + 1e-14)
+        cfg = QuadratureConfig(max_subdivisions=3)
+        wvar = 1.0 if weight else None
+        out = _scipy_quad(f, 1.0, b, cfg, weight=weight, wvar=wvar)
+        with pytest.raises(QuadratureError) as info:
+            _quad(f, 1.0, b, cfg, weight=weight, wvar=wvar)
+        assert str(info.value).endswith(out[3].splitlines()[0])
+        assert (info.value.best_estimate, info.value.error_estimate) == out[:2]
+
+    @pytest.mark.parametrize("first", ["dissipon", "scipy.integrate"])
+    def test_one_extension_module_whichever_loads_first(self, first):
+        # fresh interpreter: this process may already hold scipy.integrate
+        load = {"dissipon": "from dissipon.quadrature import _quadpack; _quadpack()",
+                "scipy.integrate": "import scipy.integrate"}
+        code = "; ".join([
+            "import sys", load[first],
+            load["scipy.integrate" if first == "dissipon" else "dissipon"],
+            "from dissipon.quadrature import _quadpack",
+            "from scipy.integrate import _quadpack_py",
+            "module = sys.modules['scipy.integrate._quadpack']",
+            "print(_quadpack() is module and _quadpack_py._quadpack is module)",
+        ])
+        assert run_python(code) == "True"
+

@@ -39,6 +39,11 @@ class TestCoupling:
         with pytest.raises(DomainError):
             CouplingFunction.canonical(0.0)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_canonical_requires_finite_beta(self, beta):
+        with pytest.raises(DomainError):
+            CouplingFunction.canonical(beta)
+
     def test_tabulated_validation(self):
         with pytest.raises(DomainError):
             CouplingFunction.tabulated([1.0, 1.0], [0.1, 0.2])
@@ -219,6 +224,11 @@ class TestReservoirState:
     def test_thermal_frozen(self):
         assert bose_factor(100.0, 1.0) == pytest.approx(0.0, abs=1e-40)
         assert bose_factor(100.0, 0.1) == 0.0  # w/T > 700: frozen out exactly
+
+    @pytest.mark.filterwarnings("error")
+    def test_thermal_frozen_when_ratio_overflows(self):
+        assert bose_factor(1.0, 1e-308) == 0.0
+        assert np.all(bose_factor(np.array([1.0, 2.0]), 1e-308) == 0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
