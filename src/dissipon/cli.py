@@ -5,6 +5,10 @@ metadata block), a manifest recording parameters / version / wall time,
 and returns exit code 0.  Physics and regime failures exit 1 with the
 module's diagnostic; usage and config errors exit 2.
 
+Each subcommand accepts only the flags its run reads.  A run has one
+coupling (--beta or --coupling-file) and a rates run one reservoir; a
+flag, a config file and a sweep job that name two are config errors.
+
 A config file given via --config overrides the corresponding flags, so a
 run can be pinned down in a diff-friendly text file.  Parameter sweeps fan
 out over a process pool and are merged in input order.
@@ -55,19 +59,28 @@ def _parse_fock_triple(text):
     return FockTriple(*_parse_triple(text))
 
 
+# the canonical coupling's friction when a run sets no --beta
+DEFAULT_BETA = 0.1
+
+
+def _beta(args):
+    return DEFAULT_BETA if args.beta is None else args.beta
+
+
 def _coupling(args):
-    if getattr(args, "coupling_file", None):
-        return CouplingFunction.from_file(args.coupling_file,
-                                          uv_cutoff=args.uv_cutoff)
-    return CouplingFunction.canonical(args.beta, uv_cutoff=args.uv_cutoff)
+    """The run's one coupling: canonical with friction --beta, or the table."""
+    if args.coupling_file is None:
+        return CouplingFunction.canonical(_beta(args), uv_cutoff=args.uv_cutoff)
+    if args.beta is not None:
+        raise ConfigError("--beta (canonical coupling) and --coupling-file (table) "
+                          "are two couplings; give one")
+    return CouplingFunction.from_file(args.coupling_file, uv_cutoff=args.uv_cutoff)
 
 
 def _quad_config(args, *frequencies):
-    overrides = {}
-    if getattr(args, "uv_cutoff", None) is not None:
-        overrides["uv_cutoff"] = args.uv_cutoff
-    if getattr(args, "ir_cutoff", None) is not None:
-        overrides["ir_cutoff"] = args.ir_cutoff
+    overrides = {key: value for key, value in (("uv_cutoff", args.uv_cutoff),
+                                               ("ir_cutoff", args.ir_cutoff))
+                 if value is not None}
     return QuadratureConfig.for_frequencies(*frequencies, **overrides)
 
 
@@ -118,6 +131,9 @@ def cmd_kernel(args, out_dir):
 
 
 def cmd_langevin(args, out_dir):
+    if args.coupling_file is not None and not args.volterra:
+        raise ConfigError("--coupling-file needs --volterra: the Markov solver's "
+                          "friction is --beta")
     pot = PotentialSpec.harmonic(args.m, args.omega)  # omega = 0 is the free particle
     grid = _time_grid(args)
     x0 = _parse_triple(args.x0)
@@ -128,7 +144,7 @@ def cmd_langevin(args, out_dir):
         kern = MemoryKernel.sample(coup, grid, cfg)
         traj = evolve_mean_volterra(args.m, pot, kern, x0, v0, grid)
     else:
-        traj = evolve_mean_markov(args.m, pot, args.beta, x0, v0, grid)
+        traj = evolve_mean_markov(args.m, pot, _beta(args), x0, v0, grid)
     path = out_dir / "trajectory.csv"
     traj.write_csv(path, metadata=_metadata(args, cfg, solver="volterra" if args.volterra
                                             else "markov"))
@@ -136,7 +152,7 @@ def cmd_langevin(args, out_dir):
 
 
 def cmd_oscillator(args, out_dir):
-    p = OscillatorParams(args.m, args.omega, args.beta)
+    p = OscillatorParams(args.m, args.omega, _beta(args))
     n = _parse_fock_triple(args.n)
     cfg = _quad_config(args, args.omega)
     w1 = damped_frequency(p)
@@ -162,38 +178,41 @@ def cmd_oscillator(args, out_dir):
 
 
 def cmd_rates(args, out_dir):
-    p = OscillatorParams(args.m, args.omega, args.beta)
+    chosen = [flag for flag, given in (("--thermal", args.thermal),
+                                       ("--fock", args.fock is not None),
+                                       ("--t", args.t is not None)) if given]
+    if len(chosen) > 1:
+        raise ConfigError(f"a rates run has one reservoir, not {' and '.join(chosen)}")
+    if args.thermal != (args.kt is not None):
+        raise ConfigError("--kt and --thermal go together: the thermal reservoir's "
+                          "temperature")
+    # the rates are first order in the coupling: the oscillator itself is undamped
+    p = OscillatorParams(args.m, args.omega, 0.0)
     n = _parse_fock_triple(args.n)
     coup = _coupling(args)
     cfg = _quad_config(args, args.omega)
-    rows = []
+    absorption = 0.0
     if args.thermal:
-        if args.kt is None:
-            raise ConfigError("--thermal requires --kt")
-        state = ReservoirState.thermal(args.kt)
-        pair = rates_thermal(RateRequest(p, n, state, coup))
-        rows.append((f"{n.n1} {n.n2} {n.n3}", f"thermal kT={args.kt}",
-                     pair.emission, pair.absorption))
-    elif args.fock:
+        reservoir = f"thermal kT={args.kt}"
+        emission, absorption = rates_thermal(
+            RateRequest(p, n, ReservoirState.thermal(args.kt), coup))
+    elif args.fock is not None:
         momenta = [_parse_triple(tok) for tok in args.fock]
-        state = ReservoirState.fock(momenta)
-        pair = rates_fock(RateRequest(p, n, state, coup))
-        rows.append((f"{n.n1} {n.n2} {n.n3}", f"fock r={len(momenta)}",
-                     pair.emission, pair.absorption))
+        reservoir = f"fock r={len(momenta)}"
+        emission, absorption = rates_fock(
+            RateRequest(p, n, ReservoirState.fock(momenta), coup))
+    elif args.t is not None:
+        reservoir = f"vacuum t={args.t}"
+        req = RateRequest(p, n, ReservoirState.vacuum(), coup, t=args.t)
+        emission = finite_time_emission_probability(req, cfg) / args.t
     else:
-        state = ReservoirState.vacuum()
-        req = RateRequest(p, n, state, coup, t=args.t)
-        if req.t is not None:
-            prob = finite_time_emission_probability(req, cfg)
-            rows.append((f"{n.n1} {n.n2} {n.n3}", f"vacuum t={args.t}",
-                         prob / args.t, 0.0))
-        else:
-            rows.append((f"{n.n1} {n.n2} {n.n3}", "vacuum",
-                         rate_emission_vacuum(req), 0.0))
+        reservoir = "vacuum"
+        emission = rate_emission_vacuum(RateRequest(p, n, ReservoirState.vacuum(), coup))
     path = out_dir / "rates.csv"
-    emit_table(path, ["n", "reservoir", "emission", "absorption"], rows,
+    emit_table(path, ["n", "reservoir", "emission", "absorption"],
+               [(f"{n.n1} {n.n2} {n.n3}", reservoir, emission, absorption)],
                metadata=_metadata(args, cfg))
-    return {"emission": rows[0][2], "absorption": rows[0][3]}, [path]
+    return {"emission": emission, "absorption": absorption}, [path]
 
 
 def cmd_tls(args, out_dir):
@@ -223,9 +242,10 @@ def cmd_tls(args, out_dir):
 
 
 def cmd_field(args, out_dir):
+    if not args.omega > 0:
+        raise DomainError(f"--omega ({args.omega}) must be positive")
     coup = _coupling(args)
     grid = FieldGrid(n=args.modes, dx=args.dx, uv_cutoff=args.uv_cutoff)
-    p = OscillatorParams(args.m, args.omega, args.beta)
     times = _time_grid(args)
     kern = lattice_memory_kernel(coup, grid, times)
     pot = PotentialSpec.harmonic(args.m, args.omega)
@@ -256,20 +276,34 @@ EXPERIMENTS = {
 }
 
 
-def _add_common(sub):
+def _add_common(sub, *, m=False, ir_cutoff=False, coupling_file=False):
+    """The flags every experiment reads, and those of ``m``, ``ir_cutoff`` and
+    ``coupling_file`` that this one reads too."""
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--config", default=None,
                      help="key=value config file; its values override flags")
-    sub.add_argument("--beta", type=float, default=0.1, help="friction coefficient")
-    sub.add_argument("--m", type=float, default=1.0, help="particle mass")
+    sub.add_argument("--beta", type=float, default=None,
+                     help=f"friction of the canonical coupling (default {DEFAULT_BETA})")
+    if m:
+        sub.add_argument("--m", type=float, default=1.0, help="particle mass")
     sub.add_argument("--uv-cutoff", dest="uv_cutoff", type=float, default=None)
-    sub.add_argument("--ir-cutoff", dest="ir_cutoff", type=float, default=None)
-    sub.add_argument("--coupling-file", dest="coupling_file", default=None,
-                     help="two-column (w, f) table replacing the canonical coupling")
+    if ir_cutoff:
+        sub.add_argument("--ir-cutoff", dest="ir_cutoff", type=float, default=None)
+    if coupling_file:
+        sub.add_argument("--coupling-file", dest="coupling_file", default=None,
+                         help="two-column (w, f) table in place of the canonical "
+                              "coupling; not with --beta")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dissipon",
         description="Memory kernels, damped-oscillator energy flow, golden-rule "
                     "rates, two-level decay and the reservoir field of a "
@@ -278,13 +312,13 @@ def build_parser():
     subs = parser.add_subparsers(dest="experiment", required=True)
 
     k = subs.add_parser("kernel", help="sample the memory kernel and its friction limit")
-    _add_common(k)
+    _add_common(k, ir_cutoff=True, coupling_file=True)
     k.add_argument("--omega", type=float, default=1.0)
     k.add_argument("--tmax", type=float, default=5.0)
     k.add_argument("--step", type=float, default=1e-3)
 
     l = subs.add_parser("langevin", help="mean trajectory (Markovian or full memory)")
-    _add_common(l)
+    _add_common(l, m=True, ir_cutoff=True, coupling_file=True)
     l.add_argument("--omega", type=float, default=1.0)
     l.add_argument("--tmax", type=float, default=20.0)
     l.add_argument("--step", type=float, default=1e-3)
@@ -294,25 +328,25 @@ def build_parser():
                    help="solve the full memory equation instead of local friction")
 
     o = subs.add_parser("oscillator", help="damped-oscillator closed-form energies")
-    _add_common(o)
+    _add_common(o, m=True, ir_cutoff=True)
     o.add_argument("--omega", type=float, default=1.0)
     o.add_argument("--n", default="0,0,0")
     o.add_argument("--kt", type=float, default=None,
                    help="also evaluate the thermal steady state at this temperature")
 
     r = subs.add_parser("rates", help="golden-rule transition rates")
-    _add_common(r)
+    _add_common(r, m=True, ir_cutoff=True, coupling_file=True)
     r.add_argument("--omega", type=float, default=1.0)
     r.add_argument("--n", default="1,0,0")
     r.add_argument("--thermal", action="store_true")
     r.add_argument("--kt", type=float, default=None)
-    r.add_argument("--fock", nargs="*", default=None,
+    r.add_argument("--fock", nargs="+", default=None,
                    help="reservoir quanta as px,py,pz triples")
     r.add_argument("--t", type=float, default=None,
                    help="finite observation time (vacuum reservoir)")
 
     t = subs.add_parser("tls", help="two-level population and coherence decay")
-    _add_common(t)
+    _add_common(t, ir_cutoff=True, coupling_file=True)
     t.add_argument("--omega0", type=float, default=1.0)
     t.add_argument("--x12sq", type=float, default=1.0)
     t.add_argument("--tmax", type=float, default=100.0)
@@ -321,7 +355,7 @@ def build_parser():
     t.add_argument("--f0", type=float, default=0.0)
 
     f = subs.add_parser("field", help="drive the reservoir field with a damped trajectory")
-    _add_common(f)
+    _add_common(f, m=True, coupling_file=True)
     f.add_argument("--omega", type=float, default=1.0)
     f.add_argument("--modes", type=int, default=16)
     f.add_argument("--dx", type=float, default=1.0)
@@ -398,14 +432,16 @@ def _coerce(action, key, value):
 
 
 def _run_single(args):
-    """Worker entry for sweeps: run one parsed and configured experiment."""
+    """Run one parsed and configured experiment: a standalone run or a sweep job."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary, outputs = EXPERIMENTS[args.experiment](args, out_dir)
     return summary, [str(p) for p in outputs]
 
 
-def cmd_sweep(args, out_dir):
+def cmd_sweep(args):
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sections = _read_config(args.config)
     sweep = sections.get("sweep")
     if not sweep:
@@ -445,20 +481,17 @@ def cmd_sweep(args, out_dir):
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        if args.experiment != "sweep" and args.config:
-            _configure(args, parser, _read_config(args.config), {})
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args = parser.parse_args(argv)
         if args.experiment == "sweep":
-            summary, outputs = cmd_sweep(args, out_dir)
+            summary, outputs = cmd_sweep(args)
         else:
-            summary, outputs = EXPERIMENTS[args.experiment](args, out_dir)
+            if args.config:
+                _configure(args, parser, _read_config(args.config), {})
+            summary, outputs = _run_single(args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"dissipon: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -475,7 +508,7 @@ def main(argv=None):
     wall = time.perf_counter() - start
     params = {k: v for k, v in vars(args).items()
               if k not in ("experiment", "config", "out") and v is not None}
-    write_manifest(out_dir / "manifest.txt", params, wall,
+    write_manifest(Path(args.out) / "manifest.txt", params, wall,
                    outputs=[Path(p).name for p in outputs])
     for key, value in summary.items():
         print(f"{key} = {value}")

@@ -25,6 +25,7 @@ space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,6 +70,10 @@ class FieldGrid:
             raise DomainError(f"a lattice of {self.n}^3 modes is too large to allocate")
         if not 0.0 < self.dx < np.inf:
             raise DomainError("grid spacing must be positive and finite")
+        k_nyquist = math.pi / float(self.dx)
+        if not 3.0 * k_nyquist * k_nyquist < math.inf:  # the corner mode's |k|^2
+            raise DomainError(f"grid spacing {self.dx:.3g} is too fine: the squared "
+                              "wavenumbers of its modes overflow")
         if self.uv_cutoff is None:
             return
         if self.dx * self.uv_cutoff >= np.pi:
@@ -199,7 +204,7 @@ SHAPE_RADII = 1200
 SHAPE_FREQUENCIES = 4000
 
 
-def source_shapes(coupling, grid, cfg=None):
+def source_shapes(coupling, grid):
     """Velocity and acceleration source weights of the coupled field.
 
     The 3-d integrals reduce to spherical-Bessel (j1) radial transforms:
@@ -208,19 +213,16 @@ def source_shapes(coupling, grid, cfg=None):
         N(x) = +Re S_N'(r) rhat,  S_N(r) = 4 pi int dk k^2 f(k)/sqrt(2(2pi)^3 k) sinc(kr)
 
     with S'(r) = -4 pi int dk k^3 g(k) j1(kr).  The canonical coupling
-    makes the M integrand only conditionally convergent, so a UV cutoff is
-    mandatory.
+    makes the M integrand only conditionally convergent, so the coupling's
+    UV cutoff is mandatory; the k grid starts at 1e-10 of it.
     """
     lam = coupling.uv_cutoff
-    if cfg is not None and np.isfinite(cfg.uv_cutoff):
-        lam = cfg.uv_cutoff
     if lam is None or not np.isfinite(lam):
         raise DomainError(
             "source shapes need a UV cutoff; the canonical coupling integrand "
             "is only conditionally convergent")
-    lo = cfg.ir_cutoff if cfg is not None else 0.0
 
-    k = np.linspace(max(lo, lam * 1e-10), lam, SHAPE_FREQUENCIES + 1)
+    k = np.linspace(lam * 1e-10, lam, SHAPE_FREQUENCIES + 1)
     fk = np.asarray(coupling(k), dtype=complex)
     norm = np.sqrt(2.0 * (2.0 * np.pi) ** 3)
     gm = np.sqrt(k) * fk / norm          # M-shape weight

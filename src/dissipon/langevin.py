@@ -142,26 +142,26 @@ def _energy_guard(pot, m, x, v, first, e0, label):
             f"{label}: mechanical energy grew by more than 5%; reduce the step")
 
 
-def _block_powers(step_map, state, n, block=_POWER_BLOCK):
+def _block_powers(step_map, state, n):
     """Yield (start, rows), rows[j] = S^(start + j) state, until n rows are out.
 
     Each block of rows is one product with the precomputed powers S^k,
-    k < block, and the jump S^block carries the state to the next block.
-    The powers stop short of ``block`` once an entry passes _GROWTH_CAP,
-    so a block stays finite for an unstable S; the caller checks each
-    block before it asks for the next.
+    k < _POWER_BLOCK, and the jump S^_POWER_BLOCK carries the state to the
+    next block.  The powers stop short of that once an entry passes
+    _GROWTH_CAP, so a block stays finite for an unstable S; the caller
+    checks each block before it asks for the next.
     """
     state = np.asarray(state, dtype=float)
     dim = len(step_map)
     powers = np.eye(dim)[None]
-    while len(powers) < min(block, n):
+    while len(powers) < min(_POWER_BLOCK, n):
         more = powers @ (step_map @ powers[-1])  # S^k .. S^(2k-1)
         bounded = np.abs(more).max(axis=(1, 2)) <= _GROWTH_CAP
         if not bounded.all():
             powers = np.concatenate([powers, more[:np.argmin(bounded)]])
             break
         powers = np.concatenate([powers, more])
-    powers = powers[:min(block, n)]
+    powers = powers[:min(_POWER_BLOCK, n)]
     size = len(powers)
     jump = step_map @ powers[-1]
     stacked = powers.reshape(size * dim, dim)  # row dim * k + i holds (S^k)_i

@@ -146,6 +146,18 @@ def _lorentzian_denominator(p):
     return lambda x: (p.omega**2 - x**2) ** 2 + g**2 * x**2
 
 
+# past this frequency the Lorentzian denominator D(x) ~ x^4 overflows a float
+_MAX_FREQUENCY = float(np.finfo(float).max) ** 0.25
+
+
+def _check_cutoff(cfg):
+    """Reject a finite UV cutoff that the integrands of D(x) cannot reach."""
+    if _MAX_FREQUENCY <= cfg.uv_cutoff < np.inf:
+        raise DomainError(
+            f"uv_cutoff ({cfg.uv_cutoff:.3g}) must be below {_MAX_FREQUENCY:.3g}, "
+            "past which the Lorentzian denominator D(x) ~ x^4 overflows")
+
+
 def lorentzian_moments(p, cfg=None):
     """(I0, I2) = integrals of 1/D and x^2/D with D the response denominator.
 
@@ -158,6 +170,7 @@ def lorentzian_moments(p, cfg=None):
     damped_frequency(p)  # underdamped check
     if cfg is None:
         cfg = QuadratureConfig.for_frequencies(p.omega)
+    _check_cutoff(cfg)
     D = _lorentzian_denominator(p)
     hints = _resonance_hints(p)
     i0, _ = integrate_semi_infinite(lambda x: 1.0 / D(x), cfg, singularities=hints)
@@ -216,6 +229,9 @@ def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
         raise RegimeError("thermal steady state requires beta > 0")
     if cfg is None:
         cfg = QuadratureConfig.for_frequencies(p.omega, temperature)
+    _check_cutoff(cfg)
+    # first, so a temperature its bath grid cannot hold fails before any integral
+    oracle = _mode_sum_oracle(p, temperature, oracle_modes)
     D = _lorentzian_denominator(p)
     hints = _resonance_hints(p)
     i1, _ = integrate_semi_infinite(
@@ -223,7 +239,6 @@ def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
     i3, _ = integrate_semi_infinite(
         lambda x: x**3 / D(x) * bose_factor(x, temperature), cfg, singularities=hints)
     direct = 6.0 * p.beta / (np.pi * p.m**2) * (i1 + i3)
-    oracle = _mode_sum_oracle(p, temperature, oracle_modes)
     return ThermalSteadyEnergy(direct=direct, mode_sum=oracle)
 
 
@@ -236,7 +251,12 @@ def _discretised_bath(p, temperature, oracle_modes):
     """
     n_res, n_bg = oracle_modes
     w, g = p.omega, p.beta / p.m
-    w_max = max(30.0 * temperature, w + 20.0 * g, 8.0 * w)
+    # a Python float overflows to inf without a warning
+    w_max = max(30.0 * float(temperature), w + 20.0 * g, 8.0 * w)
+    if not w_max < np.inf:
+        raise DomainError(
+            f"the oracle's bath grid must be finite; temperature {temperature:.3g} "
+            f"and beta/m = {g:.3g} put its top frequency at {w_max}")
     lo, hi = max(w - 8.0 * g, 1e-6 * w), w + 8.0 * g
     dense = np.linspace(lo, hi, n_res)
     below = np.linspace(1e-4 * w, lo, n_bg // 2, endpoint=False)
@@ -284,7 +304,11 @@ def _mode_sum_oracle(p, temperature, oracle_modes):
     u, sigma, vt = np.linalg.svd(c_mat)
 
     # x and v carry the energy form, q_j and p_j the bath's thermal variance
-    y = np.concatenate([[0.0], wj * bose_factor(wj, temperature)])
+    with np.errstate(over="ignore", divide="ignore"):  # checked just below
+        y = np.concatenate([[0.0], wj * bose_factor(wj, temperature)])
+    if not np.isfinite(y).all():
+        raise DomainError(f"temperature {temperature:.3g} overflows the thermal "
+                          "occupations of the oracle's bath grid")
     m_e = 0.25 * (np.outer(u[0], u[0]) + np.outer(vt[:, 0], vt[:, 0]))
     m_y = 0.5 * ((u.T * y) @ u + (vt * y) @ vt.T)
     resonant = np.abs(sigma[:, None] - sigma[None, :]) <= 1e-9 * sigma.max()

@@ -225,10 +225,11 @@ def evolve_bloch_markov(p, initial, grid, cfg):
 
     The system is linear and time invariant, so the classical RK4 update
     is one affine map per step; its spectral radius doubles as the
-    stability check the step size must pass.  The map is applied to the
-    deviation from the exact fixed point y* = (-1, 0, 0) (A y* + c = 0
-    holds exactly), so the ground state stays exactly stationary.  Rows
-    are filled a block at a time by :func:`dissipon.langevin._block_powers`.
+    stability check the step size must pass, and a map that overflows
+    fails it too.  The map is applied to the deviation from the exact
+    fixed point y* = (-1, 0, 0) (A y* + c = 0 holds exactly), so the
+    ground state stays exactly stationary.  Rows are filled a block at a
+    time by :func:`dissipon.langevin._block_powers`.
     """
     grid, h = _check_grid(grid)
     spec = coherence_frequencies(p, cfg)
@@ -240,13 +241,14 @@ def evolve_bloch_markov(p, initial, grid, cfg):
         [0.0, -2.0 * mu, -gamma],
         [0.0, p.omega0, 0.0],
     ])
-    ha = h * a_mat
     taylor = [np.eye(3)]
-    for _ in range(4):
-        taylor.append(taylor[-1] @ ha)
-    step_map = sum(taylor[k] / math.factorial(k) for k in range(5))
-    radius = np.abs(np.linalg.eigvals(step_map)).max()
-    if radius > 1.0 + 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is unstable
+        ha = h * a_mat
+        for _ in range(4):
+            taylor.append(taylor[-1] @ ha)
+        step_map = sum(taylor[k] / math.factorial(k) for k in range(5))
+    if not np.isfinite(step_map).all() \
+            or np.abs(np.linalg.eigvals(step_map)).max() > 1.0 + 1e-12:
         raise StabilityError(
             f"step {h:.3g} is unstable for (w0, mu) = ({p.omega0}, {mu:.3g}); "
             "the RK4 amplification factor exceeds 1")

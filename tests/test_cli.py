@@ -2,13 +2,14 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dissipon
-from dissipon.cli import main
+from dissipon.cli import build_parser, main
 from dissipon.errors import ConfigError
 from dissipon.io import emit_table, parse_config, read_table
 from dissipon.langevin import PotentialSpec, evolve_mean_markov, evolve_mean_volterra
@@ -268,6 +269,23 @@ class TestExitCodes:
         (["langevin", "--omega", "1e308", "--tmax", "1"], 1),
         (["field", "--dx", "1e-308", "--tmax", "1", "--modes", "8"], 1),
         (["rates", "--beta", "inf"], 1),
+        (["oscillator", "--kt", "1e308"], 1),
+        (["oscillator", "--kt", "1e300"], 1),
+        (["oscillator", "--uv-cutoff", "1e100"], 1),
+        (["tls", "--tmax", "1e308", "--steps", "200"], 1),
+        # a flag the experiment does not read, a second coupling and a second
+        # reservoir are usage errors, not a run that ignores one of them
+        (["kernel", "--m=-inf"], 2),
+        (["tls", "--m=-inf"], 2),
+        (["field", "--ir-cutoff=-inf"], 2),
+        (["oscillator", "--coupling-file", "{missing}"], 2),
+        (["langevin", "--coupling-file", "{missing}"], 2),
+        (["rates", "--kt=-inf"], 2),
+        (["rates", "--thermal", "--kt", "1", "--t", "5"], 2),
+        (["rates", "--fock", "1,0,0", "--t=-3"], 2),
+        (["kernel", "--beta", "0.2", "--coupling-file", "{missing}"], 2),
+        (["rates", "--thermal"], 2),
+        (["rates", "--fock"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_a_diagnostic(self, tmp_path, capsys, argv, expected):
         (tmp_path / "directory").mkdir()
@@ -277,12 +295,37 @@ class TestExitCodes:
         files = {name: str(tmp_path / name)
                  for name in ("missing", "directory", "non_numeric", "sweep")}
         argv = [arg.format(**files) for arg in argv]
-        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv, "--out", str(tmp_path / "out"))
         assert code == expected
         err = capsys.readouterr().err
-        assert "dissipon: " in err
+        assert len(err.splitlines()) == 1 and err.startswith("dissipon: ")
         assert "did not converge" not in err and "Traceback" not in err
+        assert "Warning" not in err and not caught, [str(w.message) for w in caught]
         assert not list(tmp_path.glob("out/*.csv"))
+
+    @pytest.mark.parametrize("config", [
+        "[rates]\nkt = 1\n",
+        "[rates]\nthermal = true\nkt = 1\nt = 5\n",
+        "[kernel]\nbeta = 0.2\ncoupling_file = {missing}\n",
+        "[langevin]\ncoupling_file = {missing}\n",
+    ], ids=["kt without thermal", "two reservoirs", "two couplings", "table without memory"])
+    @pytest.mark.parametrize("path", ["config", "sweep"])
+    def test_config_and_sweep_follow_the_flag_rules(self, tmp_path, capsys, config, path):
+        # a config file and a sweep job are held to the rules a flag is
+        experiment = config[1:config.index("]")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.format(missing=tmp_path / "missing"))
+        if path == "sweep":
+            with cfg.open("a") as fh:
+                fh.write(f"[sweep]\nexperiment = {experiment}\nparameter = omega\n"
+                         "values = 0.5\n")
+            argv = ["sweep", "--workers", "1"]
+        else:
+            argv = [experiment]
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, message", [
@@ -376,6 +419,56 @@ class TestExitCodes:
         code = run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2
         assert line.split()[0] in capsys.readouterr().err
+
+
+# a small run of each experiment; every value flag it accepts then takes the
+# value below (a coupling table for --coupling-file), which is valid and not
+# its default, after the flags it needs
+FLAG_BASES = {"kernel": ["--tmax", "0.2", "--step", "0.01"],
+              "langevin": ["--tmax", "0.5", "--step", "0.01"],
+              "oscillator": [], "rates": [],
+              "tls": ["--tmax", "2", "--steps", "50"],
+              "field": ["--tmax", "0.2", "--modes", "8"]}
+FLAG_VALUES = {"--beta": "0.3", "--m": "1.5", "--uv-cutoff": "2.5", "--ir-cutoff": "1e-6",
+               "--omega": "0.8", "--tmax": "0.3",
+               "--step": "0.005", "--x0": "0.5,0,0", "--v0": "0,0.5,0", "--n": "2,0,1",
+               "--kt": "2", "--fock": "1,0,0", "--t": "0.5", "--omega0": "1.5",
+               "--x12sq": "0.5", "--steps": "40", "--sz0": "0.5", "--f0": "0.3",
+               "--modes": "4", "--dx": "0.9", "--method": "leapfrog"}
+FLAG_NEEDS = {("rates", "--kt"): ["--thermal", "--kt", "1"],
+              ("langevin", "--coupling-file"): ["--volterra"]}
+_experiments = next(a for a in build_parser()._actions if a.dest == "experiment").choices
+VALUE_FLAGS = [(experiment, action.option_strings[-1])
+               for experiment, sub in _experiments.items() for action in sub._actions
+               if action.option_strings and action.nargs != 0
+               and action.dest not in ("out", "config", "workers")]
+
+
+def _tables(out):
+    return {path.name: path.read_bytes()
+            for path in sorted(out.iterdir()) if path.suffix in (".csv", ".bin")}
+
+
+@pytest.mark.parametrize("experiment, flag", VALUE_FLAGS,
+                         ids=[" ".join(pair) for pair in VALUE_FLAGS])
+def test_every_value_flag_changes_its_run(tmp_path, experiment, flag):
+    # a flag that a run accepts and does not read would leave every table as it was
+    if flag != "--coupling-file":
+        value = FLAG_VALUES[flag]
+    elif experiment == "kernel":  # its friction sweep needs an Ohmic table
+        value = str(tmp_path / "ohmic.dat")
+        w = np.geomspace(1e-6, 60.0, 20000)
+        np.savetxt(value, np.column_stack([w, np.sqrt(3.0 * 0.1 / (4.0 * np.pi**2 * w**5))
+                                           * np.exp(-((w / 30.0) ** 8) / 2)]))
+    else:
+        value = str(tmp_path / "coupling.dat")
+        w = np.linspace(0.0, 50.0, 11)
+        np.savetxt(value, np.column_stack([w, 3e-4 * np.exp(-w / 20.0)]))
+    base = [experiment, *FLAG_BASES[experiment], *FLAG_NEEDS.get((experiment, flag), [])]
+    assert run_cli(*base, "--out", str(tmp_path / "base")) == 0
+    assert run_cli(*base, flag, value, "--out", str(tmp_path / "set")) == 0
+    before, after = _tables(tmp_path / "base"), _tables(tmp_path / "set")
+    assert before and before != after
 
 
 class TestDeterminismAndOverrides:

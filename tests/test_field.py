@@ -177,6 +177,9 @@ class TestGrid:
         for dx in (np.nan, np.inf):
             with pytest.raises(DomainError, match="spacing must be positive"):
                 FieldGrid(n=8, dx=dx)
+        for dx in (1e-200, np.float64(1e-308)):  # the corner mode's |k|^2 overflows
+            with pytest.raises(DomainError, match="too fine"):
+                FieldGrid(n=8, dx=dx)
         for cutoff in (np.nan, 0.0, -1.0, 0.7):  # dk = 2 pi / 8 = 0.785
             with pytest.raises(DomainError, match="below the mode spacing"):
                 FieldGrid(n=8, dx=1.0, uv_cutoff=cutoff)

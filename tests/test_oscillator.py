@@ -236,8 +236,21 @@ class TestThermalSteadyEnergy:
         assert _mode_sum_oracle(p, kt, oracle_modes) == pytest.approx(
             dense_mode_sum(p, kt, oracle_modes), rel=1e-10)
 
+    @pytest.mark.filterwarnings("error")
     def test_validation(self):
+        p = OscillatorParams(1.0, 1.0, 0.1)
         with pytest.raises(DomainError):
-            thermal_steady_energy(OscillatorParams(1.0, 1.0, 0.1), 0.0)
+            thermal_steady_energy(p, 0.0)
         with pytest.raises(RegimeError):
             thermal_steady_energy(OscillatorParams(1.0, 1.0, 0.0), 1.0)
+        # finite temperatures past what the integrals and the oracle hold: the
+        # default cutoff 100 T overflows D(x) ~ x^4, the bath grid reaches 30 T
+        # and the occupation T / w of its lowest mode overflows
+        with pytest.raises(DomainError, match="uv_cutoff"):
+            thermal_steady_energy(p, 1e300)
+        with pytest.raises(DomainError, match="bath grid must be finite"):
+            thermal_steady_energy(p, np.float64(1e308), QuadratureConfig(uv_cutoff=10.0))
+        with pytest.raises(DomainError, match="thermal occupations"):
+            thermal_steady_energy(p, 2e306, QuadratureConfig(uv_cutoff=10.0))
+        with pytest.raises(DomainError, match="uv_cutoff"):
+            lorentzian_moments(p, QuadratureConfig(uv_cutoff=1e100))

@@ -268,12 +268,17 @@ class TestBlochIntegration:
         power = -0.5 * p.omega0 * np.gradient(hist.sz, grid)
         assert np.all(power >= -1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_unstable_step_rejected(self):
         p = canonical_tls(beta=0.05)
         cfg = shifts_config()
         with pytest.raises(StabilityError):
             evolve_bloch_markov(p, BlochState(sz=1.0),
                                 np.linspace(0.0, 100.0, 11), cfg)
+        # a step map whose Taylor terms overflow is unstable too
+        with pytest.raises(StabilityError):
+            evolve_bloch_markov(p, BlochState(sz=1.0),
+                                np.linspace(0.0, 1e308, 201), cfg)
 
     def test_state_validation(self):
         with pytest.raises(DomainError):
