@@ -1,8 +1,13 @@
 """Scenario runner: one subcommand per experiment, CSV/binary outputs.
 
-Every run writes its tables (with tolerances and cutoffs embedded in the
-metadata block), a manifest recording parameters / version / wall time,
-and returns exit code 0.  Physics and regime failures exit 1 with the
+Every run writes its tables, a manifest recording parameters / version /
+wall time, and returns exit code 0.  A run that integrates over the bath
+records its tolerances and its frequency window [epsilon, Lambda] in the
+tables' metadata block.  Lambda is the run's coupling's cutoff: --uv-cutoff,
+else a coupling table's last knot, else QuadratureConfig.for_frequencies's
+default, which also sets epsilon unless --ir-cutoff does.  A Markov
+langevin run and a rates run without --t integrate nothing over the bath,
+so they take no cutoff.  Physics and regime failures exit 1 with the
 module's diagnostic; usage and config errors exit 2.
 
 Each subcommand accepts only the flags its run reads.  A run has one
@@ -77,11 +82,12 @@ def _coupling(args):
     return CouplingFunction.from_file(args.coupling_file, uv_cutoff=args.uv_cutoff)
 
 
-def _quad_config(args, *frequencies):
-    overrides = {key: value for key, value in (("uv_cutoff", args.uv_cutoff),
-                                               ("ir_cutoff", args.ir_cutoff))
-                 if value is not None}
-    return QuadratureConfig.for_frequencies(*frequencies, **overrides)
+def _quad_config(args, uv_cutoff, *frequencies):
+    """The bath window of a run: Lambda is its coupling's ``uv_cutoff`` and
+    epsilon is --ir-cutoff; either one left None takes the default for the
+    run's frequencies."""
+    return QuadratureConfig.for_frequencies(*frequencies, uv_cutoff=uv_cutoff,
+                                            ir_cutoff=args.ir_cutoff)
 
 
 # no float64 array of more points can be allocated at all
@@ -106,20 +112,20 @@ def _time_grid(args):
 
 
 def _metadata(args, cfg, **extra):
-    meta = {
-        "experiment": args.experiment,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-        "uv_cutoff": cfg.uv_cutoff,
-        "ir_cutoff": cfg.ir_cutoff,
-    }
+    """A table's metadata block: the window ``cfg`` of a run that integrates
+    over the bath (None for one that does not), then ``extra``."""
+    meta = {"experiment": args.experiment}
+    if cfg is not None:
+        meta.update(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
+                    uv_cutoff=cfg.uv_cutoff, ir_cutoff=cfg.ir_cutoff)
     meta.update(extra)
     return meta
 
 
 def cmd_kernel(args, out_dir):
     coup = _coupling(args)
-    cfg = _quad_config(args, args.omega)
+    # the kernel has no system frequency: by default its window is w = 1's
+    cfg = _quad_config(args, coup.uv_cutoff, 1.0)
     times = _time_grid(args)
     kern = MemoryKernel.sample(coup, times, cfg)
     beta_eff = friction_coefficient(coup, cfg)
@@ -131,16 +137,23 @@ def cmd_kernel(args, out_dir):
 
 
 def cmd_langevin(args, out_dir):
-    if args.coupling_file is not None and not args.volterra:
-        raise ConfigError("--coupling-file needs --volterra: the Markov solver's "
-                          "friction is --beta")
+    if not args.volterra:
+        if args.coupling_file is not None:
+            raise ConfigError("--coupling-file needs --volterra: the Markov solver's "
+                              "friction is --beta")
+        if args.uv_cutoff is not None:
+            raise ConfigError("--uv-cutoff needs --volterra: the Markov solver "
+                              "integrates nothing over the bath")
     pot = PotentialSpec.harmonic(args.m, args.omega)  # omega = 0 is the free particle
     grid = _time_grid(args)
     x0 = _parse_triple(args.x0)
     v0 = _parse_triple(args.v0)
-    cfg = _quad_config(args, max(args.omega, 1.0 / args.tmax))
+    cfg = None
     if args.volterra:
         coup = _coupling(args)
+        # only a tabulated kernel reads epsilon: 1e-8 max(omega, 1/tmax)
+        cfg = QuadratureConfig.for_frequencies(max(args.omega, 1.0 / args.tmax),
+                                               uv_cutoff=coup.uv_cutoff)
         kern = MemoryKernel.sample(coup, grid, cfg)
         traj = evolve_mean_volterra(args.m, pot, kern, x0, v0, grid)
     else:
@@ -154,7 +167,8 @@ def cmd_langevin(args, out_dir):
 def cmd_oscillator(args, out_dir):
     p = OscillatorParams(args.m, args.omega, _beta(args))
     n = _parse_fock_triple(args.n)
-    cfg = _quad_config(args, args.omega)
+    # the oscillator's coupling is the canonical one, cut at --uv-cutoff
+    cfg = _quad_config(args, args.uv_cutoff, args.omega)
     w1 = damped_frequency(p)
     sys_e = asymptotic_system_energy(p, n)
     res_e = asymptotic_reservoir_energy(p, n, cfg)
@@ -167,7 +181,7 @@ def cmd_oscillator(args, out_dir):
     ]
     summary = {k: v for k, v in rows}
     if args.kt is not None:
-        cfg_t = _quad_config(args, args.omega, args.kt)
+        cfg_t = _quad_config(args, args.uv_cutoff, args.omega, args.kt)
         thermal = thermal_steady_energy(p, args.kt, cfg_t)
         rows.append(("thermal_energy_direct", thermal.direct))
         rows.append(("thermal_energy_mode_sum", thermal.mode_sum))
@@ -186,11 +200,17 @@ def cmd_rates(args, out_dir):
     if args.thermal != (args.kt is not None):
         raise ConfigError("--kt and --thermal go together: the thermal reservoir's "
                           "temperature")
+    if args.t is None:
+        for flag, value in (("--uv-cutoff", args.uv_cutoff),
+                            ("--ir-cutoff", args.ir_cutoff)):
+            if value is not None:
+                raise ConfigError(f"{flag} needs --t: only the finite-time probability "
+                                  "integrates over the bath")
     # the rates are first order in the coupling: the oscillator itself is undamped
     p = OscillatorParams(args.m, args.omega, 0.0)
     n = _parse_fock_triple(args.n)
     coup = _coupling(args)
-    cfg = _quad_config(args, args.omega)
+    cfg = None
     absorption = 0.0
     if args.thermal:
         reservoir = f"thermal kT={args.kt}"
@@ -203,6 +223,7 @@ def cmd_rates(args, out_dir):
             RateRequest(p, n, ReservoirState.fock(momenta), coup))
     elif args.t is not None:
         reservoir = f"vacuum t={args.t}"
+        cfg = _quad_config(args, coup.uv_cutoff, args.omega)
         req = RateRequest(p, n, ReservoirState.vacuum(), coup, t=args.t)
         emission = finite_time_emission_probability(req, cfg) / args.t
     else:
@@ -226,7 +247,7 @@ def cmd_tls(args, out_dir):
     x12 = np.zeros(3)
     x12[0] = np.sqrt(args.x12sq)
     p = TwoLevelParams(args.omega0, tuple(x12), coup)
-    cfg = _quad_config(args, args.omega0)
+    cfg = _quad_config(args, coup.uv_cutoff, args.omega0)
     mu = decay_rate_mu(p)
     grid = _allocate_grid(args.steps + 1,
                           lambda: np.linspace(0.0, args.tmax, args.steps + 1))
@@ -313,12 +334,11 @@ def build_parser():
 
     k = subs.add_parser("kernel", help="sample the memory kernel and its friction limit")
     _add_common(k, ir_cutoff=True, coupling_file=True)
-    k.add_argument("--omega", type=float, default=1.0)
     k.add_argument("--tmax", type=float, default=5.0)
     k.add_argument("--step", type=float, default=1e-3)
 
     l = subs.add_parser("langevin", help="mean trajectory (Markovian or full memory)")
-    _add_common(l, m=True, ir_cutoff=True, coupling_file=True)
+    _add_common(l, m=True, coupling_file=True)
     l.add_argument("--omega", type=float, default=1.0)
     l.add_argument("--tmax", type=float, default=20.0)
     l.add_argument("--step", type=float, default=1e-3)

@@ -404,7 +404,11 @@ def lattice_memory_kernel(coupling, grid, times):
     from .reservoir import MemoryKernel
     modes = _masked_modes(coupling, grid)
     label, first = _shells(modes)
-    weights = np.bincount(label, weights=2.0 * modes.g**2 * modes.w * modes.k[:, 0] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        weights = np.bincount(label, weights=2.0 * modes.g**2 * modes.w * modes.k[:, 0] ** 2)
+    if not np.isfinite(weights).all():
+        raise DomainError("the lattice kernel's shell weights 2 g^2 w k_x^2 overflow; "
+                          "the coupling is too strong for this lattice")
     times = np.asarray(times, dtype=float)
     values = np.cos(np.outer(times, modes.w[first])) @ weights
     return MemoryKernel(times, values)

@@ -40,16 +40,17 @@ class PotentialSpec:
     """
 
     def __init__(self, stiffness):
-        if not stiffness >= 0.0:
-            raise DomainError("potential stiffness must be nonnegative")
+        if not 0.0 <= stiffness < np.inf:
+            raise DomainError(f"potential stiffness ({stiffness}) must be finite "
+                              "and nonnegative")
         self.stiffness = float(stiffness)
 
     @classmethod
     def harmonic(cls, m, omega):
-        if m is None or not m > 0:
-            raise DomainError("harmonic potential requires m > 0")
-        if omega is None or not omega >= 0:
-            raise DomainError("harmonic potential requires omega >= 0")
+        if m is None or not 0 < m < np.inf:
+            raise DomainError("harmonic potential requires a finite m > 0")
+        if omega is None or not 0 <= omega < np.inf:
+            raise DomainError("harmonic potential requires a finite omega >= 0")
         return cls(float(m) * float(omega) ** 2)
 
     @classmethod
@@ -184,10 +185,10 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     fixed 2x2 map on each axis' (x, v), propagated a block of rows at a
     time by :func:`_block_powers`.
     """
-    if not m > 0:
-        raise DomainError("mass must be positive")
-    if not beta >= 0:
-        raise DomainError("friction must be nonnegative")
+    if not 0 < m < np.inf:
+        raise DomainError("mass must be positive and finite")
+    if not 0 <= beta < np.inf:
+        raise DomainError("friction must be nonnegative and finite")
     grid, h = _check_grid(grid)
     n = len(grid)
     k = pot.stiffness
@@ -237,8 +238,8 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     of that known history.  The cost is O(n log^2 n); the result is the
     same trapezoid rule up to roundoff.
     """
-    if not m > 0:
-        raise DomainError("mass must be positive")
+    if not 0 < m < np.inf:
+        raise DomainError("mass must be positive and finite")
     grid, h = _check_grid(grid)
     if kernel.step > h * (1.0 + 1e-9):
         raise DomainError("kernel must be sampled at least as finely as the grid")

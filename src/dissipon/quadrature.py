@@ -78,13 +78,16 @@ class QuadratureConfig:
         """Config with Lambda = 100 * max frequency, epsilon = 1e-8 * min.
 
         The canonical coupling weights the infrared heavily, so the cutoff
-        choice is explicit here rather than buried in the integrators.
+        choice is explicit here rather than buried in the integrators.  An
+        override of ``None`` leaves that field at its default, so a caller
+        passes an optional cutoff (a coupling's, a flag's) as it is.
         """
         freqs = [f for f in frequencies if f > 0]
         if not freqs:
             raise DomainError("at least one positive frequency is required")
         defaults = dict(uv_cutoff=100.0 * max(freqs), ir_cutoff=1e-8 * min(freqs))
-        defaults.update(overrides)
+        defaults.update((key, value) for key, value in overrides.items()
+                        if value is not None)
         return cls(**defaults)
 
     def tolerance_for(self, value):

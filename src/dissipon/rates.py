@@ -87,7 +87,9 @@ def finite_time_emission_probability(r, cfg=None):
         (2 pi w (n1+n2+n3) / 3m) * int dw_k w_k^4 |f|^2 sinc^2((w_k - w) t / 2)
 
     with the dedicated sinc^2 quadrature; for w t >> 1 it approaches
-    t * rate_emission_vacuum.
+    t * rate_emission_vacuum.  Without ``cfg`` the window is
+    :meth:`QuadratureConfig.for_frequencies` of w, up to the coupling's
+    cutoff when it has one.
     """
     r._require_reservoir("vacuum", "finite_time_emission_probability")
     if r.t is None:
@@ -96,19 +98,12 @@ def finite_time_emission_probability(r, cfg=None):
         return 0.0
     p = r.params
     if cfg is None:
-        cfg = QuadratureConfig.for_frequencies(p.omega,
-                                               uv_cutoff=_default_cutoff(r))
+        cfg = QuadratureConfig.for_frequencies(p.omega, uv_cutoff=r.coupling.uv_cutoff)
     pref = p.omega * r.n.total / (2.0 * np.pi * p.m)
     # pref |f|^2 w^4, whose w -> 0 limit is 0 for a finite tabulated f
     g = lambda w: pref * r.coupling.golden_rule(w) / w if w > 0 else 0.0
     value, _ = integrate_sinc_squared(g, p.omega, r.t, cfg)
     return _guard_probability(value)
-
-
-def _default_cutoff(r):
-    if r.coupling.uv_cutoff is not None:
-        return r.coupling.uv_cutoff
-    return 100.0 * r.params.omega
 
 
 def rate_emission_vacuum(r):
@@ -162,7 +157,12 @@ def rates_thermal(r):
     """
     r._require_reservoir("thermal", "rates_thermal")
     p = r.params
-    bose = bose_factor(p.omega, r.reservoir.temperature)
+    temperature = r.reservoir.temperature
+    with np.errstate(over="ignore", divide="ignore"):  # checked just below
+        bose = bose_factor(p.omega, temperature)
+    if not bose < np.inf:
+        raise DomainError(f"temperature {temperature:.3g} overflows the Bose "
+                          f"occupation at omega = {p.omega:.3g}")
     emission = _golden_rate(r, r.n.total) * (1.0 + bose)  # e^x / (e^x - 1)
     absorption = _golden_rate(r, r.n.total + 3) * bose
     return RatePair(emission=emission, absorption=absorption)

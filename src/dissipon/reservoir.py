@@ -193,12 +193,17 @@ def bose_factor(omega, temperature):
     return float(out) if out.ndim == 0 else out
 
 
+# cos(w t) entries held at once by _table_cosine_transform: 32 MB of float64
+_TRANSFORM_BLOCK = 1 << 22
+
+
 def _table_cosine_transform(coupling, times, cfg):
     """Dense-Simpson cosine transform of the spectral weight.
 
     Tabulated couplings are piecewise linear, which caps what adaptive
     panels can certify; a phase- and knot-resolving fixed grid is the
-    appropriate evaluator for them.
+    appropriate evaluator for them.  The cos(w t) matrix is built a block
+    of times at a time, so its memory stays at _TRANSFORM_BLOCK entries.
     """
     lam = cfg.uv_cutoff
     t_max = max(float(times.max()), 1e-12)
@@ -210,7 +215,12 @@ def _table_cosine_transform(coupling, times, cfg):
     weights[0] = weights[-1] = 1.0
     weights *= (w[1] - w[0]) / 3.0
     s = (8.0 * np.pi / 3.0) * coupling.spectral_weight(w) * weights
-    return np.cos(np.outer(times, w)) @ s
+    out = np.empty(len(times))
+    rows = max(1, _TRANSFORM_BLOCK // len(w))
+    for start in range(0, len(times), rows):
+        phase = np.outer(times[start:start + rows], w)
+        out[start:start + rows] = np.cos(phase, out=phase) @ s
+    return out
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dissipon.cli import build_parser, main
 from dissipon.errors import ConfigError
 from dissipon.io import emit_table, parse_config, read_table
 from dissipon.langevin import PotentialSpec, evolve_mean_markov, evolve_mean_volterra
+from dissipon.quadrature import QuadratureConfig
 from dissipon.reservoir import CouplingFunction, MemoryKernel
 
 
@@ -114,6 +115,25 @@ class TestCommands:
         meta, _, rows = read_table(out / "kernel.csv")
         assert float(meta["beta_eff"]) == pytest.approx(0.5, abs=2e-3)
         assert rows[0][1] == pytest.approx(2 * 0.5 * 50 / np.pi, rel=1e-9)
+
+    def test_kernel_of_a_table_runs_to_its_last_knot(self, tmp_path):
+        # the reservoir tests' Ohmic log-grid table (beta = 0.1), extended to
+        # 300: without --uv-cutoff the run integrates over the whole table
+        table = tmp_path / "ohmic.dat"
+        w = np.geomspace(1e-6, 300.0, 20000)
+        f = np.sqrt(3.0 * 0.1 / (4.0 * np.pi**2 * w**5)) * np.exp(-((w / 150.0) ** 8) / 2)
+        np.savetxt(table, np.column_stack([w, f]))
+        out = tmp_path / "kernel"
+        assert run_cli("kernel", "--coupling-file", str(table), "--tmax", "0.1",
+                       "--step", "0.1", "--out", str(out)) == 0
+        meta, _, rows = read_table(out / "kernel.csv")
+        assert float(meta["uv_cutoff"]) == 300.0 and float(meta["ir_cutoff"]) == 1e-8
+        times, gamma = np.array(rows).T
+        ref = MemoryKernel.sample(CouplingFunction.from_file(table), times,
+                                  QuadratureConfig(uv_cutoff=300.0, ir_cutoff=1e-8))
+        assert np.array_equal(gamma, ref.values)
+        # a cut at 100 would give 6.339 and -0.328
+        assert gamma == pytest.approx([8.993, 0.074], abs=1e-3)
 
     def test_oscillator_command(self, tmp_path):
         out = tmp_path / "osc"
@@ -273,6 +293,14 @@ class TestExitCodes:
         (["oscillator", "--kt", "1e300"], 1),
         (["oscillator", "--uv-cutoff", "1e100"], 1),
         (["tls", "--tmax", "1e308", "--steps", "200"], 1),
+        # infinite mass, friction or frequency, a lattice coupling whose
+        # weights overflow and a Bose factor that overflows
+        (["langevin", "--m=inf", "--tmax", "1"], 1),
+        (["langevin", "--beta=inf", "--tmax", "1"], 1),
+        (["field", "--m=inf", "--tmax", "1", "--modes", "8"], 1),
+        (["field", "--omega=inf", "--tmax", "1", "--modes", "8"], 1),
+        (["field", "--beta=1e308", "--tmax", "1", "--modes", "8"], 1),
+        (["rates", "--thermal", "--kt", "1e308", "--omega", "1e-5"], 1),
         # a flag the experiment does not read, a second coupling and a second
         # reservoir are usage errors, not a run that ignores one of them
         (["kernel", "--m=-inf"], 2),
@@ -286,6 +314,10 @@ class TestExitCodes:
         (["kernel", "--beta", "0.2", "--coupling-file", "{missing}"], 2),
         (["rates", "--thermal"], 2),
         (["rates", "--fock"], 2),
+        # a cutoff of a run that integrates nothing over the bath
+        (["langevin", "--uv-cutoff", "5"], 2),
+        (["rates", "--thermal", "--kt", "1", "--uv-cutoff", "0.5"], 2),
+        (["rates", "--ir-cutoff", "1e-3"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_a_diagnostic(self, tmp_path, capsys, argv, expected):
         (tmp_path / "directory").mkdir()
@@ -305,27 +337,40 @@ class TestExitCodes:
         assert "Warning" not in err and not caught, [str(w.message) for w in caught]
         assert not list(tmp_path.glob("out/*.csv"))
 
-    @pytest.mark.parametrize("config", [
-        "[rates]\nkt = 1\n",
-        "[rates]\nthermal = true\nkt = 1\nt = 5\n",
-        "[kernel]\nbeta = 0.2\ncoupling_file = {missing}\n",
-        "[langevin]\ncoupling_file = {missing}\n",
-    ], ids=["kt without thermal", "two reservoirs", "two couplings", "table without memory"])
-    @pytest.mark.parametrize("path", ["config", "sweep"])
-    def test_config_and_sweep_follow_the_flag_rules(self, tmp_path, capsys, config, path):
+    @pytest.mark.parametrize("config, message", [
+        ("[rates]\nkt = 1\n", "--kt and --thermal"),
+        ("[rates]\nthermal = true\nkt = 1\nt = 5\n", "one reservoir"),
+        ("[kernel]\nbeta = 0.2\ncoupling_file = {missing}\n", "two couplings"),
+        ("[langevin]\ncoupling_file = {missing}\n", "--coupling-file needs --volterra"),
+        ("[langevin]\nuv_cutoff = 5\n", "--uv-cutoff needs --volterra"),
+        ("[rates]\nthermal = true\nkt = 1\nuv_cutoff = 0.5\n", "--uv-cutoff needs --t"),
+        ("[rates]\nir_cutoff = 1e-3\n", "--ir-cutoff needs --t"),
+    ], ids=["kt without thermal", "two reservoirs", "two couplings", "table without memory",
+            "markov cutoff", "thermal cutoff", "long-time ir cutoff"])
+    @pytest.mark.parametrize("path", ["flags", "config", "sweep"])
+    def test_config_and_sweep_follow_the_flag_rules(self, tmp_path, capsys, config,
+                                                    message, path):
         # a config file and a sweep job are held to the rules a flag is
         experiment = config[1:config.index("]")]
+        config = config.format(missing=tmp_path / "missing")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config.format(missing=tmp_path / "missing"))
-        if path == "sweep":
-            with cfg.open("a") as fh:
-                fh.write(f"[sweep]\nexperiment = {experiment}\nparameter = omega\n"
-                         "values = 0.5\n")
-            argv = ["sweep", "--workers", "1"]
-        else:
+        cfg.write_text(config)
+        if path == "flags":
             argv = [experiment]
-        assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
-        assert "config error" in capsys.readouterr().err
+            for key, value in (line.split(" = ") for line in config.splitlines()[1:]):
+                flag = "--" + key.replace("_", "-")
+                argv += [flag] if value == "true" else [flag, value]
+        elif path == "sweep":
+            parameter = "tmax" if experiment == "kernel" else "omega"
+            with cfg.open("a") as fh:
+                fh.write(f"[sweep]\nexperiment = {experiment}\nparameter = {parameter}\n"
+                         "values = 0.5\n")
+            argv = ["sweep", "--workers", "1", "--config", str(cfg)]
+        else:
+            argv = [experiment, "--config", str(cfg)]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "config error" in err and message in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, message", [
@@ -423,20 +468,26 @@ class TestExitCodes:
 
 # a small run of each experiment; every value flag it accepts then takes the
 # value below (a coupling table for --coupling-file), which is valid and not
-# its default, after the flags it needs
+# its default, after the flags it needs.  The tls base has a coherence, which
+# is all that the level shifts reach.
 FLAG_BASES = {"kernel": ["--tmax", "0.2", "--step", "0.01"],
               "langevin": ["--tmax", "0.5", "--step", "0.01"],
               "oscillator": [], "rates": [],
-              "tls": ["--tmax", "2", "--steps", "50"],
+              "tls": ["--tmax", "2", "--steps", "50", "--f0", "0.3"],
               "field": ["--tmax", "0.2", "--modes", "8"]}
 FLAG_VALUES = {"--beta": "0.3", "--m": "1.5", "--uv-cutoff": "2.5", "--ir-cutoff": "1e-6",
                "--omega": "0.8", "--tmax": "0.3",
                "--step": "0.005", "--x0": "0.5,0,0", "--v0": "0,0.5,0", "--n": "2,0,1",
                "--kt": "2", "--fock": "1,0,0", "--t": "0.5", "--omega0": "1.5",
-               "--x12sq": "0.5", "--steps": "40", "--sz0": "0.5", "--f0": "0.3",
+               "--x12sq": "0.5", "--steps": "40", "--sz0": "0.5", "--f0": "0.6",
                "--modes": "4", "--dx": "0.9", "--method": "leapfrog"}
+# the canonical vacuum rate does not depend on omega
 FLAG_NEEDS = {("rates", "--kt"): ["--thermal", "--kt", "1"],
-              ("langevin", "--coupling-file"): ["--volterra"]}
+              ("rates", "--omega"): ["--thermal", "--kt", "1"],
+              ("rates", "--uv-cutoff"): ["--t", "0.5"],
+              ("rates", "--ir-cutoff"): ["--t", "0.5"],
+              ("langevin", "--coupling-file"): ["--volterra"],
+              ("langevin", "--uv-cutoff"): ["--volterra"]}
 _experiments = next(a for a in build_parser()._actions if a.dest == "experiment").choices
 VALUE_FLAGS = [(experiment, action.option_strings[-1])
                for experiment, sub in _experiments.items() for action in sub._actions
@@ -444,15 +495,24 @@ VALUE_FLAGS = [(experiment, action.option_strings[-1])
                and action.dest not in ("out", "config", "workers")]
 
 
-def _tables(out):
-    return {path.name: path.read_bytes()
-            for path in sorted(out.iterdir()) if path.suffix in (".csv", ".bin")}
+def _computed(out, capsys):
+    """What a finished run computed: its stdout summary, its CSV rows below
+    the metadata block and its binary outputs."""
+    result = {"stdout": capsys.readouterr().out}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            lines = path.read_text().splitlines()
+            result[path.name] = [line for line in lines if not line.startswith("#")]
+        elif path.suffix == ".bin":
+            result[path.name] = path.read_bytes()
+    return result
 
 
 @pytest.mark.parametrize("experiment, flag", VALUE_FLAGS,
                          ids=[" ".join(pair) for pair in VALUE_FLAGS])
-def test_every_value_flag_changes_its_run(tmp_path, experiment, flag):
-    # a flag that a run accepts and does not read would leave every table as it was
+def test_every_value_flag_changes_its_run(tmp_path, capsys, experiment, flag):
+    # a flag that a run accepts and does not read would leave what it computes
+    # as it was; the metadata block records the flag either way
     if flag != "--coupling-file":
         value = FLAG_VALUES[flag]
     elif experiment == "kernel":  # its friction sweep needs an Ohmic table
@@ -466,9 +526,10 @@ def test_every_value_flag_changes_its_run(tmp_path, experiment, flag):
         np.savetxt(value, np.column_stack([w, 3e-4 * np.exp(-w / 20.0)]))
     base = [experiment, *FLAG_BASES[experiment], *FLAG_NEEDS.get((experiment, flag), [])]
     assert run_cli(*base, "--out", str(tmp_path / "base")) == 0
+    before = _computed(tmp_path / "base", capsys)
     assert run_cli(*base, flag, value, "--out", str(tmp_path / "set")) == 0
-    before, after = _tables(tmp_path / "base"), _tables(tmp_path / "set")
-    assert before and before != after
+    after = _computed(tmp_path / "set", capsys)
+    assert len(before) > 1 and before != after
 
 
 class TestDeterminismAndOverrides:

@@ -183,6 +183,11 @@ class TestCliExitCodes:
     @example(case=("tls", "--omega0", "1e308"))
     @example(case=("langevin", "--omega", "1e308"))
     @example(case=("field", "--dx", "1e-308"))
+    @example(case=("langevin", "--m", "inf"))
+    @example(case=("langevin", "--beta", "inf"))
+    @example(case=("field", "--m", "inf"))
+    @example(case=("field", "--omega", "inf"))
+    @example(case=("field", "--beta", "1e308"))
     def test_every_failure_exits_1_or_2(self, case):
         # a bad value ends in a diagnostic (exit 1) or a usage error (exit 2),
         # never in a traceback; "--flag=value" keeps "-inf" a value

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dissipon.reservoir as reservoir_module
 from dissipon.errors import DomainError, NonMarkovianError
 from dissipon.quadrature import (QuadratureConfig, integrate_oscillatory,
                                  integrate_semi_infinite)
@@ -132,6 +138,32 @@ class TestMemoryKernel:
         for idx, t in enumerate(times):
             oracle = float(np.dot(sw * np.cos(w * t), weights))
             assert kern.values[idx] == pytest.approx(oracle, abs=1e-5 * scale)
+
+    def test_tabulated_sampling_in_blocks_matches_one_block(self, monkeypatch):
+        # 23 times in blocks of 5 (the last one short) against one block, on
+        # the canonical coupling tabulated on 500 knots (8193 frequencies)
+        w = np.linspace(0.01, 50.0, 500)
+        c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4.0 * np.pi**2 * w**5)))
+        times = np.linspace(0.0, 2.0, 23)
+        monkeypatch.setattr(reservoir_module, "_TRANSFORM_BLOCK", 10**12)
+        whole = MemoryKernel.sample(c, times).values
+        monkeypatch.setattr(reservoir_module, "_TRANSFORM_BLOCK", 5 * 8193)
+        blocked = MemoryKernel.sample(c, times).values
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.abs(whole).max()
+
+    def test_tabulated_sampling_memory_is_bounded(self):
+        # 20001 times x 8193 frequencies: one cos(w t) matrix would be 1.3 GB
+        code = (
+            "import resource, numpy as np\n"
+            "from dissipon.reservoir import CouplingFunction, MemoryKernel\n"
+            "w = np.linspace(0.01, 50.0, 500)\n"
+            "c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4 * np.pi**2 * w**5)))\n"
+            "MemoryKernel.sample(c, np.linspace(0.0, 20.0, 20001))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(reservoir_module.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) / 1024.0 < 300.0  # MiB of peak RSS
 
     def test_positive_spectral_density(self):
         # Fejer-windowed cosine transform of the sampled kernel stays nonnegative

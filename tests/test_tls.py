@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.quadrature import QuadratureConfig
 from dissipon.reservoir import CouplingFunction
-from dissipon.tls import (BlochState, TwoLevelParams, coherence_evolution,
-                          coherence_frequencies, decay_rate_mu,
+from dissipon.tls import (BlochState, CoherenceSpectrum, TwoLevelParams,
+                          coherence_evolution, coherence_frequencies, decay_rate_mu,
                           evolve_bloch_markov, level_shifts, sigma_z_evolution)
 
 
@@ -178,6 +179,19 @@ class TestCoherence:
         c1, c2 = np.linalg.solve(coeff, np.array([1.0 + 0j, 0.0 + 0j]))
         bound = abs(c1) + abs(c2)
         assert np.max(np.abs(f_t) * np.exp(mu * t)) <= bound * (1.0 + 1e-6)
+
+    def test_degenerate_pair_uses_secular_form(self, monkeypatch):
+        # mu = Gamma = w0 = 1 makes the radicand mu^2 - w0 Gamma exactly 0
+        spectrum = CoherenceSpectrum(mu=1.0, gamma_shifted=1.0, omega_plus=1j, omega_minus=1j)
+        monkeypatch.setattr("dissipon.tls.coherence_frequencies", lambda p, cfg: spectrum)
+        p = canonical_tls(omega0=1.0)
+        t = np.linspace(0.0, 5.0, 101)
+        with pytest.warns(UserWarning, match="secular form"):
+            f_t, e_t = coherence_evolution(p, 0.7, 0.2j, t, shifts_config())
+        generator = np.array([[-2.0, 1j], [1j, 0.0]])  # [[-2 mu, i Gamma], [i w0, 0]]
+        ref = np.array([expm(generator * ti) @ [0.7, 0.2j] for ti in t])
+        assert np.max(np.abs(f_t - ref[:, 0])) <= 1e-12
+        assert np.max(np.abs(e_t - ref[:, 1])) <= 1e-12
 
     def test_closed_form_matches_ode_oracle(self):
         p = canonical_tls(beta=0.05)
