@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMarkovianError
-from .quadrature import QuadratureConfig, integrate_oscillatory
+from .quadrature import QuadratureConfig, _cin_si, integrate_oscillatory
 
 __all__ = [
     "CouplingFunction",
@@ -193,8 +193,8 @@ def bose_factor(omega, temperature):
     return float(out) if out.ndim == 0 else out
 
 
-# cos(w t) entries held at once by _table_cosine_transform: 32 MB of float64
-_TRANSFORM_BLOCK = 1 << 22
+# cos(w t) entries held at once by _table_cosine_transform: 8 MB of float64
+_TRANSFORM_BLOCK = 1 << 20
 
 
 def _table_cosine_transform(coupling, times, cfg):
@@ -298,12 +298,34 @@ def friction_coefficient(coupling, cfg=None):
     Evaluates J(T) = (8 pi / 3) * integral dw S(w) sin(w T)/w over a
     doubling sweep of T and returns the plateau; a kernel whose integral
     keeps drifting (no local friction limit) raises
-    :class:`~dissipon.errors.NonMarkovianError`.
+    :class:`~dissipon.errors.NonMarkovianError`.  The canonical weight is
+    constant on the window, so there J(T) = (2 beta / pi) [Si(Lambda T) -
+    Si(epsilon T)]; a tabulated one goes through QUADPACK's sine weight.
     """
     cfg = coupling.default_config(cfg)
     lam = cfg.uv_cutoff
     if not np.isfinite(lam):
         raise DomainError("the friction sweep needs a finite UV cutoff")
+    # the plateau test reads three doubling horizons; each is its own integral
+    horizons = [2.0**j * 100.0 / lam for j in range(6, 9)]
+    if coupling.kind == "canonical":
+        # beta times a factor near 1, so a finite beta gives a finite J
+        sweep = [coupling.beta * (2.0 / np.pi)
+                 * (_cin_si(lam * T)[1] - _cin_si(cfg.ir_cutoff * T)[1]) for T in horizons]
+    else:
+        sweep = _tabulated_friction_sweep(coupling, cfg, horizons)
+    diffs = np.abs(np.diff(sweep))
+    scale = max(abs(sweep[-1]), cfg.abs_tol)
+    if diffs[-1] <= 5e-4 * scale and diffs[-2] <= 5e-4 * scale:
+        return sweep[-1]
+    raise NonMarkovianError(
+        "kernel time integral shows no plateau over the horizon sweep "
+        f"(last values {sweep}); the coupling is not Ohmic at zero frequency")
+
+
+def _tabulated_friction_sweep(coupling, cfg, horizons):
+    """J(T) of a tabulated coupling at each horizon, by QUADPACK."""
+    lam = cfg.uv_cutoff
     pref = 8.0 * np.pi / 3.0
 
     def g(w):
@@ -316,15 +338,4 @@ def friction_coefficient(coupling, cfg=None):
         abs_tol=1e-8, rel_tol=1e-6,
         uv_cutoff=lam, ir_cutoff=max(cfg.ir_cutoff, 1e-12 * lam),
         max_subdivisions=max(cfg.max_subdivisions, 400))
-
-    # the plateau test reads three doubling horizons; each is its own integral
-    horizons = [2.0**j * 100.0 / lam for j in range(6, 9)]
-    sweep = [integrate_oscillatory(g, 1.0, T, sweep_cfg, kind="sin")[0]
-             for T in horizons]
-    diffs = np.abs(np.diff(sweep))
-    scale = max(abs(sweep[-1]), cfg.abs_tol)
-    if diffs[-1] <= 5e-4 * scale and diffs[-2] <= 5e-4 * scale:
-        return sweep[-1]
-    raise NonMarkovianError(
-        "kernel time integral shows no plateau over the horizon sweep "
-        f"(last values {sweep}); the coupling is not Ohmic at zero frequency")
+    return [integrate_oscillatory(g, 1.0, T, sweep_cfg, kind="sin")[0] for T in horizons]

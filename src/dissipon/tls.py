@@ -126,16 +126,26 @@ def level_shifts(p, cfg):
     """Reservoir-induced shifts (D1, D2), reported with their cutoffs.
 
     D1 = pref * PV int dw |f|^2 w^4 / (w - w0),
-    D2 = pref * int dw |f|^2 w^4 / (w + w0),     pref = 4 pi^2 w0^6 |x12|^2 / 3.
+    D2 = pref * int dw |f|^2 w^4 / (w + w0),     pref = 4 pi^2 w0^6 |x12|^2 / 3,
 
-    For the canonical coupling the integrands behave like 1/(w (w -+ w0)),
-    so both shifts diverge logarithmically as ir_cutoff -> 0; a vanishing
-    infrared cutoff is rejected rather than silently defaulted.
+    over the window [epsilon, Lambda] = [ir_cutoff, uv_cutoff].  For the
+    canonical coupling the integrands are beta / (w (w -+ w0)), so
+
+        D1 = beta w0^5 |x12|^2 [ln(|Lambda - w0| / Lambda) - ln(|epsilon - w0| / epsilon)],
+        D2 = beta w0^5 |x12|^2 [ln(Lambda / (Lambda + w0)) - ln(epsilon / (epsilon + w0))],
+
+    whose Lambda terms vanish at Lambda = inf.  Both diverge as epsilon -> 0
+    and D1 as either cutoff approaches w0; such a window is rejected rather
+    than silently adjusted.  A w0 outside the window leaves D1 a plain
+    integral, which the same formula gives.
     """
-    if p.coupling.kind == "canonical" and cfg.ir_cutoff <= 0.0:
-        raise DomainError(
-            "the canonical coupling makes the level shifts infrared-divergent; "
-            "supply a positive ir_cutoff")
+    for name, cutoff in (("ir_cutoff", cfg.ir_cutoff), ("uv_cutoff", cfg.uv_cutoff)):
+        if cutoff == p.omega0:
+            raise DomainError(
+                f"the level splitting {p.omega0:.6g} lies on the {name} {cutoff:.6g}, "
+                "where the principal-value shift D1 has its pole; move the cutoff off it")
+    if p.coupling.kind == "canonical":
+        return _canonical_level_shifts(p, cfg)
     pref = p.omega0**6 * p.x12_sq
     # |f|^2 w^4: its w -> 0 limit is 0 for a finite tabulated f, and QUADPACK
     # evaluates the window's ends when ir_cutoff = 0
@@ -147,6 +157,30 @@ def level_shifts(p, cfg):
                                     singularities=[p.omega0])
     return LevelShifts(delta1=pref * d1, delta2=pref * d2,
                        ir_cutoff=cfg.ir_cutoff, uv_cutoff=cfg.uv_cutoff)
+
+
+def _canonical_level_shifts(p, cfg):
+    """:func:`level_shifts` of the canonical coupling, in closed form."""
+    eps, lam, w0 = cfg.ir_cutoff, cfg.uv_cutoff, p.omega0
+    if eps <= 0.0:
+        raise DomainError(
+            "the canonical coupling makes the level shifts infrared-divergent; "
+            "supply a positive ir_cutoff")
+    scale = p.coupling.beta * w0**5 * p.x12_sq
+    d1 = scale * (_log_gap(lam, w0) - _log_gap(eps, w0))
+    # ln(Lambda / (Lambda + w0)) - ln(epsilon / (epsilon + w0))
+    d2 = scale * (math.log1p(w0 / eps) - math.log1p(w0 / lam))
+    return LevelShifts(delta1=d1, delta2=d2, ir_cutoff=eps, uv_cutoff=lam)
+
+
+def _log_gap(end, w0):
+    """ln(|end - w0| / end), what the pole at w0 leaves at one end of the
+    window; 0 at end = inf.  Within a factor 2 of w0, end - w0 is exact."""
+    if end == math.inf:
+        return 0.0
+    if end > 2.0 * w0:
+        return math.log1p(-w0 / end)
+    return math.log(abs(end - w0) / end)
 
 
 class CoherenceSpectrum(NamedTuple):

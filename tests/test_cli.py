@@ -301,6 +301,12 @@ class TestExitCodes:
         (["field", "--omega=inf", "--tmax", "1", "--modes", "8"], 1),
         (["field", "--beta=1e308", "--tmax", "1", "--modes", "8"], 1),
         (["rates", "--thermal", "--kt", "1e308", "--omega", "1e-5"], 1),
+        (["rates", "--beta", "1e308", "--n", "3,0,0"], 1),
+        # a window on which a canonical bath integral diverges: epsilon = 0,
+        # and the level splitting on a cutoff
+        (["rates", "--t", "5", "--ir-cutoff", "0"], 1),
+        (["tls", "--omega0", "1", "--uv-cutoff", "1"], 1),
+        (["tls", "--omega0", "1", "--ir-cutoff", "1"], 1),
         # a flag the experiment does not read, a second coupling and a second
         # reservoir are usage errors, not a run that ignores one of them
         (["kernel", "--m=-inf"], 2),
@@ -617,3 +623,29 @@ def test_integrals_do_not_load_scipy_integrate():
         "print(*(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
         "        if m in sys.modules))\n"
     ) == ""
+
+
+def test_canonical_bath_integrals_do_not_load_scipy():
+    # closed forms in Si and Cin: neither QUADPACK nor any other part of scipy
+    assert run_python(
+        "import contextlib, io, sys, tempfile\n"
+        "from dissipon.cli import main\n"
+        "from dissipon.oscillator import FockTriple, OscillatorParams\n"
+        "from dissipon.quadrature import QuadratureConfig\n"
+        "from dissipon.rates import RateRequest, finite_time_emission_probability\n"
+        "from dissipon.reservoir import (CouplingFunction, ReservoirState,\n"
+        "                                friction_coefficient)\n"
+        "from dissipon.tls import TwoLevelParams, level_shifts\n"
+        "c = CouplingFunction.canonical(0.1, uv_cutoff=100.0)\n"
+        "cfg = QuadratureConfig(ir_cutoff=1e-3, uv_cutoff=100.0)\n"
+        "level_shifts(TwoLevelParams(1.0, (1, 0, 0), c), cfg)\n"
+        "finite_time_emission_probability(RateRequest(\n"
+        "    OscillatorParams(1.0, 1.0, 0.1), FockTriple(1, 0, 0), ReservoirState.vacuum(),\n"
+        "    CouplingFunction.canonical(1e-4), t=5.0), cfg)\n"
+        "friction_coefficient(c)\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [main(['tls', '--steps', '50', '--out', out]),\n"
+        "                 main(['rates', '--t', '5', '--beta', '1e-3', '--out', out])]\n"
+        "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    ) == "[0, 0] []"

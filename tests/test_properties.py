@@ -1,7 +1,9 @@
 """Property-based checks of the golden-rule rates, two-level constants,
-mean-trajectory solvers, lattice field maps and the CLI's exit codes.
+the canonical bath integrals' closed forms, mean-trajectory solvers,
+lattice field maps and the CLI's exit codes.
 
-Skipped where hypothesis is not installed.
+Skipped where hypothesis is not installed; the 30-digit oracles of the
+closed forms are skipped where mpmath is not.
 """
 
 import math
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dissipon.cli import build_parser, main  # noqa: E402
@@ -22,8 +24,10 @@ from dissipon.langevin import (PotentialSpec, evolve_mean_markov,  # noqa: E402
                                evolve_mean_volterra)
 from dissipon.oscillator import FockTriple, OscillatorParams  # noqa: E402
 from dissipon.quadrature import QuadratureConfig  # noqa: E402
-from dissipon.rates import RateRequest, rate_emission_vacuum, rates_thermal  # noqa: E402
-from dissipon.reservoir import CouplingFunction, MemoryKernel, ReservoirState  # noqa: E402
+from dissipon.rates import (RateRequest, finite_time_emission_probability,  # noqa: E402
+                            rate_emission_vacuum, rates_thermal)
+from dissipon.reservoir import (CouplingFunction, MemoryKernel,  # noqa: E402
+                                ReservoirState, friction_coefficient)
 from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E402
 from test_langevin import direct_volterra, stepwise_markov  # noqa: E402
 
@@ -86,8 +90,158 @@ class TestCanonicalProperties:
         scale = beta * omega0**5 * x * x
         d1 = scale * (np.log((lam - omega0) / lam) - np.log((omega0 - eps) / eps))
         d2 = scale * np.log(lam * (eps + omega0) / (eps * (lam + omega0)))
-        assert shifts.delta1 == pytest.approx(d1, rel=1e-8)
-        assert shifts.delta2 == pytest.approx(d2, rel=1e-10)
+        assert shifts.delta1 == pytest.approx(d1, rel=4e-15)
+        assert shifts.delta2 == pytest.approx(d2, rel=4e-15)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def mp_quad(f, ends):
+    """30-digit mpmath.quad of ``f`` over consecutive ``ends``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return mpmath.quad(f, [mpmath.mpf(e) for e in ends])
+
+
+def log_ends(lo, hi):
+    """lo, hi and the powers of ten times lo between them, so that a 1/w
+    integrand spans one decade per panel."""
+    ends = [lo]
+    while ends[-1] * 10.0 < hi:
+        ends.append(ends[-1] * 10.0)
+    return ends + [hi]
+
+
+def shift_integrals(w0, eps, lam):
+    """PV int dw / (w (w - w0)) and int dw / (w (w + w0)) over [eps, lam] by
+    mpmath.quad; the principal value folds the window symmetric about the pole."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        w0 = mpmath.mpf(w0)
+
+        def plain(f, a, b):
+            if a >= b:
+                return 0
+            if b < math.inf:
+                return mp_quad(f, log_ends(a, b))
+            return mp_quad(f, log_ends(a, 100.0 * max(a, float(w0))) + [b])
+
+        d2 = plain(lambda w: 1 / (w * (w + w0)), eps, lam)
+        pole = lambda w: 1 / (w * (w - w0))
+        if not eps < w0 < lam:
+            return plain(pole, eps, lam), d2
+        half = min(w0 - eps, lam - w0)
+        d1 = mp_quad(lambda u: (1 / (w0 + u) - 1 / (w0 - u)) / u, [0, half / 2, half])
+        return d1 + plain(pole, eps, float(w0 - half)) + plain(pole, float(w0 + half), lam), d2
+
+
+def emission_integral(omega, t, eps, lam):
+    """(w^2 / 2) int dw 2 (1 - cos(y t)) / (w y^2), y = w - omega, over [eps, lam]
+    by mpmath.quad: in u = w t, scaled to O(1) (mpmath.quad stops on an absolute
+    error estimate), panels of one period and one decade at most."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        tau = mpmath.mpf(omega) * mpmath.mpf(t)
+        lo, hi = mpmath.mpf(eps) * mpmath.mpf(t), mpmath.mpf(lam) * mpmath.mpf(t)
+        ends = set(log_ends(float(lo), float(hi)))
+        ends.update(2 * k * math.pi for k in range(1, int(hi / (2 * math.pi)) + 1))
+        if lo < tau < hi:
+            ends.add(float(tau))
+        ends = sorted(e for e in ends if lo < e < hi)
+
+        def f(u):
+            if u == tau:  # tanh-sinh nodes may round onto this end, where sinc^2 is 1
+                return 1 / u
+            return (2 * mpmath.sin((u - tau) / 2) / (u - tau)) ** 2 / u
+
+        return float(tau**2 / 2 * mp_quad(f, [lo, *ends, hi]))
+
+
+class TestCanonicalBathOracles:
+    """The closed forms of the canonical bath integrals against 30-digit
+    mpmath.quad of their defining integrals."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(beta=log_uniform(1e-3, 10.0), omega0=log_uniform(0.1, 5.0),
+           x=st.floats(0.1, 2.0), eps_ratio=log_uniform(1e-8, 10.0),
+           window=st.one_of(st.just(math.inf), log_uniform(1.5, 1e6)))
+    @example(beta=0.1, omega0=2.0, x=1.0, eps_ratio=1e-3, window=math.inf)
+    @example(beta=0.1, omega0=2.0, x=1.0, eps_ratio=1e-3, window=100.0)  # w0 > Lambda
+    @example(beta=0.1, omega0=2.0, x=1.0, eps_ratio=3.0, window=10.0)  # w0 < epsilon
+    @example(beta=1.0, omega0=1.0, x=1.0, eps_ratio=1.000000002302585,
+             window=math.inf)  # epsilon 2.3e-9 above w0
+    def test_level_shifts(self, beta, omega0, x, eps_ratio, window):
+        eps = eps_ratio * omega0
+        lam = window * eps
+        assume(omega0 not in (eps, lam))  # where D1 diverges: test_tls
+        shifts = level_shifts(canonical_tls(beta, omega0, x, lam),
+                              QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        scale = beta * omega0**6 * x * x
+        d1, d2 = shift_integrals(omega0, eps, lam)
+        # D1 passes through 0 (at epsilon = 0.6 w0, Lambda = 3 w0, say): its
+        # error is held to 1e-12 of the two logarithms it is the difference of
+        logs = abs(math.log(abs(omega0 - eps) / eps))
+        if lam < math.inf:
+            logs += abs(math.log(abs(lam - omega0) / lam))
+        assert shifts.delta1 == pytest.approx(scale * float(d1),
+                                              rel=1e-12, abs=1e-12 * scale / omega0 * logs)
+        assert shifts.delta2 == pytest.approx(scale * float(d2), rel=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(beta=log_uniform(1e-8, 1e-5), omega=log_uniform(0.1, 10.0),
+           tau=log_uniform(1e-6, 30.0), lam_t=log_uniform(1e-2, 100.0),
+           eps_ratio=log_uniform(1e-10, 1.0))
+    @example(beta=1e-6, omega=1.0, tau=1e-3, lam_t=10.0, eps_ratio=1e-8)  # tau << 1 << Lambda t
+    @example(beta=1e-6, omega=1.0, tau=5.0, lam_t=1.0, eps_ratio=1e-8)  # w > Lambda
+    @example(beta=1e-6, omega=1.0, tau=5e-3, lam_t=0.05, eps_ratio=1e-8)  # onset
+    def test_finite_time_emission(self, beta, omega, tau, lam_t, eps_ratio):
+        # the infrared cutoff lies below the resonance, the ultraviolet one on
+        # either side of it; a window wholly above the resonance is
+        # test_rates.TestFiniteTime.test_window_above_resonance
+        t = tau / omega
+        eps, lam = eps_ratio * omega, lam_t / t
+        assume(eps < lam)
+        r = RateRequest(OscillatorParams(1.0, omega, beta), FockTriple(1, 0, 0),
+                        ReservoirState.vacuum(), CouplingFunction.canonical(beta), t=t)
+        prob = finite_time_emission_probability(
+            r, QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        oracle = beta / (math.pi * omega) * emission_integral(omega, t, eps, lam)
+        assert prob == pytest.approx(oracle, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(omega=log_uniform(0.01, 100.0), tau=log_uniform(1e-6, 1e3),
+           eps_ratio=log_uniform(1e-10, 1.0))
+    def test_finite_time_emission_to_infinity(self, omega, tau, eps_ratio):
+        # Lambda = inf is the limit of Lambda = 1e12, whose tail
+        # (w^2/2) int_Lambda^inf 4 / (w (w - omega)^2) is below w^2 / (Lambda - w)^2
+        t, eps = tau / omega, eps_ratio * omega
+        r = RateRequest(OscillatorParams(1.0, omega, 1e-8), FockTriple(1, 0, 0),
+                        ReservoirState.vacuum(), CouplingFunction.canonical(1e-8), t=t)
+        far, near = [finite_time_emission_probability(
+            r, QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam)) for lam in (math.inf, 1e12)]
+        tail = 1e-8 / (math.pi * omega) * omega**2 / (1e12 - omega) ** 2
+        assert abs(far - near) <= 1e-12 * far + tail
+
+    @settings(deadline=None, max_examples=60)
+    @given(beta=log_uniform(1e-3, 10.0), lam=log_uniform(1.0, 1e4),
+           eps_ratio=st.one_of(st.just(0.0), log_uniform(1e-14, 1e-9)))
+    def test_friction(self, beta, lam, eps_ratio):
+        # J(T) = (2 beta / pi) int_eps^Lambda sin(w T) / w dw at the last
+        # horizon T = 25600 / Lambda spans ~8000 half periods, too many for a
+        # property test's quadrature: the oracle is mpmath's 30-digit Si.
+        # From epsilon ~ 3e-8 Lambda on, J drifts by the plateau's 5e-4
+        # between horizons, and the sweep rightly finds no friction limit.
+        mpmath = pytest.importorskip("mpmath")
+        eps = eps_ratio * lam
+        value = friction_coefficient(CouplingFunction.canonical(beta, uv_cutoff=lam),
+                                     QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        horizon = 2.0**8 * 100.0 / lam
+        with mpmath.workdps(30):
+            oracle = 2 * mpmath.mpf(beta) / mpmath.pi * (
+                mpmath.si(mpmath.mpf(lam) * horizon) - mpmath.si(mpmath.mpf(eps) * horizon))
+        assert value == pytest.approx(float(oracle), rel=1e-12)
 
 
 solver_steps = st.one_of(st.sampled_from([63, 64, 65, 1024, 1025]), st.integers(2, 1100))
@@ -188,6 +342,7 @@ class TestCliExitCodes:
     @example(case=("field", "--m", "inf"))
     @example(case=("field", "--omega", "inf"))
     @example(case=("field", "--beta", "1e308"))
+    @example(case=("kernel", "--beta", "1e308"))
     def test_every_failure_exits_1_or_2(self, case):
         # a bad value ends in a diagnostic (exit 1) or a usage error (exit 2),
         # never in a traceback; "--flag=value" keeps "-inf" a value

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from dissipon.errors import DomainError, QuadratureError
-from dissipon.quadrature import (QuadratureConfig, _quad, integrate_oscillatory,
-                                 integrate_principal_value,
-                                 integrate_semi_infinite,
-                                 integrate_sinc_squared)
+from dissipon.quadrature import (_SERIES_LIMIT, QuadratureConfig, _cin_si, _quad,
+                                 integrate_oscillatory, integrate_principal_value,
+                                 integrate_semi_infinite, integrate_sinc_squared)
 from test_cli import run_python
 
 # 1e6-point Simpson oracle for x / (((1-x^2)^2 + 0.01 x^2)(e^x - 1)) on (0, 50),
@@ -244,3 +243,42 @@ class TestQuadpackParity:
         ])
         assert run_python(code) == "True"
 
+
+
+def mp_cin_si(x):
+    """(Cin(x), Si(x)) at 30 digits: Cin by mpmath.quad of (1 - cos u)/u, written
+    2 sin^2(u/2)/u so that it does not cancel at tiny u, over periods up to
+    x = 50; past that gamma + ln x - Ci(x) with mpmath's Ci, which cancels
+    no digit there but whose quadrature would need ~x/pi panels."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        if x > 50:
+            cin = mpmath.euler + mpmath.log(x) - mpmath.ci(x)
+        else:
+            # u = x s and the integrand scaled to O(1): mpmath.quad stops on an
+            # absolute error estimate, which a tiny integrand meets too early
+            ends = [0] + [2 * k * mpmath.pi / x for k in range(1, 8) if 2 * k * mpmath.pi < x]
+            cin = x * x / 2 * mpmath.quad(
+                lambda s: (mpmath.sin(x * s / 2) / (x / 2)) ** 2 / s, ends + [1])
+        return float(cin), float(mpmath.si(x))
+
+
+class TestSineCosineIntegrals:
+    # both sides of the switch from the power series to the continued fraction
+    SWITCH = [np.nextafter(_SERIES_LIMIT, 0.0), _SERIES_LIMIT,
+              np.nextafter(_SERIES_LIMIT, np.inf)]
+    POINTS = [1e-300, 1e-150, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, *SWITCH,
+              4.5, 7.0, 12.0, 30.0, 49.0, 51.0, 1e3, 1e5, 1e8]
+    RANDOM = list(np.exp(np.random.default_rng(3).uniform(np.log(1e-6), np.log(1e8), 40)))
+
+    @pytest.mark.parametrize("x", POINTS + RANDOM)
+    def test_against_mpmath(self, x):
+        cin, si = _cin_si(float(x))
+        ref_cin, ref_si = mp_cin_si(x)
+        # Cin(1e-300) = 2.5e-601 is 0 in double precision on both sides
+        assert abs(cin - ref_cin) <= 2e-15 * abs(ref_cin)
+        assert abs(si - ref_si) <= 2e-15 * abs(ref_si)
+
+    def test_zero(self):
+        assert _cin_si(0.0) == (0.0, 0.0)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from dissipon.errors import DomainError, PerturbationTheoryError
 from dissipon.oscillator import FockTriple, OscillatorParams
-from dissipon.quadrature import QuadratureConfig
+from dissipon.quadrature import QuadratureConfig, integrate_sinc_squared
 from dissipon.rates import (RateRequest, finite_time_emission_probability,
                             rate_emission_vacuum, rates_fock, rates_thermal)
 from dissipon.reservoir import CouplingFunction, ReservoirState
@@ -97,6 +97,55 @@ class TestFiniteTime:
         with pytest.raises(DomainError):
             canonical_request(t=-1.0)
 
+    @pytest.mark.parametrize("omega, t, eps, lam", [
+        (1.0, 5.0, 1e-8, 100.0),   # the CLI's window
+        (1.0, 50.0, 1e-8, 10.0),   # the QAWO tails on both sides
+        (3.0, 2.0, 1e-8, 1.0),     # resonance past Lambda
+        (1.0, 0.05, 1e-4, 10.0),   # near onset
+    ])
+    def test_canonical_closed_form_matches_sinc_squared_quadrature(self, omega, t, eps, lam):
+        # the dedicated sinc^2 quadrature, which tabulated couplings still use,
+        # at its tolerance
+        beta = 1e-4
+        cfg = QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam, rel_tol=1e-10, abs_tol=1e-16)
+        r = canonical_request(beta=beta, omega=omega, t=t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the first-order warning
+            prob = finite_time_emission_probability(r, cfg)
+        pref = omega / (2.0 * np.pi)
+        numeric, _ = integrate_sinc_squared(lambda w: pref * beta / w, omega, t, cfg)
+        assert prob == pytest.approx(numeric, rel=1e-8)
+
+    @pytest.mark.parametrize("ratio, tol", [(10.0, 1e-12), (100.0, 1e-9)])
+    def test_window_above_resonance(self, ratio, tol):
+        # with epsilon > w the partial fractions cancel as ~1e-15 (epsilon / w)^2
+        # of the value: 6.6e-14 at 10 w and 3.6e-11 at 100 w here
+        mpmath = pytest.importorskip("mpmath")
+        omega, t = 1.0, 2.0
+        eps, lam = ratio * omega, 10.0 * ratio * omega
+        r = canonical_request(beta=1e-4, omega=omega, t=t)
+        cfg = QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam)
+        prob = finite_time_emission_probability(r, cfg)
+        with mpmath.workdps(30):
+            periods = range(int(eps * t / (2 * np.pi)) + 1, int(lam * t / (2 * np.pi)) + 1)
+            ends = [eps] + [2 * k * np.pi / t for k in periods] + [lam]
+            integral = mpmath.quad(lambda w: (2 * mpmath.sin((w - omega) * t / 2)
+                                              / (w - omega)) ** 2 / w, ends)
+        oracle = 1e-4 * omega / (2.0 * np.pi) * float(integral)
+        assert prob == pytest.approx(oracle, rel=tol)
+
+    def test_canonical_needs_positive_ir_cutoff(self):
+        # the canonical integrand behaves like t^2 / w as w -> 0
+        r = canonical_request(t=5.0)
+        with pytest.raises(DomainError, match="infrared"):
+            finite_time_emission_probability(r, QuadratureConfig(uv_cutoff=100.0))
+
+    def test_phase_overflow_rejected(self):
+        r = canonical_request(omega=1e10, t=1e300)
+        with pytest.raises(DomainError, match="overflows"):
+            finite_time_emission_probability(r, QuadratureConfig(ir_cutoff=1.0,
+                                                                 uv_cutoff=1e11))
+
     def test_tabulated_coupling_with_zero_ir_cutoff(self):
         # the oscillatory tail on (0, w - 24 pi / t) evaluates the weight at
         # w = 0, where |f|^2 w^4 vanishes
@@ -111,6 +160,23 @@ class TestFiniteTime:
         direct = sum(quad(kernel, a, b, epsabs=0.0, epsrel=1e-12, limit=2000)[0]
                      for a, b in zip(w[:-1], w[1:]))
         assert prob == pytest.approx(2.0 * np.pi * omega / 3.0 * direct, rel=1e-8)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("reservoir", [None, ReservoirState.thermal(1.0)],
+                             ids=["vacuum", "thermal"])
+    def test_overflowing_rate_rejected(self, reservoir):
+        # 3 quanta at beta = 1e308 overflow the double range
+        r = canonical_request(beta=1e308, n=(3, 0, 0), reservoir=reservoir)
+        rate = rates_thermal if reservoir is not None else rate_emission_vacuum
+        with pytest.raises(DomainError, match=r"3 quanta .* beta = 1e\+308"):
+            rate(r)
+
+    def test_overflowing_bose_product_rejected(self):
+        # each factor is finite, their product is not
+        r = canonical_request(beta=1e300, omega=1e-5, reservoir=ReservoirState.thermal(1e5))
+        with pytest.raises(DomainError, match="overflows"):
+            rates_thermal(r)
 
 
 class TestFock:

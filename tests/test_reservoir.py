@@ -151,19 +151,36 @@ class TestMemoryKernel:
         blocked = MemoryKernel.sample(c, times).values
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.abs(whole).max()
 
+    def test_transform_block_leaves_values(self, monkeypatch):
+        # 41 times on the 20000-knot log-grid table (80001 frequencies): 13
+        # rows per block of 2^20 entries against 52 per block of 2^22
+        c = gaussian_tail_coupling()
+        times = np.linspace(0.0, 2.0, 41)
+        assert reservoir_module._TRANSFORM_BLOCK == 1 << 20
+        small = MemoryKernel.sample(c, times).values
+        monkeypatch.setattr(reservoir_module, "_TRANSFORM_BLOCK", 1 << 22)
+        large = MemoryKernel.sample(c, times).values
+        assert np.max(np.abs(small - large)) <= 1e-15 * np.abs(large).max()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the sampling process's peak RSS from /proc")
     def test_tabulated_sampling_memory_is_bounded(self):
-        # 20001 times x 8193 frequencies: one cos(w t) matrix would be 1.3 GB
+        # 20001 times x 8193 frequencies: one cos(w t) matrix would be 1.3 GB.
+        # The peak is VmHWM, the high-water mark of the process's own memory
+        # since exec: getrusage's ru_maxrss also counts the test runner's
+        # memory, which the child holds between fork and exec
         code = (
-            "import resource, numpy as np\n"
+            "import numpy as np\n"
             "from dissipon.reservoir import CouplingFunction, MemoryKernel\n"
             "w = np.linspace(0.01, 50.0, 500)\n"
             "c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4 * np.pi**2 * w**5)))\n"
             "MemoryKernel.sample(c, np.linspace(0.0, 20.0, 20001))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n")
         src = str(Path(reservoir_module.__file__).parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert int(out.stdout) / 1024.0 < 300.0  # MiB of peak RSS
+        assert int(out.stdout) / 1024.0 < 300.0  # MiB of peak RSS (VmHWM is in kB)
 
     def test_positive_spectral_density(self):
         # Fejer-windowed cosine transform of the sampled kernel stays nonnegative

@@ -98,6 +98,43 @@ class TestLevelShifts:
         assert shifts.delta1 < 0.0 < shifts.delta2
         assert shifts.delta1 < shifts.delta2
 
+    @pytest.mark.parametrize("kind", ["canonical", "tabulated"])
+    @pytest.mark.parametrize("cutoff", ["ir_cutoff", "uv_cutoff"])
+    def test_level_splitting_on_a_cutoff_rejected(self, cutoff, kind):
+        # canonical D1 = beta w0^5 [ln(|Lambda - w0| / Lambda) - ln(|eps - w0| / eps)]
+        # diverges; the quadrature fell back to a plain integral and divided by 0
+        w = np.linspace(0.0, 50.0, 11)
+        p = canonical_tls(omega0=1.0) if kind == "canonical" else TwoLevelParams(
+            1.0, (1, 0, 0), CouplingFunction.tabulated(w, 0.01 * np.exp(-w / 20.0)))
+        window = {"ir_cutoff": 1e-3, "uv_cutoff": 50.0, cutoff: 1.0}
+        with pytest.raises(DomainError, match=cutoff):
+            level_shifts(p, QuadratureConfig(**window))
+
+    def test_infinite_uv_cutoff_is_the_limit(self):
+        # the Lambda terms of both closed forms vanish at Lambda = inf
+        beta, omega0, eps = 0.1, 2.0, 1e-3
+        p = canonical_tls(beta=beta, omega0=omega0)
+        far = level_shifts(p, QuadratureConfig(ir_cutoff=eps))
+        scale = beta * omega0**5
+        assert far.delta1 == pytest.approx(-scale * np.log((omega0 - eps) / eps), rel=1e-15)
+        assert far.delta2 == pytest.approx(scale * np.log1p(omega0 / eps), rel=1e-15)
+        near = level_shifts(p, QuadratureConfig(ir_cutoff=eps, uv_cutoff=1e12))
+        assert near.delta1 == pytest.approx(far.delta1, rel=1e-12)
+        assert near.delta2 == pytest.approx(far.delta2, rel=1e-12)
+
+    @pytest.mark.parametrize("eps, lam", [(1e-3, 0.5), (1.5, 100.0)],
+                             ids=["above Lambda", "below epsilon"])
+    def test_level_splitting_outside_window_matches_quadrature(self, eps, lam):
+        # D1 is then a plain integral; the quadrature warns that it falls back to one
+        beta, omega0 = 0.1, 1.0
+        p = canonical_tls(beta=beta, omega0=omega0, lam=lam)
+        shifts = level_shifts(p, QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        pref = beta * omega0**6
+        d1 = quad(lambda w: 1.0 / (w * (w - omega0)), eps, lam, epsabs=0.0, epsrel=1e-13)[0]
+        d2 = quad(lambda w: 1.0 / (w * (w + omega0)), eps, lam, epsabs=0.0, epsrel=1e-13)[0]
+        assert shifts.delta1 == pytest.approx(pref * d1, rel=1e-12)
+        assert shifts.delta2 == pytest.approx(pref * d2, rel=1e-12)
+
     def test_vanishing_ir_cutoff_rejected(self):
         p = canonical_tls()
         with pytest.raises(DomainError, match="infrared"):
