@@ -16,11 +16,13 @@ Both run on classes of equivalent modes, keyed by exact integers built
 from the fft index triple (i, j, l): the k-space rotation per shell of one
 i^2 + j^2 + l^2 (one |k|, one coupling), the leapfrog per cubic orbit of
 one sorted (|i|, |j|, |l|) (also one stencil symbol).  By linearity every
-mode is a fixed combination of its class's state, so each step costs
-O(classes), and the modes and fields are rebuilt once, at the end.  The
-discrete schemes are unchanged: the same rotation and source integral
-per mode, and the same stencil leapfrog per grid point, read in Fourier
-space.
+mode is a fixed combination, its basis, of its class's state columns, so
+each step costs O(classes), and the modes and fields are rebuilt once, at
+the end.  Only the live columns are stepped, those whose basis is nonzero
+on some masked mode: with a UV cutoff (no masked mode on a Nyquist plane)
+and a field starting at rest, the 3 the particle drives.  The discrete
+schemes are unchanged: the same rotation and source integral per mode,
+and the same stencil leapfrog per grid point, read in Fourier space.
 """
 
 from __future__ import annotations
@@ -108,12 +110,15 @@ class FieldGrid:
 
     def omega(self):
         """|k| per mode (zero at the zero mode; mask before dividing)."""
-        kx, ky, kz = self.k_vectors()
-        return np.sqrt(kx**2 + ky**2 + kz**2)
+        k, _, _ = self.k_axes()
+        return np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
 
     def mode_mask(self):
         """Modes carrying dynamics: nonzero and inside the radial cutoff."""
-        w = self.omega()
+        return self._carries_dynamics(self.omega())
+
+    def _carries_dynamics(self, w):
+        """:meth:`mode_mask` of the per-mode |k| ``w``."""
         mask = w > 0
         if self.uv_cutoff is not None:
             mask &= w <= self.uv_cutoff
@@ -155,7 +160,7 @@ def _field_spectra(a, grid):
     fields (Y, Pi) of :func:`field_from_modes`."""
     a = _checked_amplitudes(a, grid)
     w = grid.omega()
-    mask = grid.mode_mask()
+    mask = grid._carries_dynamics(w)
     root = np.zeros_like(w)
     root[mask] = 1.0 / np.sqrt(2.0 * grid.volume * w[mask])
     a_rev = _reverse_modes(a)
@@ -176,7 +181,7 @@ def modes_from_fields(y, pi, grid):
     y_k = np.fft.fftn(y) / n3
     pi_k = np.fft.fftn(pi) / n3
     w = grid.omega()
-    mask = grid.mode_mask()
+    mask = grid._carries_dynamics(w)
     a = np.zeros_like(y_k)
     a[mask] = (np.sqrt(grid.volume * w[mask] / 2.0) * y_k[mask]
                + 1j * np.sqrt(grid.volume / (2.0 * w[mask])) * pi_k[mask])
@@ -333,13 +338,13 @@ class _Modes(NamedTuple):
 
 
 def _masked_modes(coupling, grid):
-    mask = grid.mode_mask()
-    i = np.arange(grid.n)
-    i = np.where(i < grid.n // 2, i, i - grid.n)
-    index = np.stack(np.meshgrid(i, i, i, indexing="ij"), axis=-1)[mask]
-    w = grid.omega()[mask]
+    w = grid.omega()
+    mask = grid._carries_dynamics(w)
+    w = w[mask]
+    position = np.argwhere(mask)  # grid order, as boolean indexing takes them
+    index = np.where(position < grid.n // 2, position, position - grid.n)
     g = np.asarray(coupling(w), dtype=float) * np.sqrt(grid.dk**3)
-    return _Modes(mask, index, np.stack(grid.k_vectors(), axis=-1)[mask], w, g)
+    return _Modes(mask, index, grid.k_axes()[0][position], w, g)
 
 
 def _classes(keys):
@@ -363,16 +368,25 @@ def _cubic_orbits(modes, n):
 
 
 def _class_sums(label, count, values):
-    """Sum of ``values`` (one row per mode) over each class."""
-    out = np.zeros((count,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, label, values)
-    return out
+    """Sum of ``values`` (one row per mode) over each class, adding each
+    class's rows in mode order."""
+    order = np.argsort(label, kind="stable")
+    starts = np.searchsorted(label[order], np.arange(count))
+    return np.add.reduceat(values[order], starts, axis=0)
+
+
+def _live_columns(basis):
+    """Columns of ``basis`` (one row per masked mode) that are nonzero on
+    some mode; a state column against a zero basis column never reaches a
+    mode, a field or the energy, so it is not stepped."""
+    return np.flatnonzero(np.any(basis != 0, axis=0))
 
 
 def _class_energies(states, gram):
     """sum_k |basis_k . s_c|^2 over the modes k of each class c, for every
-    row of ``states`` (classes, rows, columns); ``gram`` holds each class's
+    row of ``states`` (rows, classes, columns); ``gram`` holds each class's
     sum of basis_k conj(basis_k)^T.  Returns (classes, rows)."""
+    states = states.transpose(1, 0, 2)
     return np.einsum("crj,crj->cr", states.conj(), states @ gram).real
 
 
@@ -417,10 +431,14 @@ def lattice_memory_kernel(coupling, grid, times):
 def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     modes = _masked_modes(coupling, grid)
     label, first = _shells(modes)
-    # a mode of shell s is a_k(n) = k . Z_s(n) + a_k(0) rot_s^n: one complex
-    # 4-vector z_s = (Z_s, rot_s^n) per shell against the basis (k, a_k(0))
+    # a mode of shell s is a_k(n) = k . Z_s(n) + a_k(0) rot_s^n: a complex
+    # 4-vector z_s = (Z_s, rot_s^n) per shell against the basis (k, a_k(0)),
+    # of which only the live columns are stepped (a field at rest has no
+    # a_k(0) column)
     basis = np.column_stack(
         [modes.k, _initial_amplitudes(initial_amplitudes, grid)[modes.mask]])
+    live = _live_columns(basis)
+    basis = basis[:, live]
     gram = _class_sums(label, len(first), basis[:, :, None] * basis[:, None, :].conj())
     w, g = modes.w[first], modes.g[first]
     dt = traj.step
@@ -437,21 +455,23 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     n_rows = len(traj.times)
     u = np.zeros((n_rows, 4))
     u[:, :3] = traj.velocities
+    u = u[:, live]
     kick_old = (1j * g * b_old)[:, None]
     kick_new = (1j * g * b_new)[:, None]
     rot = rot[:, None]
     z = np.zeros((len(w), 4), dtype=complex)
     z[:, 3] = 1.0
+    z = z[:, live]
     energies = np.empty(n_rows)
+    zs = np.empty((_ENERGY_BLOCK,) + z.shape, dtype=complex)
     for rows in _row_blocks(n_rows):
         kicks = (kick_old * u[np.maximum(rows - 1, 0), None]
                  + kick_new * u[rows, None])
-        zs = np.empty((len(w), len(rows), 4), dtype=complex)
         for j, i in enumerate(rows):
             if i:
                 z = rot * z + kicks[j]
-            zs[:, j] = z
-        energies[rows] = w @ _class_energies(zs, gram)
+            zs[j] = z
+        energies[rows] = w @ _class_energies(zs[:len(rows)], gram)
     a = np.zeros((grid.n,) * 3, dtype=complex)
     a[modes.mask] = np.sum(basis * z[label], axis=1)
     y, pi = field_from_modes(a, grid)
@@ -476,18 +496,24 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     k_odd = modes.k - k_nyq
     c_n = modes.g / np.sqrt(2.0 * grid.volume * modes.w)
     c_m = modes.g * np.sqrt(modes.w / (2.0 * grid.volume))
-    y_hat0, pi_hat0 = _field_spectra(_initial_amplitudes(initial_amplitudes, grid), grid)
-    # (Y^_k, Pi^_k) = basis_k . (y_o, pi_o): one real 8-vector pair per orbit,
+    a0 = _initial_amplitudes(initial_amplitudes, grid)
+    if a0.any():
+        y_hat0, pi_hat0 = (spectrum[modes.mask] for spectrum in _field_spectra(a0, grid))
+    else:
+        y_hat0 = pi_hat0 = np.zeros(len(modes.w))
+    # (Y^_k, Pi^_k) = basis_k . (y_o, pi_o): a real 8-vector pair per orbit,
     # each column stepped by the scalar leapfrog of the orbit's stencil symbol
     # sigma_o.  Columns 0-2 are driven by the acceleration through N (and
     # W - Pi = 2 v . N), 3-5 by the velocity through M; 6 and 7 start at unit
-    # Y and unit Pi.  By Parseval the energy is
-    # dx^3 / (2 n^3) sum_o (pi_o^T G_o pi_o + |k_o|^2 y_o^T G_o y_o), with G_o
-    # the real part of the orbit's sum of basis_k conj(basis_k)^T (the states
-    # are real).
+    # Y and unit Pi.  Only the live columns are stepped: with a UV cutoff M
+    # vanishes, and a field at rest has no columns 6 and 7.  By Parseval the
+    # energy is dx^3 / (2 n^3) sum_o (pi_o^T G_o pi_o + |k_o|^2 y_o^T G_o y_o),
+    # with G_o the real part of the orbit's sum of basis_k conj(basis_k)^T
+    # (the states are real).
     basis = np.column_stack([2j * n3 * c_n[:, None] * k_odd,
-                             2.0 * n3 * c_m[:, None] * k_nyq,
-                             y_hat0[modes.mask], pi_hat0[modes.mask]])
+                             2.0 * n3 * c_m[:, None] * k_nyq, y_hat0, pi_hat0])
+    live = _live_columns(basis)
+    basis = basis[:, live]
     gram = _class_sums(label, len(first),
                        (basis[:, :, None] * basis[:, None, :].conj()).real)
     k_first = modes.k[first]
@@ -505,25 +531,30 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     y[:, 6] = 1.0
     pi = np.zeros_like(y)
     pi[:, 7] = 1.0
+    source, offset, y, pi = (x[:, live] for x in (source, offset, y, pi))
     sigma = sigma[:, None]
     dt = traj.step
     # W = dY/dt = Pi + 2 v . N;  staggered half-step start
     w_half = pi + offset[0] + 0.5 * dt * (source[0] - sigma * y)
     energies = np.empty(n_rows)
+    # per row of a block: W before the step's kick, Y and its acceleration
+    ws, ys, accels = (np.zeros((_ENERGY_BLOCK,) + y.shape) for _ in range(3))
     for rows in _row_blocks(n_rows):
-        ys = np.empty((len(first), len(rows), 8))
-        pis = np.empty_like(ys)
         for j, i in enumerate(rows):
             if i:
+                ws[j] = w_half
                 y = y + dt * w_half
-                accel = source[i] - sigma * y
-                # canonical momentum at the new full step, for the energy trace
-                pi = w_half + 0.5 * dt * accel - offset[i]
+                accels[j] = accel = source[i] - sigma * y
                 w_half = w_half + dt * accel
-            ys[:, j] = y
-            pis[:, j] = pi
+            ys[j] = y
+        # canonical momentum at the block's full steps, for the energy trace
+        m = len(rows)
+        pis = ws[:m] + 0.5 * dt * accels[:m] - offset[rows, None]
+        if rows[0] == 0:
+            pis[0] = pi
         energies[rows] = (_class_energies(pis, gram).sum(axis=0)
-                          + ksq @ _class_energies(ys, gram)) * (0.5 * grid.dx**3 / n3)
+                          + ksq @ _class_energies(ys[:m], gram)) * (0.5 * grid.dx**3 / n3)
+    pi = pis[-1]
     fields = []
     for state in (y, pi):
         spectrum = np.zeros((grid.n,) * 3, dtype=complex)

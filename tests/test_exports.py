@@ -1,10 +1,14 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-export list."""
+export list, and every callable the benchmark's tracer wraps still exists
+with the signature it reads."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dissipon
@@ -32,3 +36,41 @@ def test_package_imports_resolve():
         # the package re-exports only what its module exports
         exported = getattr(importlib.import_module(f"dissipon.{module}"), "__all__", None)
         assert exported is None or name in exported, f"{module}.{name}"
+
+
+def test_tracer_wraps_the_package():
+    """``perfbench/tracing.py`` looks every target up as
+    ``owner.__dict__[attr]`` and reads arguments by position (``args[3]`` as
+    the field method, ``args[1]`` as the grid or coupling): a removed,
+    renamed or reordered callable breaks every traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing
+    try:
+        spec.loader.exec_module(tracing)
+        for name in MODULES:
+            importlib.import_module(f"dissipon.{name}")
+        from dissipon import field, langevin, reservoir
+        originals = {name: vars(field)[name]
+                     for name in ("evolve_field_with_source", "lattice_memory_kernel")}
+        grid = field.FieldGrid(n=4, dx=1.0, uv_cutoff=2.0)
+        coupling = reservoir.CouplingFunction.canonical(0.1, uv_cutoff=2.0)
+        times = np.arange(4) * 0.1
+        traj = langevin.Trajectory(times, np.zeros((4, 3)), np.ones((4, 3)))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            field.lattice_memory_kernel(coupling, grid, times)
+            reservoir.MemoryKernel.sample(coupling, times)
+            for method in ("kspace", "leapfrog"):
+                field.evolve_field_with_source(traj, coupling, grid, method)
+        finally:
+            tracer.uninstall()
+    finally:
+        del sys.modules[spec.name]
+    assert [s.name for s in tracer.spans] == [
+        "field.lattice_kernel", "reservoir.kernel_sample", "field.kspace", "field.leapfrog"]
+    assert [s.info.get("energy_evals") for s in tracer.spans[2:]] == [4, 4]
+    assert all(s.error is None for s in tracer.spans)
+    assert {name: vars(field)[name] for name in originals} == originals

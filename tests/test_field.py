@@ -21,6 +21,27 @@ def random_amplitudes(grid, seed=7):
     return a
 
 
+def start_amplitudes(grid, start):
+    """Initial amplitudes of the class integrator tests: at rest (None),
+    explicit zeros, one excited mode, or every mode excited."""
+    if start == "rest":
+        return None
+    if start == "random":
+        return 0.01 * random_amplitudes(grid)
+    a = np.zeros((grid.n,) * 3, dtype=complex)
+    if start == "one-mode":
+        a[0, -1, 0] = 0.01 - 0.02j  # |k| = dk: inside every cutoff
+    return a
+
+
+def assert_same_history(got, ref):
+    for name, value, expect in zip(got._fields, got, ref):
+        if expect is None:
+            assert value is None, name
+        else:
+            np.testing.assert_array_equal(value, expect, err_msg=name)
+
+
 def still_trajectory(times):
     n = len(times)
     return Trajectory(times, np.zeros((n, 3)), np.zeros((n, 3)))
@@ -374,12 +395,14 @@ class TestClassIntegrators:
         got = lattice_memory_kernel(coup, grid, times).values
         assert rel_dev(got, permode_kernel(coup, grid, times)) <= 1e-12
 
-    @pytest.mark.parametrize("start", ["rest", "random"])
+    # "zeros" is a field at rest given explicitly, and must run as the
+    # implicit one; "one-mode" keeps the initial-state columns live
+    @pytest.mark.parametrize("start", ["rest", "zeros", "one-mode", "random"])
     @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
     def test_kspace_matches_permode(self, n, dx, cutoff, kind, start):
         grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
         coup = lattice_coupling(kind, cutoff)
-        a0 = None if start == "rest" else 0.01 * random_amplitudes(grid)
+        a0 = start_amplitudes(grid, start)
         traj = driven_trajectory(dx)
         hist = evolve_field_with_source(traj, coup, grid, method="kspace",
                                         initial_amplitudes=a0)
@@ -387,13 +410,15 @@ class TestClassIntegrators:
         got = (hist.energy, hist.final_y, hist.final_pi, hist.final_amplitudes)
         for name, value, ref in zip(("energy", "y", "pi", "amplitudes"), got, refs):
             assert rel_dev(value, ref) <= 1e-12, name
+        if start == "zeros":
+            assert_same_history(hist, evolve_field_with_source(traj, coup, grid, "kspace"))
 
-    @pytest.mark.parametrize("start", ["rest", "random"])
+    @pytest.mark.parametrize("start", ["rest", "zeros", "one-mode", "random"])
     @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
     def test_leapfrog_matches_realspace(self, n, dx, cutoff, kind, start):
         grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
         coup = lattice_coupling(kind, cutoff)
-        a0 = None if start == "rest" else 0.01 * random_amplitudes(grid)
+        a0 = start_amplitudes(grid, start)
         traj = driven_trajectory(dx)
         hist = evolve_field_with_source(traj, coup, grid, method="leapfrog",
                                         initial_amplitudes=a0)
@@ -401,6 +426,8 @@ class TestClassIntegrators:
         got = (hist.energy, hist.final_y, hist.final_pi)
         for name, value, ref in zip(("energy", "y", "pi"), got, refs):
             assert rel_dev(value, ref) <= 1e-12, name
+        if start == "zeros":
+            assert_same_history(hist, evolve_field_with_source(traj, coup, grid, "leapfrog"))
 
 
 class TestEvolution:

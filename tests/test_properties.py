@@ -1,6 +1,7 @@
 """Property-based checks of the golden-rule rates, two-level constants,
-the canonical bath integrals' closed forms, mean-trajectory solvers,
-lattice field maps and the CLI's exit codes.
+the canonical bath integrals' closed forms, the memory kernel's local
+limit, mean-trajectory solvers, lattice field maps and the CLI's exit
+codes.
 
 Skipped where hypothesis is not installed; the 30-digit oracles of the
 closed forms are skipped where mpmath is not.
@@ -242,6 +243,29 @@ class TestCanonicalBathOracles:
             oracle = 2 * mpmath.mpf(beta) / mpmath.pi * (
                 mpmath.si(mpmath.mpf(lam) * horizon) - mpmath.si(mpmath.mpf(eps) * horizon))
         assert value == pytest.approx(float(oracle), rel=1e-12)
+
+
+class TestKernelProperties:
+    @settings(deadline=None, max_examples=25)
+    @given(beta=log_uniform(1e-3, 10.0), omega=st.floats(0.2, 2.0),
+           lam=log_uniform(100.0, 400.0))
+    def test_convolution_tends_to_friction_times_velocity(self, beta, omega, lam):
+        # The canonical kernel 2 beta sin(Lambda s) / (pi s) integrates to
+        # beta over s > 0 and narrows as Lambda grows, so the convolution
+        # int_0^t gamma(t - s) v(s) ds tends to beta v(t).  With v(0) = 0
+        # there is no start-up term v(0) cos(Lambda t) / (Lambda t), and the
+        # error at fixed t is -(2 beta / pi) v'(t) / Lambda + O(Lambda^-2),
+        # where v'(t) = omega e^(-omega t) never vanishes: each doubling of
+        # Lambda about halves it.  The step h keeps h Lambda <= 0.05 at the
+        # largest cutoff, so the trapezoid's share of the error stays small.
+        t = 1.0
+        cutoffs = lam * 2.0 ** np.arange(3)
+        times = np.linspace(0.0, t, int(np.ceil(t * cutoffs[-1] / 0.05)) + 1)
+        v = 1.0 - np.exp(-omega * times)
+        errs = [abs(MemoryKernel.sample(CouplingFunction.canonical(beta, uv_cutoff=c), times)
+                    .convolve(v)[-1] - beta * v[-1]) for c in cutoffs]
+        assert errs[1] < 0.7 * errs[0]
+        assert errs[2] < 0.7 * errs[1]
 
 
 solver_steps = st.one_of(st.sampled_from([63, 64, 65, 1024, 1025]), st.integers(2, 1100))
