@@ -11,16 +11,27 @@ against velocity (one-sided, with the convention
 integral_0^inf delta(tau) g(tau) dtau = g(0)/2) it generates the friction
 force, and for the canonical coupling the convolution tends to
 beta * v(t) as Lambda grows.
+
+Both coupling kinds have a piecewise-polynomial spectral weight, so the
+kernel and the friction sweep are exact.  The canonical weight is one
+constant panel on the window [epsilon, Lambda]: a sinc and the sine
+integral.  A tabulated f is linear between knots, so on each panel of the
+window (its ends and the knots inside) f(w)^2 w^5 is a polynomial of
+degree 7 in the panel's local variable, and its transform against
+exp(i w t) is a Filon-type sum in closed form: a power series in the
+panel's phase spread below 2, an upward moment recurrence above.  No
+tabulated kernel or friction sweep calls QUADPACK.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonMarkovianError
-from .quadrature import QuadratureConfig, _cin_si, integrate_oscillatory
+from .quadrature import QuadratureConfig, _cin_si
 
 __all__ = [
     "CouplingFunction",
@@ -193,34 +204,220 @@ def bose_factor(omega, temperature):
     return float(out) if out.ndim == 0 else out
 
 
-# cos(w t) entries held at once by _table_cosine_transform: 8 MB of float64
+# float64 entries of the (time, panel) temporaries a tabulated transform
+# holds at once: 8 MB
 _TRANSFORM_BLOCK = 1 << 20
+# a panel's phase spread theta = h t below which the transforms sum the
+# power series in theta; from it on they recur upward in the moments
+_SERIES_THETA = 2.0
+# rows of a uniform time grid per row whose phases are evaluated directly;
+# the others are rotated from earlier rows
+_ROTATIONS = 16
 
 
-def _table_cosine_transform(coupling, times, cfg):
-    """Dense-Simpson cosine transform of the spectral weight.
+def _table_panels(coupling, lo, hi, power):
+    """The tabulated coupling's panels inside the window [lo, hi].
 
-    Tabulated couplings are piecewise linear, which caps what adaptive
-    panels can certify; a phase- and knot-resolving fixed grid is the
-    appropriate evaluator for them.  The cos(w t) matrix is built a block
-    of times at a time, so its memory stays at _TRANSFORM_BLOCK entries.
+    The edges are lo, the table's knots inside the window and hi; outside
+    the table f is zero, so no panel lies there.  On a panel w = c + h s
+    with s in [-1, 1] and f is linear, so f(w)^2 w^power is the polynomial
+    sum_k q[k] s^k.  Returns (c, h, q) with the panels sorted by h.
     """
-    lam = cfg.uv_cutoff
-    t_max = max(float(times.max()), 1e-12)
-    n_w = int(max(8192, 8 * lam * t_max / np.pi, 4 * len(coupling.grid)))
-    n_w += n_w % 2
-    w = np.linspace(cfg.ir_cutoff, lam, n_w + 1)
-    weights = np.full(n_w + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= (w[1] - w[0]) / 3.0
-    s = (8.0 * np.pi / 3.0) * coupling.spectral_weight(w) * weights
-    out = np.empty(len(times))
-    rows = max(1, _TRANSFORM_BLOCK // len(w))
-    for start in range(0, len(times), rows):
-        phase = np.outer(times[start:start + rows], w)
-        out[start:start + rows] = np.cos(phase, out=phase) @ s
+    knots = coupling.grid
+    lo, hi = max(lo, knots[0]), min(hi, knots[-1])
+    if not lo < hi:
+        return np.empty(0), np.empty(0), np.empty((power + 3, 0))
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    f = coupling(edges)
+    order = np.argsort(np.diff(edges), kind="stable")
+    c = 0.5 * (edges[1:] + edges[:-1])[order]
+    h = 0.5 * np.diff(edges)[order]
+    mid = 0.5 * (f[1:] + f[:-1])[order]
+    slope = 0.5 * np.diff(f)[order]
+    # (mid + slope s)^2 times (c + h s)^power by the binomial theorem
+    square = np.stack((mid * mid, 2.0 * mid * slope, slope * slope))
+    c_pow, h_pow = [np.ones_like(c)], [np.ones_like(h)]
+    for _ in range(power):
+        c_pow.append(c_pow[-1] * c)
+        h_pow.append(h_pow[-1] * h)
+    q = np.zeros((power + 3, len(c)))
+    for k in range(power + 1):
+        q[k:k + 3] += square * (math.comb(power, k) * c_pow[power - k] * h_pow[k])
+    return c, h, q
+
+
+def _table_transform(coupling, times, lo, hi, power, part):
+    """integral_lo^hi f(w)^2 w^power exp(i w t) dw of a tabulated coupling,
+    exact for its piecewise-polynomial integrand.
+
+    ``part`` picks the real ("cos") or imaginary ("sin") part at each time.
+    Panel by panel the integral is h exp(i c t) integral Q(s) exp(i theta s)
+    ds with theta = h t.  Below theta = 2 that is the power series
+    sum_j (i theta)^j mu_j / j! in Q's moments mu_j, whose coefficients do
+    not depend on time, so a block of times is one BLAS product against
+    cos(c t) and one against sin(c t).  From theta = 2 on it is
+    sum_k q_k m_k(theta), with m_k = integral s^k exp(i theta s) ds by
+    upward recurrence from m_0 = 2 sin(theta)/theta, which amplifies
+    rounding by at most 7!/2^7.  The (time, panel) temporaries are held a
+    block of times at a time, at most _TRANSFORM_BLOCK float64 entries;
+    the per-panel series coefficients (26 at most) come on top.
+    """
+    c, h, q = _table_panels(coupling, lo, hi, power)
+    times = np.asarray(times, dtype=float)
+    out = np.zeros(len(times))
+    if len(c) == 0:
+        return out
+    # at t = 0 the real part is sum h mu_0 and the imaginary part 0
+    if part == "cos":
+        out[times == 0] = (2.0 / np.arange(1, len(q) + 1, 2)) @ q[0::2] @ h
+    order = np.flatnonzero(times > 0)
+    order = order[np.argsort(times[order], kind="stable")]
+    ts = times[order]
+    n_p = len(h)
+    r0 = 0
+    while r0 < len(ts):
+        # panels [0, mixed) take the series and [series, P) the recurrence
+        # at every time of a block; the band between takes both, masked.
+        # A block spans at most a factor 2^16 in t, which keeps the series'
+        # scaled powers far from overflow.  Its rows are sized for the
+        # series (cos and sin per pair, and the rotation's scratch), then
+        # cut to fit the recurrence's nine temporaries per pair.
+        series = int(np.searchsorted(h * ts[r0], _SERIES_THETA))
+        cost = 2 * series + series // 8 + 1
+        r1 = min(int(np.searchsorted(ts, 65536.0 * float(ts[r0]), side="right")),
+                 r0 + max(1, _TRANSFORM_BLOCK // cost))
+        mixed = int(np.searchsorted(h * ts[r1 - 1], _SERIES_THETA))
+        if mixed < n_p:
+            cost += 9 * (n_p - mixed)
+            r1 = min(r1, r0 + max(1, _TRANSFORM_BLOCK // cost))
+            mixed = int(np.searchsorted(h * ts[r1 - 1], _SERIES_THETA))
+        tb = ts[r0:r1]
+        acc = np.zeros(len(tb))
+        if series:
+            acc += _series_block(tb, c[:series], h[:series], q[:, :series], mixed, part)
+        if mixed < n_p:
+            acc += _recurrence_block(tb, c[mixed:], h[mixed:], q[:, mixed:], part)
+        out[order[r0:r1]] = acc
+        r0 = r1
     return out
+
+
+def _series_terms(theta):
+    """Terms of sum_j (i theta)^j mu_j / j! that leave a remainder below
+    1e-17 of the panel's integral of |Q|, which bounds every |mu_j|."""
+    j, term = 0, 1.0
+    while term * math.exp(theta) >= 1e-17:
+        j += 1
+        term *= theta / j
+    return j
+
+
+def _series_block(tb, c, h, q, mixed, part):
+    """The series part at the times ``tb``; pairs of the band h[mixed:]
+    with theta >= 2 are the recurrence's and count zero here."""
+    tau = tb[-1]
+    n_j = _series_terms(min(_SERIES_THETA, h[-1] * tau))
+    # coef[j] = h (h tau)^j (-1)^(j//2) mu_j / j!, so that theta^j is
+    # (h tau)^j (t/tau)^j with both factors bounded in the block; the moment
+    # mu_j = integral Q s^j ds takes 2/(k+j+1) from each q_k with k+j even
+    coef = np.empty((n_j, len(h)))
+    scale = h.copy()
+    for j in range(n_j):
+        row = coef[j]
+        np.multiply(q[j % 2], 2.0 / (j % 2 + j + 1), out=row)
+        for k in range(j % 2 + 2, len(q), 2):
+            row += q[k] * (2.0 / (k + j + 1))
+        row *= scale if j % 4 < 2 else -scale
+        scale *= h * tau / (j + 1)
+    cos_ct, sin_ct = _phases(tb, c)
+    if mixed < len(h):
+        beyond = np.multiply.outer(tb, h[mixed:]) >= _SERIES_THETA
+        cos_ct[:, mixed:][beyond] = 0.0
+        sin_ct[:, mixed:][beyond] = 0.0
+    # the real part takes the even powers against cos(c t) and the odd
+    # against -sin(c t); the imaginary part the odd against cos(c t) and
+    # the even against sin(c t)
+    first, second, sign = (0, 1, -1.0) if part == "cos" else (1, 0, 1.0)
+    powers = np.power(tb / tau, np.arange(n_j)[:, None])
+    from_cos = np.einsum("ji,ji->i", coef[first::2] @ cos_ct.T, powers[first::2])
+    from_sin = np.einsum("ji,ji->i", coef[second::2] @ sin_ct.T, powers[second::2])
+    return from_cos + sign * from_sin
+
+
+def _phases(tb, c):
+    """cos(c t) and sin(c t) at the times ``tb``, a row per time.
+
+    On a uniform grid of n times only the first stride = ceil(n/_ROTATIONS)
+    rows are evaluated; each later row is the row one stride before it,
+    rotated through the stride's phase.  A row is at most _ROTATIONS - 1
+    rotations from an evaluated one, each adding a rounding error.
+    """
+    rows = len(tb)
+    stride = rows
+    if rows > 2:
+        step = (tb[-1] - tb[0]) / (rows - 1)
+        drift = np.abs(tb - (tb[0] + step * np.arange(rows))).max()
+        if drift <= 8.0 * np.finfo(float).eps * tb[-1]:
+            stride = -(-rows // _ROTATIONS)
+    cos_ct = np.empty((rows, len(c)))
+    sin_ct = np.empty((rows, len(c)))
+    first = np.multiply.outer(tb[:stride], c, out=cos_ct[:stride])
+    np.sin(first, out=sin_ct[:stride])
+    np.cos(first, out=first)
+    if stride < rows:
+        turn = stride * step * c
+        turn_cos, turn_sin = np.cos(turn), np.sin(turn)
+        scratch = np.empty((stride, len(c)))
+    for start in range(stride, rows, stride):
+        n = min(stride, rows - start)
+        prev, new = slice(start - stride, start - stride + n), slice(start, start + n)
+        # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
+        np.multiply(cos_ct[prev], turn_cos, out=cos_ct[new])
+        np.multiply(sin_ct[prev], turn_sin, out=scratch[:n])
+        cos_ct[new] -= scratch[:n]
+        np.multiply(sin_ct[prev], turn_cos, out=sin_ct[new])
+        np.multiply(cos_ct[prev], turn_sin, out=scratch[:n])
+        sin_ct[new] += scratch[:n]
+    return cos_ct, sin_ct
+
+
+def _recurrence_block(tb, c, h, q, part):
+    """The recurrence part at the times ``tb``; pairs with theta < 2 (the
+    band's) are the series' and count zero here."""
+    theta = np.multiply.outer(tb, h)
+    sin_2 = 2.0 * np.sin(theta)
+    cos_2 = 2.0 * np.cos(theta)
+    # m_k is C_k = integral s^k cos(theta s) ds for even k and i S_k, with
+    # S_k = integral s^k sin(theta s) ds, for odd k; by parts,
+    # C_k = (2 sin(theta) - k S_(k-1)) / theta, S_k = (k C_(k-1) - 2 cos(theta)) / theta
+    m = sin_2 / theta
+    even = m * q[0]
+    odd = np.zeros_like(theta)
+    for k in range(1, len(q)):
+        if k % 2:
+            m *= k
+            m -= cos_2
+            m /= theta
+            odd += m * q[k]
+        else:
+            m *= -k
+            m += sin_2
+            m /= theta
+            even += m * q[k]
+    del sin_2, cos_2, m
+    phase = np.multiply.outer(tb, c)
+    cos_ct = np.cos(phase)
+    sin_ct = np.sin(phase, out=phase)
+    if part == "cos":
+        even *= cos_ct
+        odd *= sin_ct
+        even -= odd
+    else:
+        even *= sin_ct
+        odd *= cos_ct
+        even += odd
+    even[theta < _SERIES_THETA] = 0.0
+    return even @ h
 
 
 @dataclass
@@ -247,8 +444,10 @@ class MemoryKernel:
     def sample(cls, coupling, times, cfg=None):
         """Sample gamma on ``times`` (uniform grid starting at 0).
 
-        The canonical coupling uses its closed cutoff form directly; a
-        tabulated coupling goes through a dense cosine-transform panel sum.
+        The canonical coupling uses its closed cutoff form directly.  A
+        tabulated coupling's gamma is its exact panel-by-panel cosine
+        transform on the window [epsilon, Lambda] (see the module
+        docstring), to rounding, in O(times x panels) work.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):
@@ -265,7 +464,8 @@ class MemoryKernel:
             tt = times[~small]
             vals[~small] = 2.0 * beta / np.pi * np.sin(lam * tt) / tt
             return cls(times, vals)
-        return cls(times, _table_cosine_transform(coupling, times, cfg))
+        gamma = _table_transform(coupling, times, cfg.ir_cutoff, lam, 5, "cos")
+        return cls(times, (8.0 * np.pi / 3.0) * gamma)
 
     def at(self, t):
         return np.interp(t, self.times, self.values)
@@ -300,7 +500,15 @@ def friction_coefficient(coupling, cfg=None):
     keeps drifting (no local friction limit) raises
     :class:`~dissipon.errors.NonMarkovianError`.  The canonical weight is
     constant on the window, so there J(T) = (2 beta / pi) [Si(Lambda T) -
-    Si(epsilon T)]; a tabulated one goes through QUADPACK's sine weight.
+    Si(epsilon T)].  A tabulated one is the exact panel sine transform of
+    f(w)^2 w^4 on the window, as for the kernel.
+
+    J(T) tends to (4 pi^2 / 3) S(0+), the golden-rule weight at zero
+    frequency, so a table has a plateau only if its S = f^2 w^5 reaches a
+    nonzero value as w -> 0.  A table that is zero below its first knot has
+    S(0+) = 0: the 500-knot canonical table on [0.01, 50] swings through
+    J/beta = -63.8, -10.2, 1.48 at the three horizons on its way to 0.  It
+    is not Ohmic, and NonMarkovianError is the right verdict.
     """
     cfg = coupling.default_config(cfg)
     lam = cfg.uv_cutoff
@@ -313,7 +521,9 @@ def friction_coefficient(coupling, cfg=None):
         sweep = [coupling.beta * (2.0 / np.pi)
                  * (_cin_si(lam * T)[1] - _cin_si(cfg.ir_cutoff * T)[1]) for T in horizons]
     else:
-        sweep = _tabulated_friction_sweep(coupling, cfg, horizons)
+        # S(w)/w = f^2 w^4 has no singularity at w = 0
+        sweep = ((8.0 * np.pi / 3.0) * _table_transform(
+            coupling, np.array(horizons), cfg.ir_cutoff, lam, 4, "sin")).tolist()
     diffs = np.abs(np.diff(sweep))
     scale = max(abs(sweep[-1]), cfg.abs_tol)
     if diffs[-1] <= 5e-4 * scale and diffs[-2] <= 5e-4 * scale:
@@ -321,21 +531,3 @@ def friction_coefficient(coupling, cfg=None):
     raise NonMarkovianError(
         "kernel time integral shows no plateau over the horizon sweep "
         f"(last values {sweep}); the coupling is not Ohmic at zero frequency")
-
-
-def _tabulated_friction_sweep(coupling, cfg, horizons):
-    """J(T) of a tabulated coupling at each horizon, by QUADPACK."""
-    lam = cfg.uv_cutoff
-    pref = 8.0 * np.pi / 3.0
-
-    def g(w):
-        return pref * coupling.spectral_weight(w) / w
-
-    # the plateau is judged at 5e-4 relative, so the per-horizon integrals
-    # only need a fraction of that, well within QAWO's roundoff floor on
-    # tabulated couplings
-    sweep_cfg = QuadratureConfig(
-        abs_tol=1e-8, rel_tol=1e-6,
-        uv_cutoff=lam, ir_cutoff=max(cfg.ir_cutoff, 1e-12 * lam),
-        max_subdivisions=max(cfg.max_subdivisions, 400))
-    return [integrate_oscillatory(g, 1.0, T, sweep_cfg, kind="sin")[0] for T in horizons]

@@ -649,3 +649,21 @@ def test_canonical_bath_integrals_do_not_load_scipy():
         "                 main(['rates', '--t', '5', '--beta', '1e-3', '--out', out])]\n"
         "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     ) == "[0, 0] []"
+
+
+def test_tabulated_kernel_runs_do_not_load_scipy():
+    # a tabulated kernel and friction sweep are exact panel sums in numpy
+    assert run_python(
+        "import contextlib, io, sys, tempfile\n"
+        "import numpy as np\n"
+        "from dissipon.cli import main\n"
+        "w = np.geomspace(1e-6, 60.0, 2000)\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    np.savetxt(out + '/table.dat', np.column_stack([w, 0.1 * w**-2.5]))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [main(['kernel', '--coupling-file', out + '/table.dat',\n"
+        "                       '--tmax', '0.1', '--out', out]),\n"
+        "                 main(['langevin', '--volterra', '--coupling-file',\n"
+        "                       out + '/table.dat', '--tmax', '0.1', '--out', out])]\n"
+        "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    ) == "[0, 0] []"

@@ -56,6 +56,10 @@ def test_tracer_wraps_the_package():
                      for name in ("evolve_field_with_source", "lattice_memory_kernel")}
         grid = field.FieldGrid(n=4, dx=1.0, uv_cutoff=2.0)
         coupling = reservoir.CouplingFunction.canonical(0.1, uv_cutoff=2.0)
+        # the reservoir tests' Ohmic log-grid table, whose sweep has a plateau
+        w = np.geomspace(1e-6, 60.0, 20000)
+        table = reservoir.CouplingFunction.tabulated(
+            w, np.sqrt(0.3 / (4.0 * np.pi**2 * w**5)) * np.exp(-((w / 30.0) ** 8) / 2))
         times = np.arange(4) * 0.1
         traj = langevin.Trajectory(times, np.zeros((4, 3)), np.ones((4, 3)))
         tracer = tracing.Tracer()
@@ -65,12 +69,20 @@ def test_tracer_wraps_the_package():
             reservoir.MemoryKernel.sample(coupling, times)
             for method in ("kspace", "leapfrog"):
                 field.evolve_field_with_source(traj, coupling, grid, method)
+            reservoir.MemoryKernel.sample(table, times)
+            reservoir.friction_coefficient(table)
         finally:
             tracer.uninstall()
     finally:
         del sys.modules[spec.name]
     assert [s.name for s in tracer.spans] == [
-        "field.lattice_kernel", "reservoir.kernel_sample", "field.kspace", "field.leapfrog"]
-    assert [s.info.get("energy_evals") for s in tracer.spans[2:]] == [4, 4]
+        "field.lattice_kernel", "reservoir.kernel_sample", "field.kspace", "field.leapfrog",
+        "reservoir.tabulated_sample", "reservoir.friction"]
+    # a tabulated kernel and friction sweep are exact panel sums: no QUADPACK
+    tabulated = {i for i, s in enumerate(tracer.spans) if s.name in (
+        "reservoir.tabulated_sample", "reservoir.friction")}
+    assert not [s.name for s in tracer.spans
+                if s.parent in tabulated and s.name.startswith("quadrature.")]
+    assert [s.info.get("energy_evals") for s in tracer.spans[2:4]] == [4, 4]
     assert all(s.error is None for s in tracer.spans)
     assert {name: vars(field)[name] for name in originals} == originals

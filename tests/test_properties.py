@@ -31,6 +31,9 @@ from dissipon.reservoir import (CouplingFunction, MemoryKernel,  # noqa: E402
                                 ReservoirState, friction_coefficient)
 from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E402
 from test_langevin import direct_volterra, stepwise_markov  # noqa: E402
+from test_reservoir import gauss_legendre_transform  # noqa: E402
+
+import dissipon.reservoir as reservoir_module  # noqa: E402
 
 occupations = st.tuples(*[st.integers(0, 5)] * 3)
 
@@ -135,7 +138,9 @@ def shift_integrals(w0, eps, lam):
             return plain(pole, eps, lam), d2
         half = min(w0 - eps, lam - w0)
         d1 = mp_quad(lambda u: (1 / (w0 + u) - 1 / (w0 - u)) / u, [0, half / 2, half])
-        return d1 + plain(pole, eps, float(w0 - half)) + plain(pole, float(w0 + half), lam), d2
+        # the fold's ends stay at 30 digits: rounded to floats, they would
+        # drop or double a sliver of the integrand ~1e-16 wide
+        return d1 + plain(pole, eps, w0 - half) + plain(pole, w0 + half, lam), d2
 
 
 def emission_integral(omega, t, eps, lam):
@@ -173,6 +178,8 @@ class TestCanonicalBathOracles:
     @example(beta=0.1, omega0=2.0, x=1.0, eps_ratio=3.0, window=10.0)  # w0 < epsilon
     @example(beta=1.0, omega0=1.0, x=1.0, eps_ratio=1.000000002302585,
              window=math.inf)  # epsilon 2.3e-9 above w0
+    @example(beta=1.0, omega0=1.0, x=1.0, eps_ratio=0.5000000000000001,
+             window=math.inf)  # D1 = 4.4e-16 ~ 0, the fold ending at 1.5 - 1.1e-16
     def test_level_shifts(self, beta, omega0, x, eps_ratio, window):
         eps = eps_ratio * omega0
         lam = window * eps
@@ -266,6 +273,39 @@ class TestKernelProperties:
                     .convolve(v)[-1] - beta * v[-1]) for c in cutoffs]
         assert errs[1] < 0.7 * errs[0]
         assert errs[2] < 0.7 * errs[1]
+
+
+@st.composite
+def coupling_tables(draw):
+    """3-40 knots on [0, 5], at least 1e-3 apart, with values of either sign."""
+    knots = sorted(draw(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=40,
+                                 unique=True)))
+    assume(np.diff(knots).min() > 1e-3)
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(knots),
+                           max_size=len(knots)))
+    return CouplingFunction.tabulated(knots, values)
+
+
+class TestTabulatedTransformProperties:
+    @settings(deadline=None, max_examples=100)
+    @given(coupling=coupling_tables(), lo=st.floats(0.0, 3.0), width=st.floats(0.1, 4.0),
+           t_max=st.floats(0.0, 10.0), n=st.integers(1, 40),
+           kind=st.sampled_from([(5, "cos"), (4, "sin")]))
+    def test_panel_transforms_match_gauss_legendre(self, coupling, lo, width, t_max, n,
+                                                   kind):
+        # Panels are at most 2.5 wide, so theta = h t <= 25, where 40
+        # Gauss-Legendre nodes per panel are exact to far below 1e-12.  A
+        # uniform grid of times takes the rotated phases, and its early
+        # times the power series; the mirrored grid is not uniform in the
+        # order it is given, and goes through the same sums sorted
+        power, part = kind
+        times = np.linspace(0.0, t_max, n)
+        for grid in (times, times[::-1] * 0.999):
+            values = reservoir_module._table_transform(coupling, grid, lo, lo + width,
+                                                       power, part)
+            ref, scale = gauss_legendre_transform(coupling, grid, lo, lo + width, power,
+                                                  part)
+            assert np.max(np.abs(values - ref)) <= 1e-12 * scale
 
 
 solver_steps = st.one_of(st.sampled_from([63, 64, 65, 1024, 1025]), st.integers(2, 1100))

@@ -28,6 +28,43 @@ def sampled_kernel(coupling, t):
     return MemoryKernel.sample(coupling, [0.0, t]).values[1]
 
 
+def table_edges(coupling, lo, hi):
+    """The panel edges of a tabulated coupling inside the window [lo, hi]."""
+    knots = coupling.grid
+    lo, hi = max(lo, knots[0]), min(hi, knots[-1])
+    return np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+
+
+def gauss_legendre_transform(coupling, times, lo, hi, power, part, nodes=40):
+    """integral_lo^hi f(w)^2 w^power cos(w t) (or sin) of a tabulated coupling
+    by Gauss-Legendre nodes on each panel, and the integral of |integrand|."""
+    x, wt = np.polynomial.legendre.leggauss(nodes)
+    edges = table_edges(coupling, lo, hi)
+    a, b = edges[:-1, None], edges[1:, None]
+    w = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+    weights = coupling(w) ** 2 * w**power * (0.5 * (b - a) * wt).ravel()
+    trig = np.cos if part == "cos" else np.sin
+    return np.array([np.dot(weights, trig(w * t)) for t in times]), np.abs(weights).sum()
+
+
+def mpmath_transform(coupling, t, lo, hi, power, part):
+    """The same integral by 30-digit mpmath.quad, panel by panel."""
+    mpmath = pytest.importorskip("mpmath")
+    edges = table_edges(coupling, lo, hi)
+    trig = mpmath.cos if part == "cos" else mpmath.sin
+    total = 0
+    with mpmath.workdps(30):
+        for a, b in zip(edges[:-1], edges[1:]):
+            fa, fb = mpmath.mpf(coupling(a)), mpmath.mpf(coupling(b))
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+            def integrand(w, a=a, b=b, fa=fa, fb=fb):
+                f = fa + (fb - fa) * (w - a) / (b - a)
+                return f * f * w**power * trig(w * t)
+            total += mpmath.quad(integrand, [a, b])
+    return float(total)
+
+
 def gaussian_tail_coupling(beta=0.3, lam=60.0, n=20000):
     """Canonical coupling with a smooth UV rolloff, tabulated on a log grid."""
     w = np.geomspace(1e-6, lam, n)
@@ -140,20 +177,21 @@ class TestMemoryKernel:
             assert kern.values[idx] == pytest.approx(oracle, abs=1e-5 * scale)
 
     def test_tabulated_sampling_in_blocks_matches_one_block(self, monkeypatch):
-        # 23 times in blocks of 5 (the last one short) against one block, on
-        # the canonical coupling tabulated on 500 knots (8193 frequencies)
+        # 23 times in blocks of 4 (the last one short) against one block, on
+        # the canonical coupling tabulated on 500 knots (499 panels, a
+        # block row holds cos and sin of each and some rotation scratch)
         w = np.linspace(0.01, 50.0, 500)
         c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4.0 * np.pi**2 * w**5)))
         times = np.linspace(0.0, 2.0, 23)
         monkeypatch.setattr(reservoir_module, "_TRANSFORM_BLOCK", 10**12)
         whole = MemoryKernel.sample(c, times).values
-        monkeypatch.setattr(reservoir_module, "_TRANSFORM_BLOCK", 5 * 8193)
+        monkeypatch.setattr(reservoir_module, "_TRANSFORM_BLOCK", 5 * 2 * 499)
         blocked = MemoryKernel.sample(c, times).values
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.abs(whole).max()
 
     def test_transform_block_leaves_values(self, monkeypatch):
-        # 41 times on the 20000-knot log-grid table (80001 frequencies): 13
-        # rows per block of 2^20 entries against 52 per block of 2^22
+        # 41 times on the 20000-knot log-grid table (19999 panels): 24 rows
+        # per block of 2^20 entries against all in one block of 2^22
         c = gaussian_tail_coupling()
         times = np.linspace(0.0, 2.0, 41)
         assert reservoir_module._TRANSFORM_BLOCK == 1 << 20
@@ -165,7 +203,8 @@ class TestMemoryKernel:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the sampling process's peak RSS from /proc")
     def test_tabulated_sampling_memory_is_bounded(self):
-        # 20001 times x 8193 frequencies: one cos(w t) matrix would be 1.3 GB.
+        # 20001 times x 499 panels: cos(c t) and sin(c t) for every pair at
+        # once would be 160 MB, and the peak ~190 MiB instead of ~40 MiB.
         # The peak is VmHWM, the high-water mark of the process's own memory
         # since exec: getrusage's ru_maxrss also counts the test runner's
         # memory, which the child holds between fork and exec
@@ -180,7 +219,7 @@ class TestMemoryKernel:
         src = str(Path(reservoir_module.__file__).parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert int(out.stdout) / 1024.0 < 300.0  # MiB of peak RSS (VmHWM is in kB)
+        assert int(out.stdout) / 1024.0 < 100.0  # MiB of peak RSS (VmHWM is in kB)
 
     def test_positive_spectral_density(self):
         # Fejer-windowed cosine transform of the sampled kernel stays nonnegative
@@ -191,9 +230,11 @@ class TestMemoryKernel:
         kern = MemoryKernel.sample(c, times)
         window = 1.0 - times / horizon
         probe = np.linspace(0.5, lam - 0.5, 24)
+        # the trapezoid rule written out: np.trapezoid is NumPy 2.0's
+        step = np.diff(times)
         density = np.array([
-            np.trapezoid(window * kern.values * np.cos(w * times), times)
-            for w in probe])
+            np.sum(0.5 * step * (y[1:] + y[:-1]))
+            for y in (window * kern.values * np.cos(w * times) for w in probe)])
         scale = np.abs(density).max()
         assert np.all(density >= -1e-6 * scale)
 
@@ -247,6 +288,61 @@ class TestMemoryKernel:
             kern.convolve(np.zeros(7))
 
 
+FEW_KNOTS = CouplingFunction.tabulated([0.5, 1.2, 2.0, 3.1, 4.0], [0.3, -0.2, 0.5, 0.1, -0.4])
+
+
+class TestTabulatedTransforms:
+    """The panel transforms behind a tabulated kernel (f^2 w^5 against
+    cos(w t)) and friction sweep (f^2 w^4 against sin(w t)), against 30-digit
+    mpmath.quad on a table of four panels."""
+
+    # epsilon below the first knot and Lambda past the last; both inside
+    # the table; both on knots
+    @pytest.mark.parametrize("lo, hi", [(0.1, 6.0), (0.8, 2.5), (0.5, 3.1)])
+    @pytest.mark.parametrize("power, part", [(5, "cos"), (4, "sin")])
+    def test_against_mpmath(self, lo, hi, power, part):
+        h_max = np.diff(table_edges(FEW_KNOTS, lo, hi)).max() / 2.0
+        # t = 0; all panels in the series (theta < 2); some in each regime;
+        # all in the recurrence; the widest panel's theta on either side of 2
+        times = np.array([0.0, 0.3, 1.9 / h_max, 2.1 / h_max, 40.0,
+                          2.0 / h_max * (1.0 - 1e-9), 2.0 / h_max * (1.0 + 1e-9)])
+        values = reservoir_module._table_transform(FEW_KNOTS, times, lo, hi, power, part)
+        scale = mpmath_transform(FEW_KNOTS, 0.0, lo, hi, power, "cos")
+        for t, value in zip(times, values):
+            oracle = mpmath_transform(FEW_KNOTS, t, lo, hi, power, part)
+            assert value == pytest.approx(oracle, abs=1e-14 * scale)
+
+    def test_kernel_against_mpmath(self):
+        # MemoryKernel.sample is (8 pi / 3) times the cosine transform, on
+        # the run's window
+        cfg = QuadratureConfig(ir_cutoff=0.8, uv_cutoff=6.0)
+        times = np.linspace(0.0, 12.0, 7)
+        kern = MemoryKernel.sample(FEW_KNOTS, times, cfg)
+        scale = (8.0 * np.pi / 3.0) * mpmath_transform(FEW_KNOTS, 0.0, 0.8, 6.0, 5, "cos")
+        for t, value in zip(times, kern.values):
+            oracle = (8.0 * np.pi / 3.0) * mpmath_transform(FEW_KNOTS, t, 0.8, 6.0, 5, "cos")
+            assert value == pytest.approx(oracle, abs=1e-14 * scale)
+
+    def test_window_outside_the_table_is_zero(self):
+        cfg = QuadratureConfig(ir_cutoff=4.5, uv_cutoff=9.0)
+        assert np.all(MemoryKernel.sample(FEW_KNOTS, [0.0, 0.5], cfg).values == 0.0)
+
+    @pytest.mark.parametrize("label", ["smooth", "linear"])
+    def test_benchmark_tables_against_panel_reference(self, label):
+        # the smooth log-grid table and the 500-knot linear one, against
+        # Gauss-Legendre nodes per panel
+        if label == "smooth":
+            c = gaussian_tail_coupling()
+        else:
+            w = np.linspace(0.01, 50.0, 500)
+            c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4.0 * np.pi**2 * w**5)))
+        times = np.linspace(0.0, 2.0, 41)
+        kern = MemoryKernel.sample(c, times)
+        ref, scale = gauss_legendre_transform(c, times, 0.0, c.uv_cutoff, 5, "cos", nodes=24)
+        assert np.max(np.abs(kern.values - (8.0 * np.pi / 3.0) * ref)) <= (
+            1e-12 * (8.0 * np.pi / 3.0) * scale)
+
+
 class TestFriction:
     def test_canonical(self):
         c = CouplingFunction.canonical(0.3, uv_cutoff=50.0)
@@ -258,6 +354,36 @@ class TestFriction:
     def test_tabulated_gaussian_tail(self):
         c = gaussian_tail_coupling(beta=0.3)
         assert friction_coefficient(c) == pytest.approx(0.3, rel=0.02)
+
+    def test_tabulated_gaussian_tail_against_panel_oracle(self):
+        # the plateau is J(T) at the last horizon T = 25600 / Lambda; the
+        # oracle takes 40 Gauss-Legendre nodes per panel, where theta <= 12
+        c = gaussian_tail_coupling(beta=0.3)
+        horizon = 2.0**8 * 100.0 / c.uv_cutoff
+        oracle, _ = gauss_legendre_transform(c, [horizon], 0.0, c.uv_cutoff, 4, "sin")
+        assert friction_coefficient(c) == pytest.approx(
+            (8.0 * np.pi / 3.0) * oracle[0], rel=1e-10)
+
+    def test_linear_table_is_not_ohmic(self):
+        # The 500-knot canonical table on [0.01, 50] is zero below 0.01, so
+        # S(w)/w vanishes at w = 0 and J(T) -> 0: it swings through the
+        # three horizons (-19.1, -3.05, 0.444 at beta = 0.3) and has no
+        # plateau, which the sweep reports as NonMarkovianError
+        w = np.linspace(0.01, 50.0, 500)
+        c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4.0 * np.pi**2 * w**5)))
+        horizons = 2.0 ** np.arange(6, 9) * 100.0 / 50.0
+        sweep = (8.0 * np.pi / 3.0) * reservoir_module._table_transform(
+            c, horizons, 0.0, 50.0, 4, "sin")
+        oracle, scale = gauss_legendre_transform(c, horizons, 0.0, 50.0, 4, "sin")
+        assert np.max(np.abs(sweep - (8.0 * np.pi / 3.0) * oracle)) <= (
+            1e-12 * (8.0 * np.pi / 3.0) * scale)
+        assert sweep == pytest.approx([-19.1486, -3.05121, 0.444009], rel=1e-5)
+        # long after the sweep, J is nearly gone
+        late = (8.0 * np.pi / 3.0) * reservoir_module._table_transform(
+            c, np.array([2.0**14 * 2.0]), 0.0, 50.0, 4, "sin")
+        assert abs(late[0]) < 1e-2 * abs(sweep[-1])
+        with pytest.raises(NonMarkovianError):
+            friction_coefficient(c)
 
     def test_subohmic_diverges(self):
         w = np.geomspace(1e-6, 50.0, 20000)
