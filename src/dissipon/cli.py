@@ -181,8 +181,8 @@ def cmd_oscillator(args, out_dir):
     ]
     summary = {k: v for k, v in rows}
     if args.kt is not None:
-        cfg_t = _quad_config(args, args.uv_cutoff, args.omega, args.kt)
-        thermal = thermal_steady_energy(p, args.kt, cfg_t)
+        # whole-axis integrals: the window above cuts only the reservoir rows
+        thermal = thermal_steady_energy(p, args.kt)
         rows.append(("thermal_energy_direct", thermal.direct))
         rows.append(("thermal_energy_mode_sum", thermal.mode_sum))
         summary["thermal_direct"] = thermal.direct

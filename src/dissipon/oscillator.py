@@ -2,23 +2,18 @@
 
 Houses the damped frequency w1 = sqrt(w^2 - beta^2/(4 m^2)), the decaying
 mean trajectory, the long-time normal-ordered system and reservoir
-energies, and the thermal steady state.  The asymptotic reservoir energy
-is computed twice on purpose: once by quadrature of its Lorentzian
-integrals and once from their residue closed form (n1+n2+n3+3/2) w, so the
-energy bookkeeping is checked rather than assumed.
-
-The thermal steady state likewise carries an independent mode-sum oracle:
-the bath is discretised into N modes with the coupling's spectral weight,
-and the resulting closed linear system is diagonalised exactly.  It
-conserves a quadratic energy s^T G s / 2, so in G-scaled coordinates its
-generator is real antisymmetric and couples (x, p_j) only to (v, q_j);
-one real SVD of that (N+1)^2 coupling block gives every eigenvalue +-i sigma
-and eigenvector, and the infinite-time average of the system energy is
-read off the pairs of equal sigma.
+energies, and the thermal steady state, all without quadrature: each
+integral over the response denominator D(x) is a partial fraction in its
+roots.  The asymptotic reservoir energy is computed twice on purpose: once
+from the window's closed form and once from the whole-axis residues
+(n1+n2+n3+3/2) w, so the energy bookkeeping is checked rather than
+assumed.  The thermal steady state likewise carries an independent
+mode-sum oracle, the exact long-time average of a discretised bath.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .quadrature import QuadratureConfig, integrate_semi_infinite
+from .quadrature import QuadratureConfig
 from .reservoir import bose_factor
 
 __all__ = [
@@ -141,47 +136,31 @@ def asymptotic_system_energy(p, n):
     return SystemEnergyLimit(velocity_form=0.0, canonical_form=canonical)
 
 
-def _lorentzian_denominator(p):
-    g = p.beta / p.m
-    return lambda x: (p.omega**2 - x**2) ** 2 + g**2 * x**2
-
-
-# past this frequency the Lorentzian denominator D(x) ~ x^4 overflows a float
-_MAX_FREQUENCY = float(np.finfo(float).max) ** 0.25
-
-
-def _check_cutoff(cfg):
-    """Reject a finite UV cutoff that the integrands of D(x) cannot reach."""
-    if _MAX_FREQUENCY <= cfg.uv_cutoff < np.inf:
-        raise DomainError(
-            f"uv_cutoff ({cfg.uv_cutoff:.3g}) must be below {_MAX_FREQUENCY:.3g}, "
-            "past which the Lorentzian denominator D(x) ~ x^4 overflows")
-
-
 def lorentzian_moments(p, cfg=None):
-    """(I0, I2) = integrals of 1/D and x^2/D with D the response denominator.
+    """(I0, I2) = integrals of 1/D and x^2/D over the window [epsilon, Lambda].
 
-    Residue evaluation gives I0 = pi m / (2 beta w^2) and I2 = pi m / (2 beta)
-    exactly in the underdamped regime; the quadrature values returned here
-    are used to check that identity, not to replace it.
+    D = (w^2 - x^2)^2 + g^2 x^2 = (x^2 + l^2)(x^2 + conj(l)^2) (g = beta/m,
+    l = g/2 + i w1), so with F = atan(Lambda/l) - atan(eps/l) the partial
+    fractions give I0 = [Re F / g - Im F / (2 w1)] / w^2 and
+    I2 = Re F / g + Im F / (2 w1).  Over the whole axis F = pi/2, which gives
+    the residues pi m / (2 beta w^2) and pi m / (2 beta).
     """
     if p.beta <= 0:
         raise RegimeError("the Lorentzian moments require beta > 0")
-    damped_frequency(p)  # underdamped check
+    w1 = damped_frequency(p)  # underdamped check
     if cfg is None:
         cfg = QuadratureConfig.for_frequencies(p.omega)
-    _check_cutoff(cfg)
-    D = _lorentzian_denominator(p)
-    hints = _resonance_hints(p)
-    i0, _ = integrate_semi_infinite(lambda x: 1.0 / D(x), cfg, singularities=hints)
-    i2, _ = integrate_semi_infinite(lambda x: x**2 / D(x), cfg, singularities=hints)
+    g = p.beta / p.m
+    lam = complex(0.5 * g, w1)
+    try:
+        f = cmath.atan(cfg.uv_cutoff / lam) - cmath.atan(cfg.ir_cutoff / lam)
+    except ValueError:  # a cutoff / l of exactly -i: g/2 is lost against w1
+        raise DomainError(f"beta/m = {g:.3g} is below D(x)'s float resolution") from None
+    i0 = (f.real / g - 0.5 * f.imag / w1) / p.omega**2
+    i2 = f.real / g + 0.5 * f.imag / w1
+    if not (math.isfinite(i0) and math.isfinite(i2)):
+        raise DomainError(f"the Lorentzian moments of beta/m = {g:.3g} pass the float range")
     return i0, i2
-
-
-def _resonance_hints(p):
-    """Panel seeds bracketing the Lorentzian peak of half-width beta/2m."""
-    half = 0.5 * p.beta / p.m
-    return [p.omega - 5.0 * half, p.omega, p.omega + 5.0 * half]
 
 
 class ReservoirEnergyLimit(NamedTuple):
@@ -192,10 +171,9 @@ class ReservoirEnergyLimit(NamedTuple):
 def asymptotic_reservoir_energy(p, n, cfg=None):
     """Long-time normal-ordered reservoir energy.
 
-    numeric evaluates the pair of Lorentzian integrals by
-    quadrature; residue_closed_form is (n1+n2+n3+3/2) w.  The two agree as
-    beta -> 0 (and, because the Lorentzian moments are exact, essentially
-    for any underdamped beta).
+    numeric evaluates the pair of Lorentzian integrals on the window;
+    residue_closed_form is (n1+n2+n3+3/2) w, their whole-axis value.  The
+    two agree as beta -> 0 and as the window opens to [0, inf).
     """
     if p.beta <= 0:
         raise RegimeError("without relaxation (beta = 0) no energy reaches the bath")
@@ -203,8 +181,48 @@ def asymptotic_reservoir_energy(p, n, cfg=None):
     weight = n.total + 1.5
     numeric = (p.beta * p.omega**3 / (np.pi * p.m)) * weight * i0 \
         + (p.beta * p.omega / (np.pi * p.m)) * weight * i2
+    if not math.isfinite(numeric):
+        raise DomainError(f"the reservoir energy of w = {p.omega:.3g} passes the float range")
     return ReservoirEnergyLimit(numeric=numeric,
                                 residue_closed_form=weight * p.omega)
+
+
+# Stirling coefficients B_2k / 2k of psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k),
+# which alone give psi to double precision from |z| = 10
+_STIRLING = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
+
+
+def _log_ratio(a, b):
+    """ln b - ln a for Re a, Re b >= 0, as 2 atanh((b - a)/(b + a)) where b is near a."""
+    w = (b - a) / (b + a)
+    return 2.0 * cmath.atanh(w) if abs(w) < 0.5 else cmath.log(b) - cmath.log(a)
+
+
+def _binet_pair(a, b):
+    """K(b) and K(b) - K(a), K(z) = [ln z - 1/(2z) - psi(z)] / 2 (Re z > 0).
+
+    K(z) = int_0^inf t dt / ((t^2 + z^2)(e^(2 pi t) - 1)) (Binet, DLMF 5.9.16).
+    Below |z| = 10 both points recur upward, psi(z) = psi(z + n) - sum_j<n 1/(z + j),
+    to Re z >= 10 and the Stirling series (DLMF 5.11.2).  The difference is
+    summed in exact forms, so it keeps its relative accuracy as b nears a.
+    """
+    n = 0 if min(abs(a), abs(b)) >= 10.0 else math.ceil(10.0 - min(a.real, b.real))
+    h = b - a
+    an, bn = a + n, b + n
+    k = dk = 0j
+    if n:
+        k = -_log_ratio(b, bn) - 0.5 / b + 0.5 / bn + sum(1.0 / (b + j) for j in range(n))
+        dk = (_log_ratio(a, b) - _log_ratio(an, bn) + 0.5 * (h / a / b - h / an / bn)
+              - sum(h / (a + j) / (b + j) for j in range(n)))
+    # 1/z^2 as (1/z)^2: z^2 overflows long before 1/z^2 underflows to 0
+    ia, ib = 1.0 / an, 1.0 / bn
+    ua, ub = ia * ia, ib * ib
+    pa = pb = d = 0j  # the series at ua and ub, and their divided difference
+    for c in reversed((0.0,) + _STIRLING):
+        d = d * ub + pa
+        pa = pa * ua + c
+        pb = pb * ub + c
+    return 0.5 * (k + pb), 0.5 * (dk - (h * ia * ib) * (ia + ib) * d)
 
 
 class ThermalSteadyEnergy(NamedTuple):
@@ -212,33 +230,47 @@ class ThermalSteadyEnergy(NamedTuple):
     mode_sum: float
 
 
-def thermal_steady_energy(p, temperature, cfg=None, oracle_modes=(320, 320)):
+def thermal_steady_energy(p, temperature, *, oracle_modes=(320, 320)):
     """Long-time thermal system energy: direct integral plus oracle.
 
-    ``direct`` evaluates the steady-state expression
-
-        (6 beta / pi m^2) [ int x dx / (D (e^{x/T}-1)) + int x^3 dx / (D (e^{x/T}-1)) ],
-
+    ``direct`` is (6 beta / pi m^2) [I1 + I3], I_k = int_0^inf x^k dx / (D (e^{x/T}-1)),
     whose common prefactor is dimensionally suspect; ``mode_sum`` is the
     independent discretised-bath value (see :func:`_mode_sum_oracle`), so
-    the two can be compared rather than trusted blindly.
+    the two can be compared rather than trusted blindly.  With
+    D = (x^2 + l1^2)(x^2 + l2^2), l = g/2 +- r (g = beta/m, r = sqrt(g^2/4 - w^2)),
+    I1 = -[K(a1) - K(a2)] / (2 g r) and I3 = K(a1) - l2^2 I1, a = l / (2 pi T)
+    (see :func:`_binet_pair`).  Near the imaginary axis 2i Im K(a1), the
+    underdamped difference, is Im K(iy) = -(pi/2) / (e^(2 pi y) - 1) plus
+    the exact difference along Re a.
     """
     if not 0 < temperature < np.inf:
         raise DomainError("temperature must be positive and finite")
     if p.beta <= 0:
         raise RegimeError("thermal steady state requires beta > 0")
-    if cfg is None:
-        cfg = QuadratureConfig.for_frequencies(p.omega, temperature)
-    _check_cutoff(cfg)
     # first, so a temperature its bath grid cannot hold fails before any integral
     oracle = _mode_sum_oracle(p, temperature, oracle_modes)
-    D = _lorentzian_denominator(p)
-    hints = _resonance_hints(p)
-    i1, _ = integrate_semi_infinite(
-        lambda x: x / D(x) * bose_factor(x, temperature), cfg, singularities=hints)
-    i3, _ = integrate_semi_infinite(
-        lambda x: x**3 / D(x) * bose_factor(x, temperature), cfg, singularities=hints)
-    direct = 6.0 * p.beta / (np.pi * p.m**2) * (i1 + i3)
+    g = p.beta / p.m
+    r = cmath.sqrt(0.5 * g - p.omega) * math.sqrt(0.5 * g + p.omega)
+    if r == 0:
+        raise RegimeError(f"beta = {p.beta} is exactly critical: D(x) has a double root")
+    lam1 = 0.5 * g + r
+    # overdamped, l1 l2 = w^2 gives the smaller root without cancelling
+    lam2 = lam1.conjugate() if r.imag else p.omega * (p.omega / lam1)
+    a1, a2 = lam1 / (2.0 * math.pi * temperature), lam2 / (2.0 * math.pi * temperature)
+    if r.imag and cmath.isinf(a1):  # T/w, and with it both moments, underflow
+        return ThermalSteadyEnergy(0.0, oracle)
+    if not (cmath.isfinite(a1) and a2 != 0):
+        raise DomainError(f"temperature {temperature:.3g} puts D(x)'s roots past the float range")
+    if r.imag >= 0.5 * g:
+        k1, dk = _binet_pair(1j * a1.imag, a1)
+        with np.errstate(over="ignore", divide="ignore"):  # checked below
+            dk = 2j * (dk.imag - 0.5 * math.pi * bose_factor(r.imag, temperature))
+    else:
+        k1, dk = _binet_pair(a2, a1)
+    i1 = (-dk / (2.0 * g * r)).real
+    direct = 6.0 * g / (np.pi * p.m) * (i1 + (k1 - lam2 * lam2 * i1).real)
+    if not math.isfinite(direct):
+        raise DomainError(f"the thermal energy at T = {temperature:.3g} passes the float range")
     return ThermalSteadyEnergy(direct=direct, mode_sum=oracle)
 
 

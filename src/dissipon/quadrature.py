@@ -21,11 +21,11 @@ The canonical coupling's bath integrals need none of this: its spectral
 weight is constant on the window, so they reduce to logarithms and the
 sine and cosine integrals, which :func:`_cin_si` evaluates without scipy.
 Nor do a tabulated coupling's memory kernel and friction sweep, which
-``reservoir`` sums exactly panel by panel.  What still calls QUADPACK:
-
-- a tabulated coupling's level shifts (``tls``: the principal value and
-  its semi-infinite partner) and finite-time emission (``rates``: sinc^2);
-- ``oscillator``'s Lorentzian moments and thermal integrals.
+``reservoir`` sums exactly panel by panel, nor ``oscillator``'s
+Lorentzian and thermal moments, partial fractions in closed form.  What
+still calls QUADPACK: a tabulated coupling's level shifts (``tls``: the
+principal value and its semi-infinite partner) and finite-time emission
+(``rates``: sinc^2).
 
 Nothing in the package calls :func:`integrate_oscillatory` any more; it
 stays public, and the tests use it as an independent oracle.

@@ -1,3 +1,4 @@
+import math
 import os
 import resource
 import subprocess
@@ -246,6 +247,25 @@ class TestExitCodes:
         emit_table(ref, ["t", "x1", "x2", "x3", "v1", "v2", "v3"], rows, metadata=meta)
         assert path.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("argv, row, expected", [
+        # the classical limit n(x) -> T/x of the direct formula: 3 T (1 + 1/w^2) / m
+        pytest.param(["--kt", "1e300"], "thermal_energy_direct", 6e300,
+                     id="oscillator --kt 1e300"),
+        pytest.param(["--kt", "1e-300"], "thermal_energy_direct", 0.0,
+                     id="oscillator --kt 1e-300"),
+        # the window [1e-8, 1e100] misses only the infrared slice I0 ~ epsilon / w^4
+        pytest.param(["--uv-cutoff", "1e100"], "reservoir_energy_numeric",
+                     1.5 * (1.0 - 0.1 / math.pi * 1e-8), id="oscillator --uv-cutoff 1e100"),
+        pytest.param(["--beta", "1e-200"], "reservoir_energy_numeric", 1.5,
+                     id="oscillator --beta 1e-200"),
+    ])
+    def test_extreme_oscillator_inputs_run(self, tmp_path, argv, row, expected):
+        # the closed forms hold where the float range of D(x) ~ x^4 ends
+        out = tmp_path / "out"
+        assert run_cli("oscillator", *argv, "--out", str(out)) == 0
+        _, _, rows = read_table(out / "oscillator.csv")
+        assert dict(rows)[row] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("argv, expected", [
         (["tls", "--steps", "-5"], 1),
         (["tls", "--x12sq", "-1"], 1),
@@ -290,8 +310,7 @@ class TestExitCodes:
         (["field", "--dx", "1e-308", "--tmax", "1", "--modes", "8"], 1),
         (["rates", "--beta", "inf"], 1),
         (["oscillator", "--kt", "1e308"], 1),
-        (["oscillator", "--kt", "1e300"], 1),
-        (["oscillator", "--uv-cutoff", "1e100"], 1),
+        (["oscillator", "--beta", "1e-310"], 1),  # I0 = pi m / (2 beta w^2) overflows
         (["tls", "--tmax", "1e308", "--steps", "200"], 1),
         # infinite mass, friction or frequency, a lattice coupling whose
         # weights overflow and a Bose factor that overflows
@@ -647,6 +666,19 @@ def test_canonical_bath_integrals_do_not_load_scipy():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes = [main(['tls', '--steps', '50', '--out', out]),\n"
         "                 main(['rates', '--t', '5', '--beta', '1e-3', '--out', out])]\n"
+        "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    ) == "[0, 0] []"
+
+
+def test_oscillator_runs_do_not_load_scipy():
+    # the Lorentzian and thermal moments are partial fractions in closed form
+    assert run_python(
+        "import contextlib, io, sys, tempfile\n"
+        "from dissipon.cli import main\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [main(['oscillator', '--out', out]),\n"
+        "                 main(['oscillator', '--kt', '1', '--out', out])]\n"
         "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     ) == "[0, 0] []"
 

@@ -51,7 +51,7 @@ def test_tracer_wraps_the_package():
         spec.loader.exec_module(tracing)
         for name in MODULES:
             importlib.import_module(f"dissipon.{name}")
-        from dissipon import field, langevin, reservoir
+        from dissipon import field, langevin, oscillator, reservoir
         originals = {name: vars(field)[name]
                      for name in ("evolve_field_with_source", "lattice_memory_kernel")}
         grid = field.FieldGrid(n=4, dx=1.0, uv_cutoff=2.0)
@@ -71,18 +71,43 @@ def test_tracer_wraps_the_package():
                 field.evolve_field_with_source(traj, coupling, grid, method)
             reservoir.MemoryKernel.sample(table, times)
             reservoir.friction_coefficient(table)
+            damped = oscillator.OscillatorParams(1.0, 1.0, 0.1)
+            oscillator.asymptotic_reservoir_energy(damped, oscillator.FockTriple())
+            oscillator.thermal_steady_energy(damped, 1.0, oracle_modes=(20, 20))
         finally:
             tracer.uninstall()
     finally:
         del sys.modules[spec.name]
     assert [s.name for s in tracer.spans] == [
         "field.lattice_kernel", "reservoir.kernel_sample", "field.kspace", "field.leapfrog",
-        "reservoir.tabulated_sample", "reservoir.friction"]
-    # a tabulated kernel and friction sweep are exact panel sums: no QUADPACK
-    tabulated = {i for i, s in enumerate(tracer.spans) if s.name in (
-        "reservoir.tabulated_sample", "reservoir.friction")}
+        "reservoir.tabulated_sample", "reservoir.friction", "oscillator.reservoir_energy",
+        "oscillator.thermal"]
+    # a tabulated kernel and friction sweep are exact panel sums, and the
+    # oscillator's moments partial fractions in closed form: no QUADPACK
+    exact = {i for i, s in enumerate(tracer.spans) if s.name in (
+        "reservoir.tabulated_sample", "reservoir.friction", "oscillator.reservoir_energy",
+        "oscillator.thermal")}
     assert not [s.name for s in tracer.spans
-                if s.parent in tabulated and s.name.startswith("quadrature.")]
+                if s.parent in exact and s.name.startswith("quadrature.")]
     assert [s.info.get("energy_evals") for s in tracer.spans[2:4]] == [4, 4]
     assert all(s.error is None for s in tracer.spans)
     assert {name: vars(field)[name] for name in originals} == originals
+
+
+def test_only_tabulated_bath_paths_import_an_adaptive_integrator():
+    """The modules that import a ``quadrature.integrate_*`` routine (the
+    package's re-export aside): a tabulated coupling's level shifts (``tls``)
+    and finite-time emission (``rates``).  Every other bath integral is a
+    closed form or an exact panel sum."""
+    importers = set()
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module == "quadrature" \
+                    and any(a.name.startswith("integrate_") for a in node.names):
+                importers.add(name)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("integrate_") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "quadrature":
+                importers.add(name)
+    assert importers == {"rates", "tls"}

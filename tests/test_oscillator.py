@@ -243,14 +243,31 @@ class TestThermalSteadyEnergy:
             thermal_steady_energy(p, 0.0)
         with pytest.raises(RegimeError):
             thermal_steady_energy(OscillatorParams(1.0, 1.0, 0.0), 1.0)
-        # finite temperatures past what the integrals and the oracle hold: the
-        # default cutoff 100 T overflows D(x) ~ x^4, the bath grid reaches 30 T
-        # and the occupation T / w of its lowest mode overflows
-        with pytest.raises(DomainError, match="uv_cutoff"):
-            thermal_steady_energy(p, 1e300)
+        # the oracle's bath grid reaches 30 T, and the occupation T / w of its
+        # lowest mode overflows
         with pytest.raises(DomainError, match="bath grid must be finite"):
-            thermal_steady_energy(p, np.float64(1e308), QuadratureConfig(uv_cutoff=10.0))
+            thermal_steady_energy(p, np.float64(1e308))
         with pytest.raises(DomainError, match="thermal occupations"):
-            thermal_steady_energy(p, 2e306, QuadratureConfig(uv_cutoff=10.0))
-        with pytest.raises(DomainError, match="uv_cutoff"):
-            lorentzian_moments(p, QuadratureConfig(uv_cutoff=1e100))
+            thermal_steady_energy(p, 2e306)
+        # the whole-axis integrals take no window: a stale positional one fails
+        with pytest.raises(TypeError):
+            thermal_steady_energy(p, 1.0, QuadratureConfig(uv_cutoff=10.0))
+        # exact critical damping: D(x) has a double root
+        with pytest.raises(RegimeError, match="double root"):
+            thermal_steady_energy(OscillatorParams(1.0, 1.0, 2.0), 1.0,
+                                  oracle_modes=(20, 20))
+        # a subnormal beta/m puts I0 = pi m / (2 beta w^2) past the float range
+        with pytest.raises(DomainError, match="float range"):
+            lorentzian_moments(OscillatorParams(1.0, 1.0, 1e-310))
+        # a cutoff on a peak so narrow that epsilon / l rounds to -i: a
+        # diagnostic, not the ValueError of atan(-i)
+        with pytest.raises(DomainError, match="float resolution"):
+            lorentzian_moments(OscillatorParams(1.0, 1e100, 1e-300),
+                               QuadratureConfig(ir_cutoff=1e100))
+        # the closed forms hold where the float range of D(x) ~ x^4 ends: the
+        # classical limit n(x) -> T/x, 3 T (1 + 1/w^2) / m, and the window [0, inf)
+        hot = thermal_steady_energy(p, 1e300, oracle_modes=(20, 20)).direct
+        assert hot == pytest.approx(6e300, rel=1e-14)
+        assert thermal_steady_energy(p, 1e-300, oracle_modes=(20, 20)).direct == 0.0
+        i0, i2 = lorentzian_moments(p, QuadratureConfig(uv_cutoff=1e100))
+        assert (i0, i2) == pytest.approx((np.pi / 0.2, np.pi / 0.2), rel=1e-15)

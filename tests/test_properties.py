@@ -9,6 +9,7 @@ closed forms are skipped where mpmath is not.
 
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from dissipon.field import (FieldGrid, field_from_modes,  # noqa: E402
                             hamiltonian_identity_check, modes_from_fields)
 from dissipon.langevin import (PotentialSpec, evolve_mean_markov,  # noqa: E402
                                evolve_mean_volterra)
-from dissipon.oscillator import FockTriple, OscillatorParams  # noqa: E402
+from dissipon.oscillator import (FockTriple, OscillatorParams,  # noqa: E402
+                                 lorentzian_moments, thermal_steady_energy)
 from dissipon.quadrature import QuadratureConfig  # noqa: E402
 from dissipon.rates import (RateRequest, finite_time_emission_probability,  # noqa: E402
                             rate_emission_vacuum, rates_thermal)
@@ -252,6 +254,76 @@ class TestCanonicalBathOracles:
         assert value == pytest.approx(float(oracle), rel=1e-12)
 
 
+def lorentzian_ends(lo, hi, omega, g, *extra):
+    """Panel ends across [lo, hi] that resolve D(x)'s peak of half-width g/2
+    at omega, a decade apart above it, plus ``extra``."""
+    inner = [omega + k * g for k in (-20, -2, -0.5, 0, 0.5, 2, 20)] + [omega / 2, 2 * omega]
+    inner += [omega * 10.0**k for k in range(1, 7)] + list(extra)
+    return [lo] + sorted({x for x in inner if lo < x < hi}) + [hi]
+
+
+class TestOscillatorOracles:
+    """The damped oscillator's Lorentzian and thermal moments, partial
+    fractions of D(x) = (w^2 - x^2)^2 + g^2 x^2, against 30-digit mpmath.quad
+    of their defining integrals."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(m=log_uniform(0.1, 10.0), omega=log_uniform(0.1, 10.0),
+           ratio=log_uniform(1e-4, 1.9), eps_ratio=st.floats(0.0, 0.5),
+           window=st.one_of(st.just(math.inf), log_uniform(2.0, 1e6)))
+    @example(m=1.0, omega=1.0, ratio=1e-4, eps_ratio=0.0, window=math.inf)
+    @example(m=1.0, omega=1.0, ratio=1.9, eps_ratio=0.5, window=2.0)
+    def test_window_moments(self, m, omega, ratio, eps_ratio, window):
+        mpmath = pytest.importorskip("mpmath")
+        p = OscillatorParams(m, omega, ratio * m * omega)
+        eps, lam = eps_ratio * omega, window * omega
+        i0, i2 = lorentzian_moments(p, QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        w, g = mpmath.mpf(omega), mpmath.mpf(p.beta) / mpmath.mpf(m)
+
+        def dens(x):
+            return (w**2 - x**2) ** 2 + g**2 * x**2
+
+        ends = lorentzian_ends(eps, lam, omega, p.beta / m)
+        assert i0 == pytest.approx(float(mp_quad(lambda x: 1 / dens(x), ends)), rel=1e-13)
+        assert i2 == pytest.approx(float(mp_quad(lambda x: x**2 / dens(x), ends)), rel=1e-13)
+
+    @settings(deadline=None, max_examples=200)
+    @given(m=log_uniform(1e-3, 1e3), omega=log_uniform(1e-3, 1e3),
+           ratio=log_uniform(1e-4, 1.9))
+    def test_whole_axis_moments_are_the_residues(self, m, omega, ratio):
+        p = OscillatorParams(m, omega, ratio * m * omega)
+        i0, i2 = lorentzian_moments(p, QuadratureConfig(ir_cutoff=0.0, uv_cutoff=math.inf))
+        r0, r2 = math.pi * m / (2 * p.beta * omega**2), math.pi * m / (2 * p.beta)
+        assert abs(i0 - r0) <= 4 * math.ulp(r0)
+        assert abs(i2 - r2) <= 4 * math.ulp(r2)
+
+    @settings(deadline=None, max_examples=40)
+    @given(m=log_uniform(0.1, 10.0), omega=log_uniform(0.1, 10.0),
+           ratio=log_uniform(1e-4, 10.0), t_ratio=log_uniform(1e-3, 300.0))
+    @example(m=1.0, omega=1.0, ratio=2.0 - 1e-6, t_ratio=1.0)  # a nearly double root
+    @example(m=1.0, omega=1.0, ratio=2.0 + 1e-6, t_ratio=0.3)
+    @example(m=1.0, omega=1.0, ratio=1e-4, t_ratio=0.05)  # K's imaginary part ~ g
+    @example(m=1.0, omega=1.0, ratio=1e-4, t_ratio=1e-3)
+    @example(m=1.0, omega=1.0, ratio=10.0, t_ratio=0.01)
+    @example(m=1.0, omega=1.0, ratio=1.0, t_ratio=1 / (20 * math.pi))  # |z| = 10
+    def test_thermal_direct(self, m, omega, ratio, t_ratio):
+        mpmath = pytest.importorskip("mpmath")
+        p = OscillatorParams(m, omega, ratio * m * omega)
+        assume(p.beta != 2 * m * omega)  # exact critical damping: a double root
+        kt = t_ratio * omega
+        direct = thermal_steady_energy(p, kt, oracle_modes=(4, 4)).direct
+        w, g, t = (mpmath.mpf(v) for v in (omega, p.beta / m, kt))
+
+        def integrand(x):
+            return (x + x**3) / (((w**2 - x**2) ** 2 + g**2 * x**2) * mpmath.expm1(x / t))
+
+        ends = lorentzian_ends(0.0, math.inf, omega, p.beta / m, kt, 10 * kt, 50 * kt)
+        with mpmath.workdps(30):
+            oracle = 6 * mpmath.mpf(p.beta) / (mpmath.pi * mpmath.mpf(m) ** 2) \
+                * mp_quad(integrand, ends)
+        assert direct == pytest.approx(float(oracle), rel=1e-13 if t_ratio >= 0.2 else 1e-10)
+
+
 class TestKernelProperties:
     @settings(deadline=None, max_examples=25)
     @given(beta=log_uniform(1e-3, 10.0), omega=st.floats(0.2, 2.0),
@@ -414,3 +486,38 @@ class TestCliExitCodes:
         with tempfile.TemporaryDirectory() as out:
             code = main([command, *CLI_BASES[command], f"{flag}={token}", "--out", out])
         assert code in (0, 1, 2)
+
+
+# physical values of the oscillator's value flags, formatted as a user writes them
+OSCILLATOR_VALUES = {
+    "--m": log_uniform(0.1, 10.0).map(repr),
+    "--omega": log_uniform(0.1, 10.0).map(repr),
+    "--beta": log_uniform(1e-3, 1.0).map(repr),
+    "--n": st.tuples(*[st.integers(0, 3)] * 3).map(lambda n: ",".join(map(str, n))),
+    "--kt": log_uniform(0.1, 10.0).map(repr),
+    "--uv-cutoff": log_uniform(5.0, 1e3).map(repr),
+    "--ir-cutoff": log_uniform(1e-6, 0.1).map(repr),
+}
+oscillator_settings = st.lists(st.sampled_from(sorted(OSCILLATOR_VALUES)), min_size=2,
+                               max_size=4, unique=True).flatmap(
+    lambda flags: st.tuples(*[st.tuples(st.just(f), OSCILLATOR_VALUES[f]) for f in flags]))
+
+
+class TestCliConfigFiles:
+    @pytest.mark.filterwarnings("ignore:beta/\\(m w\\).*weak-damping")
+    @settings(deadline=None, max_examples=10)
+    @given(values=oscillator_settings)
+    def test_oscillator_flags_and_config_file_agree(self, values):
+        # the same settings from flags and from a config file: one table
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = tmp / "run.ini"
+            config.write_text("[oscillator]\n" + "".join(
+                f"{flag[2:]} = {value}\n" for flag, value in values))
+            flags = [token for pair in values for token in pair]
+            codes = [main(["oscillator", *flags, "--out", str(tmp / "flags")]),
+                     main(["oscillator", "--config", str(config), "--out", str(tmp / "file")])]
+            assert codes[0] == codes[1]
+            if codes[0] == 0:
+                assert (tmp / "flags" / "oscillator.csv").read_bytes() \
+                    == (tmp / "file" / "oscillator.csv").read_bytes()
