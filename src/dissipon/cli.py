@@ -2,10 +2,10 @@
 
 Every run writes its tables, a manifest recording parameters / version /
 wall time, and returns exit code 0.  A run that integrates over the bath
-records its tolerances and its frequency window [epsilon, Lambda] in the
-tables' metadata block.  Lambda is the run's coupling's cutoff: --uv-cutoff,
-else a coupling table's last knot, else QuadratureConfig.for_frequencies's
-default, which also sets epsilon unless --ir-cutoff does.  A Markov
+records its frequency window [epsilon, Lambda] in the tables' metadata
+block.  Lambda is the run's coupling's cutoff: --uv-cutoff, else a coupling
+table's last knot, else QuadratureConfig.for_frequencies's default, which
+also sets epsilon unless --ir-cutoff does.  A Markov
 langevin run and a rates run without --t integrate nothing over the bath,
 so they take no cutoff.  Physics and regime failures exit 1 with the
 module's diagnostic; usage and config errors exit 2.
@@ -116,8 +116,7 @@ def _metadata(args, cfg, **extra):
     over the bath (None for one that does not), then ``extra``."""
     meta = {"experiment": args.experiment}
     if cfg is not None:
-        meta.update(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-                    uv_cutoff=cfg.uv_cutoff, ir_cutoff=cfg.ir_cutoff)
+        meta.update(uv_cutoff=cfg.uv_cutoff, ir_cutoff=cfg.ir_cutoff)
     meta.update(extra)
     return meta
 

@@ -333,6 +333,9 @@ def _mode_sum_oracle(p, temperature, oracle_modes):
     c_mat[0, 0] = w
     c_mat[1:, 0] = np.sqrt(2.0 / m) * c * np.sqrt(wj)
     c_mat[1:, 1:] = np.diag(-wj)
+    if not np.isfinite(c_mat).all():  # LAPACK's SVD can spin on inf or NaN
+        raise DomainError(f"the oracle's coupling matrix at m = {m:.3g}, omega = {w:.3g} "
+                          f"and beta = {p.beta:.3g} passes the float range")
     u, sigma, vt = np.linalg.svd(c_mat)
 
     # x and v carry the energy form, q_j and p_j the bath's thermal variance

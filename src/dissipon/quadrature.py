@@ -1,45 +1,32 @@
-"""Numerical integration engine shared by all physics modules.
+"""Adaptive quadrature oracles, the sine and cosine integrals, and the
+bath window shared by all physics modules.
 
-Semi-infinite bath integrals are mapped to (0, 1) via x = u/(1-u) and
-handled by adaptive Gauss-Kronrod panels (QUADPACK).  Principal values use
-QUADPACK's Cauchy-weight rule (QAWC), long-time oscillatory integrals a
-split into a resolved head plus Chebyshev-moment (Filon-type) tails, and
-the sinc^2 kernels of finite-time transition probabilities get a
-dedicated routine so the infinite-time delta limit never has to be
-represented on a grid.
+No bath integral of the package needs adaptive quadrature.  The canonical
+coupling's spectral weight is constant on the window, so its integrals
+reduce to logarithms and the sine and cosine integrals, which
+:func:`_cin_si` evaluates without scipy.  A tabulated coupling is linear
+between knots, and ``reservoir`` sums its kernel, friction sweep, level
+shifts and finite-time emission exactly, panel by panel.  ``oscillator``'s
+Lorentzian and thermal moments are partial fractions in closed form.
 
-QUADPACK is scipy's compiled extension ``scipy.integrate._quadpack``, loaded
-by itself on the first integral and called directly.  Importing the
-``scipy.integrate`` package around it would load scipy.special,
-scipy.optimize, scipy.sparse and scipy.linalg, most of a cold run's time.
-
-All routines return ``(value, error_estimate)`` and raise
+The four ``integrate_*`` routines stay public with no caller in the
+package: the tests use them as independent oracles.  Semi-infinite
+integrals are mapped to (0, 1) via x = u/(1-u); principal values use the
+Cauchy-weight rule (QAWC), long-time oscillatory integrals a resolved head
+plus Chebyshev-moment (Filon-type) tails, and sinc^2 kernels a dedicated
+split.  Each is ``scipy.integrate.quad`` (QUADPACK), imported on the first
+call, and returns ``(value, error_estimate)`` or raises
 :class:`~dissipon.errors.QuadratureError` carrying the best estimate when
 the requested tolerance cannot be certified.
-
-The canonical coupling's bath integrals need none of this: its spectral
-weight is constant on the window, so they reduce to logarithms and the
-sine and cosine integrals, which :func:`_cin_si` evaluates without scipy.
-Nor do a tabulated coupling's memory kernel and friction sweep, which
-``reservoir`` sums exactly panel by panel, nor ``oscillator``'s
-Lorentzian and thermal moments, partial fractions in closed form.  What
-still calls QUADPACK: a tabulated coupling's level shifts (``tls``: the
-principal value and its semi-infinite partner) and finite-time emission
-(``rates``: sinc^2).
-
-Nothing in the package calls :func:`integrate_oscillatory` any more; it
-stays public, and the tests use it as an independent oracle.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import functools
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -56,18 +43,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and spectral cutoffs for the bath integrals.
+    """Spectral cutoffs for the bath integrals, and the adaptive oracles'
+    tolerances.
 
     Parameters
     ----------
     abs_tol, rel_tol : float
-        Requested absolute / relative accuracy of every integral.
+        Requested absolute / relative accuracy of the ``integrate_*``
+        oracles.  The package's bath integrals are exact; only the friction
+        sweep's plateau test reads ``abs_tol``, as its floor.
     uv_cutoff : float
         Upper frequency cutoff Lambda.  ``inf`` maps the tail to (0, 1).
     ir_cutoff : float
         Lower frequency cutoff epsilon (>= 0).
     max_subdivisions : int
-        Panel budget of the adaptive subdivision.
+        Panel budget of the oracles' adaptive subdivision.
     """
 
     abs_tol: float = 1e-10
@@ -108,94 +98,36 @@ class QuadratureConfig:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
 
-_QUADPACK = "scipy.integrate._quadpack"
-
-# first line of scipy.integrate.quad's message for each ier it reports as a
-# warning; the cos/sin tail to infinity (QAWF) words 1, 4 and 7 per cycle
-_IER_MESSAGES = {
-    1: "The maximum number of subdivisions ({limit}) has been achieved.",
-    2: "The occurrence of roundoff error is detected, which prevents ",
-    3: "Extremely bad integrand behavior occurs at some points of the",
-    4: "The algorithm does not converge.  Roundoff error is detected",
-    5: "The integral is probably divergent, or slowly convergent.",
-    7: "Abnormal termination of the routine.  The estimates for result",
-}
-_QAWF_IER_MESSAGES = {
-    **_IER_MESSAGES,
-    1: "The maximum number of cycles allowed has been achieved., e.e.",
-    4: "The extrapolation table constructed for convergence acceleration",
-    7: "Bad integrand behavior occurs within one or more of the cycles.",
-}
-
-
-def _quadpack():
-    """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``.
-
-    The extension loads in milliseconds; the ``scipy.integrate`` package
-    around it pulls in scipy.special, scipy.optimize, scipy.sparse and
-    scipy.linalg, most of a cold run's cost.  The module is registered
-    under scipy's own name, so a later ``import scipy.integrate`` reuses it
-    (and one imported earlier is reused here).
-    """
-    module = sys.modules.get(_QUADPACK)
-    if module is None:
-        import scipy  # light: scipy loads its subpackages on first access
-        directory = os.path.join(scipy.__path__[0], "integrate")
-        found = PathFinder.find_spec("_quadpack", [directory])
-        if found is None:
-            raise ImportError(f"scipy's compiled QUADPACK (_quadpack) not found in {directory}")
-        spec = importlib.util.spec_from_file_location(_QUADPACK, found.origin)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_QUADPACK] = module
-        spec.loader.exec_module(module)
-    return module
-
-
 def _quad(f, a, b, cfg, points=None, weight=None, wvar=None):
-    """QUADPACK call honouring the config; raises on uncertified results.
+    """``scipy.integrate.quad`` honouring the config; raises on uncertified results.
 
-    Calls the routines of ``scipy.integrate.quad`` (QAGS, QAGP, QAWC, QAWO,
-    QAWF) with the arguments it passes, so values and error estimates are
-    the same bit for bit.  ``weight`` is None, 'cauchy', 'cos' or 'sin';
-    ``points`` are dropped when there is a weight, as ``quad`` drops them.
+    ``weight`` is None, 'cauchy', 'cos' or 'sin'; ``points`` inside (a, b)
+    are passed only without a weight and to a finite b, which is all
+    ``quad`` accepts.  A result QUADPACK flags is accepted when its error
+    estimate is within 10x of the requested tolerance.
     """
     if a == b:
         return 0.0, 0.0
-    pts = None
-    if points is not None and weight is None and np.isfinite(b):
-        pts = [p for p in points if a < p < b]
+    from scipy.integrate import quad  # ~0.5 s cold; only these oracles load it
+
     # b < a when integrate_sinc_squared's resonance window lies past the
-    # cutoff; quad's sign flip makes its head and tail still add up
+    # cutoff; the sign flip makes its head and tail still add up
     flip, lo, hi = b < a, min(a, b), max(a, b)
-    qp = _quadpack()
-    limit = cfg.max_subdivisions
-    tols = (cfg.abs_tol, cfg.rel_tol, limit)
-    fourier = weight in ("cos", "sin") and not np.isfinite(hi)
-    if weight == "cauchy":
-        out = qp._qawce(f, lo, hi, wvar, (), 1, *tols)
-    elif fourier:
-        out = qp._qawfe(f, lo, wvar, 1 if weight == "cos" else 2, (), 1,
-                        cfg.abs_tol, max(limit, 50), limit, 50)
-    elif weight is not None:
-        out = qp._qawoe(f, lo, hi, wvar, 1 if weight == "cos" else 2, (), 1, *tols, 50, 1)
-    elif pts:
-        # quad's padding: QAGP counts two slots past the break points
-        the_points = np.concatenate((np.unique(pts), (0.0, 0.0)))
-        out = qp._qagpe(f, lo, hi, the_points, (), 1, *tols)
-    else:
-        out = qp._qagse(f, lo, hi, (), 1, *tols)
-    value, err, ier = out[0], out[1], out[-1]
-    if flip:
-        value = -value
-    if ier == 0:
+    kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
+                  full_output=1)
+    if weight is not None:
+        kwargs.update(weight=weight, wvar=wvar)
+        if weight != "cauchy" and not np.isfinite(hi):
+            kwargs["limlst"] = max(cfg.max_subdivisions, 50)
+    elif points is not None and np.isfinite(hi):
+        kwargs["points"] = [p for p in points if a < p < b] or None
+    out = quad(f, lo, hi, **kwargs)
+    value, err = (-out[0] if flip else out[0]), out[1]
+    if len(out) == 3 or err <= 10.0 * cfg.tolerance_for(value):
         return value, err
-    if ier not in _IER_MESSAGES:
-        raise ValueError(f"QUADPACK rejected its input on [{a}, {b}] (ier {ier})")
-    if err <= 10.0 * cfg.tolerance_for(value):
-        return value, err
-    message = (_QAWF_IER_MESSAGES if fourier else _IER_MESSAGES)[ier].format(limit=limit)
-    raise QuadratureError(f"quadrature did not converge on [{a}, {b}]: {message}",
-                          best_estimate=value, error_estimate=err)
+    raise QuadratureError(
+        f"quadrature did not converge on [{a}, {b}]: {out[3].splitlines()[0]}",
+        best_estimate=value, error_estimate=err)
 
 
 def integrate_semi_infinite(f, cfg, singularities=None):
@@ -331,6 +263,15 @@ def integrate_sinc_squared(g, center, t, cfg):
     elif not np.isfinite(b):
         tail(hi, np.inf)
     return value, err
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only:
+    every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # --- sine and cosine integrals ----------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, PerturbationTheoryError
 from .oscillator import FockTriple, OscillatorParams
-from .quadrature import _EULER_GAMMA, QuadratureConfig, _cin_si, integrate_sinc_squared
-from .reservoir import CouplingFunction, ReservoirState, bose_factor
+from .quadrature import _EULER_GAMMA, QuadratureConfig, _cin_si, _gauss_legendre
+from .reservoir import CouplingFunction, ReservoirState, _table_sinc_squared, bose_factor
 
 __all__ = [
     "RateRequest",
@@ -92,7 +92,8 @@ def finite_time_emission_probability(r, cfg=None):
     t * rate_emission_vacuum.  The canonical coupling's integral is a closed
     form in Si and Cin (:func:`_emission_antiderivative`), which needs a
     positive ir_cutoff: the integrand behaves like t^2 / w_k at w_k -> 0.  A
-    tabulated coupling goes through the dedicated sinc^2 quadrature.
+    tabulated coupling's is ``reservoir``'s panel sum, exact near the
+    resonance and Gauss-Legendre elsewhere, in work growing as t Lambda.
     Without ``cfg`` the window is :meth:`QuadratureConfig.for_frequencies`
     of w, up to the coupling's cutoff when it has one.
     """
@@ -117,11 +118,10 @@ def finite_time_emission_probability(r, cfg=None):
                     - _emission_antiderivative(cfg.ir_cutoff, p.omega, r.t))
         return _guard_probability(
             r.n.total * r.coupling.beta / (np.pi * p.m * p.omega) * integral)
-    pref = p.omega * r.n.total / (2.0 * np.pi * p.m)
-    # pref |f|^2 w^4, whose w -> 0 limit is 0 for a finite tabulated f
-    g = lambda w: pref * r.coupling.golden_rule(w) / w if w > 0 else 0.0
-    value, _ = integrate_sinc_squared(g, p.omega, r.t, cfg)
-    return _guard_probability(value)
+    # pref (4 pi^2 / 3) |f|^2 w^4 against the kernel, pref = w n / (2 pi m)
+    integral = _table_sinc_squared(r.coupling, p.omega, r.t, cfg.ir_cutoff, cfg.uv_cutoff)
+    return _guard_probability(
+        2.0 * np.pi * p.omega * r.n.total / (3.0 * p.m) * integral)
 
 
 def _emission_antiderivative(end, omega, t):
@@ -177,7 +177,7 @@ def _emission_antiderivative(end, omega, t):
 def _unit_gauss_legendre():
     """Eight-point Gauss-Legendre nodes and weights on [0, 1]: exact to
     rounding for the entire integrands above on an interval of length <= 1."""
-    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = _gauss_legendre(8)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -19,8 +19,15 @@ integral.  A tabulated f is linear between knots, so on each panel of the
 window (its ends and the knots inside) f(w)^2 w^5 is a polynomial of
 degree 7 in the panel's local variable, and its transform against
 exp(i w t) is a Filon-type sum in closed form: a power series in the
-panel's phase spread below 2, an upward moment recurrence above.  No
-tabulated kernel or friction sweep calls QUADPACK.
+panel's phase spread below 2, an upward moment recurrence above.
+
+The same panels, with f(w)^2 w^4, give the two-level shifts (``tls``: a
+principal value across the level splitting and a plain integral) and the
+finite-time emission (``rates``: the sinc^2 kernel).  A panel within two
+half-widths of the pole, or holding the resonance, subtracts the Taylor
+terms there and integrates them in closed form; every other piece is
+smooth and goes through one fixed Gauss-Legendre rule.  No bath integral
+calls QUADPACK.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMarkovianError
-from .quadrature import QuadratureConfig, _cin_si
+from .quadrature import QuadratureConfig, _cin_si, _gauss_legendre
 
 __all__ = [
     "CouplingFunction",
@@ -221,12 +228,14 @@ def _table_panels(coupling, lo, hi, power):
     The edges are lo, the table's knots inside the window and hi; outside
     the table f is zero, so no panel lies there.  On a panel w = c + h s
     with s in [-1, 1] and f is linear, so f(w)^2 w^power is the polynomial
-    sum_k q[k] s^k.  Returns (c, h, q) with the panels sorted by h.
+    sum_k q[k] s^k.  Returns (c, h, q, edges, order) with the panels sorted
+    by h: panel i spans edges[order[i]] to edges[order[i] + 1].
     """
     knots = coupling.grid
     lo, hi = max(lo, knots[0]), min(hi, knots[-1])
     if not lo < hi:
-        return np.empty(0), np.empty(0), np.empty((power + 3, 0))
+        empty = np.empty(0)
+        return empty, empty, np.empty((power + 3, 0)), empty, empty.astype(np.intp)
     edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
     f = coupling(edges)
     order = np.argsort(np.diff(edges), kind="stable")
@@ -243,7 +252,7 @@ def _table_panels(coupling, lo, hi, power):
     q = np.zeros((power + 3, len(c)))
     for k in range(power + 1):
         q[k:k + 3] += square * (math.comb(power, k) * c_pow[power - k] * h_pow[k])
-    return c, h, q
+    return c, h, q, edges, order
 
 
 def _table_transform(coupling, times, lo, hi, power, part):
@@ -262,7 +271,9 @@ def _table_transform(coupling, times, lo, hi, power, part):
     block of times at a time, at most _TRANSFORM_BLOCK float64 entries;
     the per-panel series coefficients (26 at most) come on top.
     """
-    c, h, q = _table_panels(coupling, lo, hi, power)
+    # edges and order go at once: held through the block temporaries they
+    # shift malloc's mmap threshold, ~25% on a 20000-knot table
+    c, h, q = _table_panels(coupling, lo, hi, power)[:3]
     times = np.asarray(times, dtype=float)
     out = np.zeros(len(times))
     if len(c) == 0:
@@ -418,6 +429,179 @@ def _recurrence_block(tb, c, h, q, part):
         even += odd
     even[theta < _SERIES_THETA] = 0.0
     return even @ h
+
+
+# Gauss-Legendre nodes per panel or sub-panel of the smooth pieces of a
+# tabulated principal value and sinc^2: exact to rounding for a pole two
+# half-widths from the panel and for a phase spread of _SUB_THETA
+_GL_NODES = 20
+# the largest phase theta = h t a sub-panel of half-width h spans
+_SUB_THETA = 8.0
+# a panel whose centre lies within this many half-widths of a principal
+# value's pole subtracts the pole's Taylor term and integrates it in closed
+# form; farther off, the rule above is exact to rounding
+_NEAR = 2.0
+
+
+def _divide_out(q, s0):
+    """B's coefficients, a row shorter than q's, in Q(s) = Q(s0) + (s - s0)
+    B(s) for Q(s) = sum_k q[k] s^k, by synthetic division."""
+    b = np.empty_like(q[1:])
+    b[-1] = q[-1]
+    for k in range(len(b) - 1, 0, -1):
+        b[k - 1] = q[k] + s0 * b[k]
+    return b
+
+
+def _gauss_legendre_sum(coef, weight, subpanels):
+    """sum over panels p of integral_-1^1 P_p(s) weight(s, p) ds, with
+    P_p = sum_k coef[k, p] s^k, by _GL_NODES-point Gauss-Legendre on
+    ``subpanels[p]`` equal sub-panels of each.  ``weight`` gets the nodes, a
+    row per sub-panel, and the rows' panels.  The rows are taken in blocks
+    of at most _TRANSFORM_BLOCK / 8 nodes."""
+    x, wt = _gauss_legendre(_GL_NODES)
+    starts = np.concatenate(([0], np.cumsum(subpanels)))
+    rows = (_TRANSFORM_BLOCK // 8) // len(x)
+    total = 0.0
+    for r0 in range(0, int(starts[-1]), rows):
+        k = np.arange(r0, min(int(starts[-1]), r0 + rows))
+        panel = np.searchsorted(starts, k, side="right") - 1
+        m = subpanels[panel]
+        # sub-panel j of m is centred on -1 + (2j + 1)/m with half-width 1/m
+        s = (-1.0 + (2 * (k - starts[panel]) + 1) / m)[:, None] + x / m[:, None]
+        poly = np.zeros_like(s)
+        for row in coef[::-1]:
+            poly *= s
+            poly += row[panel][:, None]
+        poly *= weight(s, panel)
+        total += float(((poly @ wt) / m).sum())
+    return total
+
+
+def _pole_offsets(ends, h, pole):
+    """s0 = (pole - c) / h on each panel, from its (lower, upper) ends'
+    offsets from the pole, which are exact near it: the panel then ends
+    where its knots are to within rounding of the offsets, not of the
+    knots themselves."""
+    y = ends - pole
+    return -0.5 * (y[0] + y[1]) / h
+
+
+def _line_at(coupling, ends, x):
+    """f(x) on each panel's line through f at its (lower, upper) ends,
+    taken from the nearer end, and the line's slope: exact where x is an
+    end, and free of the rounding of the expanded coefficients q."""
+    a, z = ends
+    fa, fz = coupling(a), coupling(z)
+    slope = (fz - fa) / (z - a)
+    return np.where(x - a <= z - x, fa + slope * (x - a), fz - slope * (z - x)), slope
+
+
+def _table_principal_value(coupling, pole, lo, hi):
+    """PV integral_lo^hi f(w)^2 w^4 / (w - pole) dw of a tabulated coupling.
+
+    On a panel w = c + h s the integral is integral Q(s) / (s - s0) ds with
+    s0 = (pole - c) / h.  A panel with |s0| <= _NEAR subtracts Q(s0): the
+    rest, B(s) = (Q(s) - Q(s0)) / (s - s0), is a polynomial and integrates
+    exactly, and Q(s0) = f(pole)^2 pole^4, f on the panel's line, takes
+    ln|(b - pole) / (a - pole)| between the panel's ends a, b.  Where the
+    pole is a knot the two panels' logarithms of 0 cancel, since f is
+    continuous there, and are left out.  Where it is an end of the range,
+    one-sided, the principal value diverges unless f(pole)^2 pole^4 is 0
+    (f jumps to 0 at an end of the table).  Every other panel is smooth
+    and goes through one Gauss-Legendre rule.
+    """
+    c, h, q, edges, order = _table_panels(coupling, lo, hi, 4)
+    ends = np.stack((edges[:-1][order], edges[1:][order]))
+    s0 = _pole_offsets(ends, h, pole)
+    near = np.abs(s0) <= _NEAR
+    s0_far = s0[~near]
+    total = _gauss_legendre_sum(q[:, ~near], lambda s, p: 1.0 / (s - s0_far[p][:, None]),
+                                np.ones(len(s0_far), dtype=np.int64))
+    if near.any():
+        b = _divide_out(q[:, near], s0[near])
+        total += ((2.0 / np.arange(1, len(b) + 1, 2)) @ b[0::2]).sum()
+        # Q(s0) from the panel's line, as the logarithm would amplify the
+        # rounding of q: a pole on a knot then pairs the two panels' ln 0
+        f0, _ = _line_at(coupling, ends[:, near], pole)
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(ends[::-1, near] - pole))
+        first, last = ends[0].min(), ends[1].max()
+        if pole in (first, last) and pole != 0.0 and coupling(pole) != 0.0:
+            raise DomainError(
+                f"the pole {pole:.6g} lies on an end of the integration range "
+                f"[{first:.6g}, {last:.6g}], where the principal value diverges")
+        logs[np.isinf(logs)] = 0.0
+        total += (f0 * f0 * pole**4) @ (logs[0] - logs[1])
+    return float(total)
+
+
+def _sinc_squared_kernel(theta, u):
+    """F(u) = -4 sin^2(theta u / 2) / u + 2 theta Si(theta u), an
+    antiderivative of 4 sin^2(theta u / 2) / u^2; odd, 0 at u = 0."""
+    if u == 0.0:
+        return 0.0
+    x = abs(u)
+    return math.copysign(2.0 * theta * _cin_si(theta * x)[1]
+                         - 4.0 * math.sin(0.5 * theta * x) ** 2 / x, u)
+
+
+def _table_sinc_squared(coupling, center, t, lo, hi):
+    """integral_lo^hi f(w)^2 w^4 sin^2((w - center) t / 2) / ((w - center) / 2)^2 dw
+    of a tabulated coupling, for t > 0.
+
+    On a panel w = c + h s, with theta = h t, u = s - s0 and
+    s0 = (center - c) / h, the integral is (1/h) integral Q(s) 4 sin^2(theta
+    u / 2) / u^2 ds.  A panel holding the resonance (|s0| <= 1) writes
+    Q(s) = Q(s0) + Q'(s0) u + u^2 R(s) and integrates the first two terms in
+    closed form: [-4 sin^2(theta u / 2) / u + 2 theta Si(theta u)] and
+    [2 Cin(theta |u|)] between u = -1 - s0 and 1 - s0.  Beyond its panel the
+    resonance is not subtracted: the terms would cancel as ~theta u^2, and
+    the kernel there is smooth.  The rest, R(s) 4 sin^2(theta u / 2) and the
+    whole integrand on every other panel, goes through one Gauss-Legendre
+    rule on sub-panels spanning a phase of at most _SUB_THETA, so the work
+    grows as t (hi - lo).
+    """
+    c, h, q, edges, order = _table_panels(coupling, lo, hi, 4)
+    ends = np.stack((edges[:-1][order], edges[1:][order]))
+    theta = h * t
+    if not np.all(theta < np.inf):
+        raise DomainError(f"the phase of the sinc^2 kernel at t = {t:.3g} overflows")
+    s0 = _pole_offsets(ends, h, center)
+    near = np.flatnonzero(np.abs(s0) <= 1.0)
+    coef = q.copy()
+    # whether the Gauss-Legendre part divides by u^2: not where Q(s0) and
+    # Q'(s0) u are taken out and R(s) u^2 is left
+    divided = np.ones(len(c), dtype=bool)
+    total = 0.0
+    if len(near):
+        r = _divide_out(_divide_out(q[:, near], s0[near]), s0[near])
+        # Q(s0) and Q'(s0) from the panel's line: the closed forms weigh them
+        # by up to ~theta, which would amplify the rounding of q
+        f0, slope = _line_at(coupling, ends[:, near], center)
+        k0 = f0 * f0 * center**4
+        k1 = h[near] * 2.0 * f0 * center**3 * (slope * center + 2.0 * f0)
+        coef[:, near] = 0.0
+        coef[:len(r), near] = r
+        divided[near] = False
+        for i, p in enumerate(near):
+            u_lo, u_hi = (ends[:, p] - center) / h[p]
+            th = theta[p]
+            total += (k0[i] * (_sinc_squared_kernel(th, u_hi) - _sinc_squared_kernel(th, u_lo))
+                      + 2.0 * k1[i] * (_cin_si(th * abs(u_hi))[0]
+                                       - _cin_si(th * abs(u_lo))[0])) / h[p]
+
+    def weight(s, p):
+        u = s - s0[p][:, None]
+        out = np.sin(0.5 * theta[p][:, None] * u)
+        out *= out
+        out *= 4.0 / h[p][:, None]
+        u *= u
+        u[~divided[p]] = 1.0
+        out /= u
+        return out
+    subpanels = np.maximum(1, np.ceil(theta / _SUB_THETA)).astype(np.int64)
+    return total + _gauss_legendre_sum(coef, weight, subpanels)
 
 
 @dataclass

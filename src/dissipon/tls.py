@@ -13,7 +13,9 @@ and E = <s^dag - s> close among themselves,
 
 with the reservoir-induced shifts D1 (principal value across w0) and D2.
 Both shifts are infrared-log-divergent for the canonical coupling, so the
-infrared cutoff is a mandatory, explicit parameter.
+infrared cutoff is a mandatory, explicit parameter.  They are logarithms
+for the canonical coupling and ``reservoir``'s exact panel sums for a
+tabulated one.
 
 The characteristic frequencies used for the closed form are the exact
 roots of that linear pair,
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .langevin import _block_powers, _check_grid
-from .quadrature import integrate_principal_value, integrate_semi_infinite
+from .reservoir import _table_principal_value
 
 __all__ = [
     "TwoLevelParams",
@@ -137,7 +139,10 @@ def level_shifts(p, cfg):
     whose Lambda terms vanish at Lambda = inf.  Both diverge as epsilon -> 0
     and D1 as either cutoff approaches w0; such a window is rejected rather
     than silently adjusted.  A w0 outside the window leaves D1 a plain
-    integral, which the same formula gives.
+    integral, which the same formula gives.  A tabulated coupling's shifts
+    are ``reservoir``'s panel sums with the pole at +w0 (D1) and -w0 (D2):
+    the pole's Taylor term is taken out in closed form, a logarithm, on the
+    panels near it, so a window through w0 needs no adaptive quadrature.
     """
     for name, cutoff in (("ir_cutoff", cfg.ir_cutoff), ("uv_cutoff", cfg.uv_cutoff)):
         if cutoff == p.omega0:
@@ -146,15 +151,9 @@ def level_shifts(p, cfg):
                 "where the principal-value shift D1 has its pole; move the cutoff off it")
     if p.coupling.kind == "canonical":
         return _canonical_level_shifts(p, cfg)
-    pref = p.omega0**6 * p.x12_sq
-    # |f|^2 w^4: its w -> 0 limit is 0 for a finite tabulated f, and QUADPACK
-    # evaluates the window's ends when ir_cutoff = 0
-    weight = lambda w: p.coupling.golden_rule(w) / w if w > 0 else 0.0
-    d1, _ = integrate_principal_value(weight, p.omega0, cfg)
-    # without a panel boundary at w0, QUADPACK flags roundoff on the 1/w
-    # weight and returns a wrong value once Lambda / epsilon reaches a few 1e7
-    d2, _ = integrate_semi_infinite(lambda w: weight(w) / (w + p.omega0), cfg,
-                                    singularities=[p.omega0])
+    pref = p.omega0**6 * p.x12_sq * (4.0 * np.pi**2 / 3.0)
+    d1 = _table_principal_value(p.coupling, p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
+    d2 = _table_principal_value(p.coupling, -p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
     return LevelShifts(delta1=pref * d1, delta2=pref * d2,
                        ir_cutoff=cfg.ir_cutoff, uv_cutoff=cfg.uv_cutoff)
 

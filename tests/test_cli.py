@@ -624,24 +624,8 @@ def test_cli_import_does_not_load_scipy_signal():
 
 
 def test_cli_import_does_not_load_scipy_integrate():
-    # QUADPACK's compiled extension is loaded on the first integral, so runs
-    # without one skip even that
+    # only the quadrature oracles import it, on their first call
     assert not _loaded_by_cli_import("scipy.integrate")
-
-
-def test_integrals_do_not_load_scipy_integrate():
-    # only the compiled extension is loaded, not the scipy.integrate package
-    # (nor the scipy.special and scipy.optimize it imports); the oscillatory
-    # tail runs to infinity, so QAWF is among the routines called
-    assert run_python(
-        "import sys, numpy as np\n"
-        "from dissipon.quadrature import (QuadratureConfig, integrate_oscillatory,\n"
-        "                                 integrate_semi_infinite)\n"
-        "integrate_semi_infinite(lambda x: np.exp(-x), QuadratureConfig())\n"
-        "integrate_oscillatory(lambda x: 1 / (1 + x * x), 1.0, 50.0, QuadratureConfig())\n"
-        "print(*(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
-        "        if m in sys.modules))\n"
-    ) == ""
 
 
 def test_canonical_bath_integrals_do_not_load_scipy():
@@ -683,19 +667,27 @@ def test_oscillator_runs_do_not_load_scipy():
     ) == "[0, 0] []"
 
 
-def test_tabulated_kernel_runs_do_not_load_scipy():
-    # a tabulated kernel and friction sweep are exact panel sums in numpy
+def test_tabulated_runs_do_not_load_scipy():
+    # a tabulated kernel, friction sweep, level shifts and finite-time emission
+    # are exact panel sums in numpy; the log-grid table is the reservoir
+    # tests' Ohmic one (beta = 0.1, Gaussian roll-off at Lambda = 60)
     assert run_python(
         "import contextlib, io, sys, tempfile\n"
         "import numpy as np\n"
         "from dissipon.cli import main\n"
         "w = np.geomspace(1e-6, 60.0, 2000)\n"
+        "f = np.sqrt(0.3 / (4 * np.pi**2 * w**5)) * np.exp(-(w / 30) ** 8 / 2)\n"
         "with tempfile.TemporaryDirectory() as out:\n"
         "    np.savetxt(out + '/table.dat', np.column_stack([w, 0.1 * w**-2.5]))\n"
+        "    np.savetxt(out + '/ohmic.dat', np.column_stack([w, f]))\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes = [main(['kernel', '--coupling-file', out + '/table.dat',\n"
         "                       '--tmax', '0.1', '--out', out]),\n"
         "                 main(['langevin', '--volterra', '--coupling-file',\n"
-        "                       out + '/table.dat', '--tmax', '0.1', '--out', out])]\n"
+        "                       out + '/table.dat', '--tmax', '0.1', '--out', out]),\n"
+        "                 main(['tls', '--coupling-file', out + '/ohmic.dat',\n"
+        "                       '--steps', '50', '--out', out]),\n"
+        "                 main(['rates', '--t', '100', '--m', '100', '--coupling-file',\n"
+        "                       out + '/ohmic.dat', '--out', out])]\n"
         "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
-    ) == "[0, 0] []"
+    ) == "[0, 0, 0, 0] []"

@@ -94,11 +94,10 @@ def test_tracer_wraps_the_package():
     assert {name: vars(field)[name] for name in originals} == originals
 
 
-def test_only_tabulated_bath_paths_import_an_adaptive_integrator():
-    """The modules that import a ``quadrature.integrate_*`` routine (the
-    package's re-export aside): a tabulated coupling's level shifts (``tls``)
-    and finite-time emission (``rates``).  Every other bath integral is a
-    closed form or an exact panel sum."""
+def test_no_bath_path_imports_an_adaptive_integrator():
+    """No module but ``quadrature`` names a ``quadrature.integrate_*`` routine
+    (the package's re-export aside): every bath integral is a closed form
+    or an exact panel sum, and the adaptive routines are the tests' oracles."""
     importers = set()
     for name in MODULES:
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
@@ -107,7 +106,29 @@ def test_only_tabulated_bath_paths_import_an_adaptive_integrator():
                     and node.module == "quadrature" \
                     and any(a.name.startswith("integrate_") for a in node.names):
                 importers.add(name)
-            if isinstance(node, ast.Attribute) and node.attr.startswith("integrate_") \
-                    and isinstance(node.value, ast.Name) and node.value.id == "quadrature":
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != "quadrature" \
+                    and getattr(node, "id", getattr(node, "attr", "")).startswith("integrate_"):
                 importers.add(name)
-    assert importers == {"rates", "tls"}
+    assert importers == set()
+
+
+def test_no_private_scipy_module_is_named():
+    """The package uses scipy's public API only: no module names
+    ``_quadpack`` or a private scipy module (a ``scipy.*._name`` path)."""
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            words = []
+            if isinstance(node, ast.Import):
+                words = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                words = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words = [node.value]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                words = [getattr(node, "id", getattr(node, "attr", ""))]
+            named += [(path.name, w) for w in words
+                      if "_quadpack" in w or (w.startswith("scipy.") and any(
+                          part.startswith("_") for part in w.split(".")))]
+    assert named == []

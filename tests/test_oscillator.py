@@ -271,3 +271,10 @@ class TestThermalSteadyEnergy:
         assert thermal_steady_energy(p, 1e-300, oracle_modes=(20, 20)).direct == 0.0
         i0, i2 = lorentzian_moments(p, QuadratureConfig(uv_cutoff=1e100))
         assert (i0, i2) == pytest.approx((np.pi / 0.2, np.pi / 0.2), rel=1e-15)
+
+    def test_oracle_rejects_a_coupling_matrix_past_the_float_range(self):
+        # sqrt(2/m) is inf at a subnormal mass: LAPACK's SVD spun for more than
+        # 20 s on the inf entries instead of failing
+        p = OscillatorParams(5e-324, 1e-10, 1e-308)
+        with pytest.raises(DomainError, match="coupling matrix"):
+            thermal_steady_energy(p, 5e-324, oracle_modes=(2, 2))

@@ -5,7 +5,6 @@ from dissipon.errors import DomainError, QuadratureError
 from dissipon.quadrature import (_SERIES_LIMIT, QuadratureConfig, _cin_si, _quad,
                                  integrate_oscillatory, integrate_principal_value,
                                  integrate_semi_infinite, integrate_sinc_squared)
-from test_cli import run_python
 
 # 1e6-point Simpson oracle for x / (((1-x^2)^2 + 0.01 x^2)(e^x - 1)) on (0, 50),
 # cross-checked against 30-digit adaptive quadrature (9.36786797651810453...)
@@ -187,7 +186,8 @@ def _scipy_quad(f, a, b, cfg, weight=None, wvar=None, points=None):
 
 
 class TestQuadpackParity:
-    """The direct QUADPACK calls reproduce ``scipy.integrate.quad`` bit for bit."""
+    """``_quad`` gives ``scipy.integrate.quad``'s values and error estimates bit
+    for bit, with its own sign flip and break-point filtering."""
 
     @pytest.mark.parametrize("a, b, kwargs", [
         pytest.param(0.0, 3.0, {}, id="qagse"),
@@ -227,22 +227,6 @@ class TestQuadpackParity:
             _quad(f, 1.0, b, cfg, weight=weight, wvar=wvar)
         assert str(info.value).endswith(out[3].splitlines()[0])
         assert (info.value.best_estimate, info.value.error_estimate) == out[:2]
-
-    @pytest.mark.parametrize("first", ["dissipon", "scipy.integrate"])
-    def test_one_extension_module_whichever_loads_first(self, first):
-        # fresh interpreter: this process may already hold scipy.integrate
-        load = {"dissipon": "from dissipon.quadrature import _quadpack; _quadpack()",
-                "scipy.integrate": "import scipy.integrate"}
-        code = "; ".join([
-            "import sys", load[first],
-            load["scipy.integrate" if first == "dissipon" else "dissipon"],
-            "from dissipon.quadrature import _quadpack",
-            "from scipy.integrate import _quadpack_py",
-            "module = sys.modules['scipy.integrate._quadpack']",
-            "print(_quadpack() is module and _quadpack_py._quadpack is module)",
-        ])
-        assert run_python(code) == "True"
-
 
 
 def mp_cin_si(x):

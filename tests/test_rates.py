@@ -10,6 +10,7 @@ from dissipon.quadrature import QuadratureConfig, integrate_sinc_squared
 from dissipon.rates import (RateRequest, finite_time_emission_probability,
                             rate_emission_vacuum, rates_fock, rates_thermal)
 from dissipon.reservoir import CouplingFunction, ReservoirState
+from test_reservoir import mpmath_sinc_squared
 
 
 def canonical_request(beta=0.1, omega=1.0, m=1.0, n=(1, 0, 0), reservoir=None, t=None):
@@ -104,8 +105,7 @@ class TestFiniteTime:
         (1.0, 0.05, 1e-4, 10.0),   # near onset
     ])
     def test_canonical_closed_form_matches_sinc_squared_quadrature(self, omega, t, eps, lam):
-        # the dedicated sinc^2 quadrature, which tabulated couplings still use,
-        # at its tolerance
+        # the adaptive sinc^2 oracle, at its tolerance
         beta = 1e-4
         cfg = QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam, rel_tol=1e-10, abs_tol=1e-16)
         r = canonical_request(beta=beta, omega=omega, t=t)
@@ -146,9 +146,22 @@ class TestFiniteTime:
             finite_time_emission_probability(r, QuadratureConfig(ir_cutoff=1.0,
                                                                  uv_cutoff=1e11))
 
+    # QUADPACK flagged roundoff in the oscillatory tail above the resonance
+    # of these, on the 11-knot table's kinks
+    @pytest.mark.parametrize("lam, omega, t", [(10.0, 3.0, 40.0), (50.0, 3.0, 40.0),
+                                               (20.0, 1.0, 100.0)])
+    def test_tabulated_coupling_at_long_times(self, lam, omega, t):
+        w = np.linspace(0.0, lam, 11)
+        c = CouplingFunction.tabulated(w, 0.01 * np.exp(-w / 5.0))
+        r = RateRequest(OscillatorParams(100.0, omega, 0.1), FockTriple(1, 0, 0),
+                        ReservoirState.vacuum(), c, t=t)
+        prob = finite_time_emission_probability(r, QuadratureConfig(uv_cutoff=lam))
+        pref = 2.0 * np.pi * omega / (3.0 * 100.0)
+        oracle, scale = mpmath_sinc_squared(c, omega, t, 0.0, lam)
+        assert abs(prob - pref * oracle) <= 1e-13 * pref * scale
+
     def test_tabulated_coupling_with_zero_ir_cutoff(self):
-        # the oscillatory tail on (0, w - 24 pi / t) evaluates the weight at
-        # w = 0, where |f|^2 w^4 vanishes
+        # the window starts at w = 0, where |f|^2 w^4 vanishes
         omega, t, lam = 1.0, 100.0, 10.0
         w = np.linspace(0.0, lam, 11)
         f = 0.005 * np.exp(-w / 5.0)

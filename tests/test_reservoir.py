@@ -10,8 +10,12 @@ import dissipon.reservoir as reservoir_module
 from dissipon.errors import DomainError, NonMarkovianError
 from dissipon.quadrature import (QuadratureConfig, integrate_oscillatory,
                                  integrate_semi_infinite)
+from dissipon.oscillator import FockTriple, OscillatorParams
+from dissipon.rates import (RateRequest, finite_time_emission_probability,
+                            rate_emission_vacuum)
 from dissipon.reservoir import (CouplingFunction, MemoryKernel, ReservoirState,
                                 bose_factor, friction_coefficient)
+from dissipon.tls import TwoLevelParams, level_shifts
 
 
 def quadpack_kernel(coupling, t):
@@ -29,9 +33,12 @@ def sampled_kernel(coupling, t):
 
 
 def table_edges(coupling, lo, hi):
-    """The panel edges of a tabulated coupling inside the window [lo, hi]."""
+    """The panel edges of a tabulated coupling inside the window [lo, hi];
+    none where the window misses the table."""
     knots = coupling.grid
     lo, hi = max(lo, knots[0]), min(hi, knots[-1])
+    if not lo < hi:
+        return np.empty(0)
     return np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
 
 
@@ -42,7 +49,11 @@ def gauss_legendre_transform(coupling, times, lo, hi, power, part, nodes=40):
     edges = table_edges(coupling, lo, hi)
     a, b = edges[:-1, None], edges[1:, None]
     w = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
-    weights = coupling(w) ** 2 * w**power * (0.5 * (b - a) * wt).ravel()
+    # f from the panel's ends in the local variable: interpolating at w would
+    # cancel the digits w shares with a knot next to a narrow panel
+    fa, fb = coupling(a), coupling(b)
+    f = (0.5 * (fa + fb) + 0.5 * (fb - fa) * x).ravel()
+    weights = f**2 * w**power * (0.5 * (b - a) * wt).ravel()
     trig = np.cos if part == "cos" else np.sin
     return np.array([np.dot(weights, trig(w * t)) for t in times]), np.abs(weights).sum()
 
@@ -63,6 +74,77 @@ def mpmath_transform(coupling, t, lo, hi, power, part):
                 return f * f * w**power * trig(w * t)
             total += mpmath.quad(integrand, [a, b])
     return float(total)
+
+
+def _mpmath_weights(coupling, lo, hi):
+    """The table's panels (a, b, G) in [lo, hi] with G(w) = f(w)^2 w^4 at the
+    working precision, scaled by the bound max f^2 max w^4 of G, and the
+    factor that scales integrals of G back: mpmath.quad stops on an
+    absolute error estimate, which a tiny integrand meets too early."""
+    mpmath = pytest.importorskip("mpmath")
+    edges = table_edges(coupling, lo, hi)
+    if len(edges) == 0:
+        return [], 1.0
+    f = [mpmath.mpf(v) for v in coupling(edges)]
+    factor = (max(v * v for v in f) * mpmath.mpf(max(-edges[0], edges[-1])) ** 4
+              or mpmath.mpf(1))
+    panels = []
+    for a, b, fa, fb in zip(edges[:-1], edges[1:], f[:-1], f[1:]):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def weight(w, a=a, b=b, fa=fa, fb=fb):
+            v = fa + (fb - fa) * (w - a) / (b - a)
+            return v * v * w**4 / factor
+        panels.append((a, b, weight))
+    return panels, factor
+
+
+def mpmath_principal_value(coupling, pole, lo, hi):
+    """PV integral_lo^hi f(w)^2 w^4 / (w - pole) dw by 30-digit mpmath.quad,
+    panel by panel, and the sum of the absolute contributions.  The pole is
+    subtracted: G0 = f(pole)^2 pole^4 comes off every panel's numerator,
+    which leaves each integrand bounded, and G0 ln|(E - pole) / (e - pole)|
+    over the table's part [e, E] of the window is added back."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        panels, factor = _mpmath_weights(coupling, lo, hi)
+        w0 = mpmath.mpf(pole)
+        g0 = next((weight(w0) for a, b, weight in panels if a <= w0 <= b), 0)
+        parts = [mpmath.quad(lambda w: (weight(w) - g0) / (w - w0), [a, b])
+                 for a, b, weight in panels]
+        if g0:
+            parts.append(g0 * mpmath.log(abs((panels[-1][1] - w0) / (panels[0][0] - w0))))
+        return (float(sum(parts) * factor),
+                float(sum(abs(v) for v in parts) * factor))
+
+
+def mpmath_sinc_squared(coupling, center, t, lo, hi):
+    """integral_lo^hi f(w)^2 w^4 sin^2((w - center) t / 2) / ((w - center) / 2)^2 dw
+    by 30-digit mpmath.quad, panel by panel on pieces of at most two
+    periods of cos((w - center) t), and the sum of the absolute
+    contributions."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        panels, factor = _mpmath_weights(coupling, lo, hi)
+        c, t = mpmath.mpf(center), mpmath.mpf(t)
+        parts = []
+        for a, b, weight in panels:
+            n = int(mpmath.ceil((b - a) * t / (4 * mpmath.pi)))
+            pieces = sorted({a + (b - a) * k / n for k in range(n + 1)}
+                            | ({c} if a < c < b else set()))
+            parts.append(mpmath.quad(
+                lambda w: weight(w) * t * t * mpmath.sinc((w - c) * t / 2) ** 2, pieces))
+        return (float(sum(parts) * factor),
+                float(sum(abs(v) for v in parts) * factor))
+
+
+def subnormal_floor(magnitude):
+    """An absolute floor under a bound relative to a panel sum's scale.
+    f(w)^2 rounds to the subnormal grid, so where it is subnormal a sum can
+    miss by a few subnormal ulps per unit of its integrand's magnitude with
+    f = 1 (``magnitude``); the floor allows 64.  Above the smallest normal
+    scales it is far below 1e-13 of the scale."""
+    return 64.0 * np.finfo(float).smallest_subnormal * (1.0 + magnitude)
 
 
 def gaussian_tail_coupling(beta=0.3, lam=60.0, n=20000):
@@ -341,6 +423,87 @@ class TestTabulatedTransforms:
         ref, scale = gauss_legendre_transform(c, times, 0.0, c.uv_cutoff, 5, "cos", nodes=24)
         assert np.max(np.abs(kern.values - (8.0 * np.pi / 3.0) * ref)) <= (
             1e-12 * (8.0 * np.pi / 3.0) * scale)
+
+
+class TestTabulatedShiftsAndEmission:
+    """A tabulated coupling's principal value (the level shifts) and sinc^2
+    integral (finite-time emission) as panel sums, against per-panel
+    30-digit mpmath.quad within 1e-13 of the sum of the absolute per-panel
+    contributions."""
+
+    # a knot, inside a panel, D2's pole, past the table, below it, and a
+    # pole one ulp from a knot; windows past both ends of the table, inside
+    # it, and from 0 to a knot
+    @pytest.mark.parametrize("pole", [1.2, 1.6, -1.6, 4.5, 0.2, np.nextafter(2.0, 3.0)])
+    @pytest.mark.parametrize("lo, hi", [(0.1, 6.0), (0.8, 2.5), (0.0, 3.1)])
+    def test_principal_value_against_mpmath(self, pole, lo, hi):
+        value = reservoir_module._table_principal_value(FEW_KNOTS, pole, lo, hi)
+        oracle, scale = mpmath_principal_value(FEW_KNOTS, pole, lo, hi)
+        assert abs(value - oracle) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("pole, lo, hi", [(0.5, 0.1, 6.0), (4.0, 0.1, 6.0),
+                                              (2.5, 0.8, 2.5)])
+    def test_pole_on_an_end_of_the_range_diverges(self, pole, lo, hi):
+        # f jumps to 0 at the table's ends, and the window's end is one-sided
+        with pytest.raises(DomainError, match="diverges"):
+            reservoir_module._table_principal_value(FEW_KNOTS, pole, lo, hi)
+
+    def test_pole_on_an_end_where_f_is_zero(self):
+        table = CouplingFunction.tabulated([0.5, 1.0, 2.0], [0.0, 0.3, 0.1])
+        value = reservoir_module._table_principal_value(table, 0.5, 0.0, 3.0)
+        oracle, scale = mpmath_principal_value(table, 0.5, 0.0, 3.0)
+        assert abs(value - oracle) <= 1e-13 * scale
+
+    # the resonance on a knot, inside a panel, and past the table; the
+    # phase spread of the widest panel from 0.01 to 200
+    @pytest.mark.parametrize("center", [1.2, 1.6, 4.5])
+    @pytest.mark.parametrize("t", [0.01, 3.0, 200.0])
+    def test_sinc_squared_against_mpmath(self, center, t):
+        value = reservoir_module._table_sinc_squared(FEW_KNOTS, center, t, 0.0, 3.1)
+        oracle, scale = mpmath_sinc_squared(FEW_KNOTS, center, t, 0.0, 3.1)
+        assert abs(value - oracle) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_log_grid_table(self, n):
+        # the Ohmic table on which QUADPACK raised for both shifts and for
+        # every t below: the shifts are finite, and P / t tends to the
+        # golden-rule rate n omega golden_rule(omega) / m
+        c = gaussian_tail_coupling(beta=0.1, n=n)
+        cfg = QuadratureConfig.for_frequencies(1.0, uv_cutoff=60.0)
+        shifts = level_shifts(TwoLevelParams(1.0, (1, 0, 0), c), cfg)
+        assert np.isfinite([shifts.delta1, shifts.delta2]).all()
+        rate = rate_emission_vacuum(RateRequest(
+            OscillatorParams(1e5, 1.0, 0.0), FockTriple(1, 0, 0), ReservoirState.vacuum(), c))
+        for t in [1.0, 10.0, 100.0, 1e3, 1e4]:
+            prob = finite_time_emission_probability(RateRequest(
+                OscillatorParams(1e5, 1.0, 0.0), FockTriple(1, 0, 0), ReservoirState.vacuum(),
+                c, t=t), cfg)
+            assert np.isfinite(prob)
+        assert prob / t == pytest.approx(rate, rel=1e-3)
+
+    # windows around omega0 = 1 holding ~50 panels of each table
+    @pytest.mark.parametrize("n, lo, hi", [(2000, 0.8, 1.25), (20000, 0.98, 1.02)])
+    def test_log_grid_shifts_against_mpmath(self, n, lo, hi):
+        c = gaussian_tail_coupling(beta=0.1, n=n)
+        cfg = QuadratureConfig(ir_cutoff=lo, uv_cutoff=hi)
+        knot = float(c.grid[np.searchsorted(c.grid, 1.0)])
+        for omega0 in [1.0, knot]:
+            shifts = level_shifts(TwoLevelParams(omega0, (1, 0, 0), c), cfg)
+            pref = 4.0 * np.pi**2 / 3.0 * omega0**6
+            for value, pole in [(shifts.delta1, omega0), (shifts.delta2, -omega0)]:
+                oracle, scale = mpmath_principal_value(c, pole, lo, hi)
+                assert abs(value - pref * oracle) <= 1e-13 * pref * scale
+
+    @pytest.mark.parametrize("n, lo, hi, t", [(2000, 0.8, 1.25, 1.0), (2000, 0.8, 1.25, 1e3),
+                                              (20000, 0.98, 1.02, 1e3)])
+    def test_log_grid_emission_against_mpmath(self, n, lo, hi, t):
+        c = gaussian_tail_coupling(beta=0.1, n=n)
+        prob = finite_time_emission_probability(RateRequest(
+            OscillatorParams(1e5, 1.0, 0.0), FockTriple(1, 0, 0), ReservoirState.vacuum(),
+            c, t=t), QuadratureConfig(ir_cutoff=lo, uv_cutoff=hi))
+        pref = 2.0 * np.pi / 3e5
+        oracle, scale = mpmath_sinc_squared(c, 1.0, t, lo, hi)
+        assert abs(prob - pref * oracle) <= 1e-13 * pref * scale
 
 
 class TestFriction:
