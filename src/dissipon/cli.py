@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +149,7 @@ def cmd_langevin(args, out_dir):
     cfg = None
     if args.volterra:
         coup = _coupling(args)
-        # only a tabulated kernel reads epsilon: 1e-8 max(omega, 1/tmax)
+        # epsilon = 1e-8 max(omega, 1/tmax)
         cfg = QuadratureConfig.for_frequencies(max(args.omega, 1.0 / args.tmax),
                                                uv_cutoff=coup.uv_cutoff)
         kern = MemoryKernel.sample(coup, grid, cfg)
@@ -483,6 +482,7 @@ def cmd_sweep(args):
         job = parser.parse_args([experiment, "--out", str(out_dir / f"sweep_{i:04d}")])
         jobs.append(_configure(job, parser, sections, {parameter: value}))
 
+    from concurrent.futures import ProcessPoolExecutor  # imported by sweeps alone
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(_run_single, jobs))
 

@@ -13,7 +13,6 @@ a warning, above 1 an error.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError, PerturbationTheoryError
 from .oscillator import FockTriple, OscillatorParams
-from .quadrature import _EULER_GAMMA, QuadratureConfig, _cin_si, _gauss_legendre
-from .reservoir import CouplingFunction, ReservoirState, _table_sinc_squared, bose_factor
+from .quadrature import QuadratureConfig
+from .reservoir import CouplingFunction, ReservoirState, _sinc_squared, bose_factor
 
 __all__ = [
     "RateRequest",
@@ -84,18 +83,19 @@ def _guard_probability(prob):
 def finite_time_emission_probability(r, cfg=None):
     """Probability that the vacuum reservoir has absorbed one quantum by time t.
 
-    Evaluates the integral
+    Evaluates
 
         (2 pi w (n1+n2+n3) / 3m) * int dw_k w_k^4 |f|^2 sinc^2((w_k - w) t / 2)
 
-    over the window [ir_cutoff, uv_cutoff]; for w t >> 1 it approaches
-    t * rate_emission_vacuum.  The canonical coupling's integral is a closed
-    form in Si and Cin (:func:`_emission_antiderivative`), which needs a
-    positive ir_cutoff: the integrand behaves like t^2 / w_k at w_k -> 0.  A
-    tabulated coupling's is ``reservoir``'s panel sum, exact near the
-    resonance and Gauss-Legendre elsewhere, in work growing as t Lambda.
-    Without ``cfg`` the window is :meth:`QuadratureConfig.for_frequencies`
-    of w, up to the coupling's cutoff when it has one.
+    over the window [ir_cutoff, uv_cutoff], the integral being
+    ``reservoir``'s sinc^2 integral for either coupling; for w t >> 1 it
+    approaches t * rate_emission_vacuum.  The canonical coupling's is a
+    closed form in Si and Cin, which needs a positive ir_cutoff: the
+    integrand behaves like t^2 / w_k at w_k -> 0.  A tabulated coupling's is
+    a panel sum, exact near the resonance and Gauss-Legendre elsewhere, in
+    work growing as t Lambda.  Without ``cfg`` the window is
+    :meth:`QuadratureConfig.for_frequencies` of w, up to the coupling's
+    cutoff when it has one.
     """
     r._require_reservoir("vacuum", "finite_time_emission_probability")
     if r.t is None:
@@ -105,96 +105,9 @@ def finite_time_emission_probability(r, cfg=None):
     p = r.params
     if cfg is None:
         cfg = QuadratureConfig.for_frequencies(p.omega, uv_cutoff=r.coupling.uv_cutoff)
-    if r.coupling.kind == "canonical":
-        if cfg.ir_cutoff <= 0.0:
-            raise DomainError(
-                "the canonical coupling makes finite-time emission infrared-divergent; "
-                "supply a positive ir_cutoff")
-        if not p.omega * r.t < math.inf:
-            raise DomainError(f"the phase omega t = {p.omega:.3g} x {r.t:.3g} overflows")
-        # P = pref beta int dw_k 2 (1 - cos(y t)) / (w_k y^2), pref = w n / (2 pi m),
-        # and the antiderivative carries a factor w^2 / 2
-        integral = (_emission_antiderivative(cfg.uv_cutoff, p.omega, r.t)
-                    - _emission_antiderivative(cfg.ir_cutoff, p.omega, r.t))
-        return _guard_probability(
-            r.n.total * r.coupling.beta / (np.pi * p.m * p.omega) * integral)
-    # pref (4 pi^2 / 3) |f|^2 w^4 against the kernel, pref = w n / (2 pi m)
-    integral = _table_sinc_squared(r.coupling, p.omega, r.t, cfg.ir_cutoff, cfg.uv_cutoff)
+    integral = _sinc_squared(r.coupling, p.omega, r.t, cfg.ir_cutoff, cfg.uv_cutoff)
     return _guard_probability(
         2.0 * np.pi * p.omega * r.n.total / (3.0 * p.m) * integral)
-
-
-def _emission_antiderivative(end, omega, t):
-    """(w^2 / 2) times an antiderivative of 2 (1 - cos(y t)) / (w_k y^2) at w_k = end.
-
-    This is the canonical coupling's sinc^2 integrand, whose weight is
-    constant.  Partial fractions split 1/(w_k y^2) into
-    1/(w^2 w_k) - 1/(w^2 y) + 1/(w y^2), and each part against
-    2 (1 - cos y t) is elementary plus Si and Cin.  With tau = w t,
-    c = cos tau, s = sin tau, h = 1 - c, X = end t and f(u) = (1 - cos u) / u,
-    it is
-
-        h ln(end) + c Cin(X) - Cin(|y| t) - s Si(X) + sign(y) tau [Si(|y| t) - f(|y| t)]
-
-    at y = end - w: the 1/w_k part gives the first, second and fourth terms,
-    the 1/y part the third (Cin(|y| t) is even in y) and the 1/y^2 part the
-    last (odd in y).  Above the resonance with tau <= 1 the integral is
-    O(tau^2) while these terms are O(tau), so there the same antiderivative
-    is summed as
-
-        h (ln(end) - Cin(X)) + (tau - s) Si(X)
-            + int_{X-tau}^{X} [f(u) - f(X - tau) - tau sin(u)/u] du,
-
-    whose terms are all O(tau^2), with the short integral by Gauss-Legendre.
-    Its limit at end = inf (or an end t that overflows) is
-    -h (gamma + ln t) + (tau - s) pi/2.
-    """
-    tau = omega * t
-    h = 2.0 * math.sin(0.5 * tau) ** 2
-    if end * t == math.inf:
-        return -h * (_EULER_GAMMA + math.log(t)) + _tau_minus_sin(tau) * 0.5 * math.pi
-    cin_end, si_end = _cin_si(end * t)
-    if end > omega and tau <= 1.0:
-        nodes, weights = _unit_gauss_legendre()
-        v = tau * nodes
-        x_gap = (end - omega) * t
-        u = x_gap + v
-        cos_gap, sin_gap = math.cos(x_gap), math.sin(x_gap)
-        # f(u) - f(X - tau) and sin(u) by the addition theorem, so that the
-        # rounding of X - tau + v shifts no phase
-        df = (2.0 * cos_gap * np.sin(0.5 * v) ** 2 + sin_gap * np.sin(v) - _f(x_gap) * v) / u
-        sin_u = sin_gap * np.cos(v) + cos_gap * np.sin(v)
-        return (h * (math.log(end) - cin_end) + _tau_minus_sin(tau) * si_end
-                + tau * float(weights @ (df - tau * sin_u / u)))
-    y = end - omega
-    x = abs(y) * t
-    cin_gap, si_gap = _cin_si(x)
-    return (h * math.log(end) + math.cos(tau) * cin_end - cin_gap - math.sin(tau) * si_end
-            + math.copysign(tau * (si_gap - _f(x)), y))
-
-
-@functools.cache
-def _unit_gauss_legendre():
-    """Eight-point Gauss-Legendre nodes and weights on [0, 1]: exact to
-    rounding for the entire integrands above on an interval of length <= 1."""
-    x, w = _gauss_legendre(8)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _tau_minus_sin(tau):
-    """tau - sin(tau), as int_0^tau 2 sin^2(v/2) dv by Gauss-Legendre for tau <= 1."""
-    if tau > 1.0:
-        return tau - math.sin(tau)
-    nodes, weights = _unit_gauss_legendre()
-    return tau * float(weights @ (2.0 * np.sin(0.5 * tau * nodes) ** 2))
-
-
-def _f(x):
-    """(1 - cos x) / x = 2 sin^2(x/2) / x, 0 at x = 0."""
-    if x == 0.0:
-        return 0.0
-    half = math.sin(0.5 * x)
-    return 2.0 * half * (half / x)
 
 
 def rate_emission_vacuum(r):

@@ -12,33 +12,34 @@ integral_0^inf delta(tau) g(tau) dtau = g(0)/2) it generates the friction
 force, and for the canonical coupling the convolution tends to
 beta * v(t) as Lambda grows.
 
-Both coupling kinds have a piecewise-polynomial spectral weight, so the
-kernel and the friction sweep are exact.  The canonical weight is one
-constant panel on the window [epsilon, Lambda]: a sinc and the sine
-integral.  A tabulated f is linear between knots, so on each panel of the
-window (its ends and the knots inside) f(w)^2 w^5 is a polynomial of
-degree 7 in the panel's local variable, and its transform against
-exp(i w t) is a Filon-type sum in closed form: a power series in the
-panel's phase spread below 2, an upward moment recurrence above.
-
-The same panels, with f(w)^2 w^4, give the two-level shifts (``tls``: a
-principal value across the level splitting and a plain integral) and the
-finite-time emission (``rates``: the sinc^2 kernel).  A panel within two
-half-widths of the pole, or holding the resonance, subtracts the Taylor
-terms there and integrates them in closed form; every other piece is
-smooth and goes through one fixed Gauss-Legendre rule.  No bath integral
-calls QUADPACK.
+This module is the one place that integrates against a coupling, on the
+window [epsilon, Lambda] and for both kinds: the kernel and the friction
+sweep (:func:`_transform`), the two-level shifts of ``tls``
+(:func:`_principal_value`) and the finite-time emission of ``rates``
+(:func:`_sinc_squared`); the callers add only the physical prefactor.  The
+canonical weight f(w)^2 w^5 is the constant c = 3 beta / (4 pi^2), so its
+integrals are closed forms: a sinc, logarithms, Si and Cin.  A tabulated f
+is linear between knots, so on each panel of the window (its ends and the
+knots inside) f(w)^2 w^5 is a polynomial of degree 7 in the panel's local
+variable, and its transform against exp(i w t) is a Filon-type sum in
+closed form: a power series in the panel's phase spread below 2, an upward
+moment recurrence above.  For the principal value and sinc^2, a panel
+within two half-widths of the pole, or holding the resonance, subtracts
+the Taylor terms there and integrates them in closed form; every other
+piece is smooth and goes through one fixed Gauss-Legendre rule.  No bath
+integral calls QUADPACK.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonMarkovianError
-from .quadrature import QuadratureConfig, _cin_si, _gauss_legendre
+from .quadrature import _EULER_GAMMA, QuadratureConfig, _cin_si, _gauss_legendre
 
 __all__ = [
     "CouplingFunction",
@@ -63,6 +64,7 @@ class CouplingFunction:
             if beta is None or not 0 < beta < np.inf:
                 raise DomainError("canonical coupling requires a finite beta > 0")
             self.beta = float(beta)
+            self._weight = 3.0 * self.beta / (4.0 * np.pi**2)  # f(w)^2 w^5
         elif kind == "tabulated":
             grid = np.asarray(grid, dtype=float)
             values = np.asarray(values, dtype=float)
@@ -134,7 +136,7 @@ class CouplingFunction:
         """|f(w)|^2 w^5, the weight entering the memory kernel."""
         omega = np.asarray(omega, dtype=float)
         if self.kind == "canonical":
-            out = np.full(omega.shape, 3.0 * self.beta / (4.0 * np.pi**2))
+            out = np.full(omega.shape, self._weight)
         else:
             out = self(omega) ** 2 * omega**5
         if out.ndim == 0 or np.isscalar(omega):
@@ -255,26 +257,36 @@ def _table_panels(coupling, lo, hi, power):
     return c, h, q, edges, order
 
 
-def _table_transform(coupling, times, lo, hi, power, part):
-    """integral_lo^hi f(w)^2 w^power exp(i w t) dw of a tabulated coupling,
-    exact for its piecewise-polynomial integrand.
+def _transform(coupling, times, lo, hi, power, part):
+    """integral_lo^hi f(w)^2 w^power exp(i w t) dw, exact for both kinds.
 
     ``part`` picks the real ("cos") or imaginary ("sin") part at each time.
-    Panel by panel the integral is h exp(i c t) integral Q(s) exp(i theta s)
-    ds with theta = h t.  Below theta = 2 that is the power series
-    sum_j (i theta)^j mu_j / j! in Q's moments mu_j, whose coefficients do
-    not depend on time, so a block of times is one BLAS product against
-    cos(c t) and one against sin(c t).  From theta = 2 on it is
+    The canonical coupling has the kernel's (5, "cos"), c (sin(hi t) -
+    sin(lo t)) / t, and the friction sweep's (4, "sin"), c [Si(hi t) -
+    Si(lo t)].  A tabulated coupling's is a sum over its panels: on each,
+    h exp(i c t) integral Q(s) exp(i theta s) ds with theta = h t.  Below
+    theta = 2 that is the power series sum_j (i theta)^j mu_j / j! in Q's
+    moments mu_j, whose coefficients do not depend on time, so a block of
+    times is one BLAS product against cos(c t) and one against sin(c t).
+    From theta = 2 on it is
     sum_k q_k m_k(theta), with m_k = integral s^k exp(i theta s) ds by
     upward recurrence from m_0 = 2 sin(theta)/theta, which amplifies
     rounding by at most 7!/2^7.  The (time, panel) temporaries are held a
     block of times at a time, at most _TRANSFORM_BLOCK float64 entries;
     the per-panel series coefficients (26 at most) come on top.
     """
+    times = np.asarray(times, dtype=float)
+    if coupling.kind == "canonical" and (power, part) == (5, "cos"):
+        small = times * hi < 1e-8  # where the sinc is its limit hi - lo
+        t = np.where(small, 1.0, times)
+        return coupling._weight * np.where(small, hi - lo,
+                                           (np.sin(hi * t) - np.sin(lo * t)) / t)
+    if coupling.kind == "canonical" and (power, part) == (4, "sin"):
+        return coupling._weight * np.array([_cin_si(hi * t)[1] - _cin_si(lo * t)[1]
+                                            for t in times.tolist()])
     # edges and order go at once: held through the block temporaries they
     # shift malloc's mmap threshold, ~25% on a 20000-knot table
     c, h, q = _table_panels(coupling, lo, hi, power)[:3]
-    times = np.asarray(times, dtype=float)
     out = np.zeros(len(times))
     if len(c) == 0:
         return out
@@ -497,21 +509,34 @@ def _line_at(coupling, ends, x):
     return np.where(x - a <= z - x, fa + slope * (x - a), fz - slope * (z - x)), slope
 
 
-def _table_principal_value(coupling, pole, lo, hi):
-    """PV integral_lo^hi f(w)^2 w^4 / (w - pole) dw of a tabulated coupling.
+def _principal_value(coupling, pole, lo, hi):
+    """PV integral_lo^hi f(w)^2 w^4 / (w - pole) dw, for a nonzero pole.
 
-    On a panel w = c + h s the integral is integral Q(s) / (s - s0) ds with
-    s0 = (pole - c) / h.  A panel with |s0| <= _NEAR subtracts Q(s0): the
-    rest, B(s) = (Q(s) - Q(s0)) / (s - s0), is a polynomial and integrates
-    exactly, and Q(s0) = f(pole)^2 pole^4, f on the panel's line, takes
-    ln|(b - pole) / (a - pole)| between the panel's ends a, b.  Where the
-    pole is a knot the two panels' logarithms of 0 cancel, since f is
-    continuous there, and are left out.  Where it is an end of the range,
-    one-sided, the principal value diverges unless f(pole)^2 pole^4 is 0
-    (f jumps to 0 at an end of the table).  Every other panel is smooth
-    and goes through one Gauss-Legendre rule.
+    The canonical c / (w (w - pole)) integrates to (c / pole) ln(|w - pole|
+    / w) between the ends, an infrared logarithm: lo must be positive.  A
+    tabulated coupling's, on a panel w = c + h s, is integral
+    Q(s) / (s - s0) ds with s0 = (pole - c) / h.  A panel with |s0| <= _NEAR
+    subtracts Q(s0): the rest, B(s) = (Q(s) - Q(s0)) / (s - s0), is a
+    polynomial and integrates exactly, and Q(s0) = f(pole)^2 pole^4, f on
+    the panel's line, takes ln|(b - pole) / (a - pole)| between the panel's
+    ends a, b.  Where the pole is a knot the two panels' logarithms of 0
+    cancel, since f is continuous there, and are left out.  Every other
+    panel is smooth and goes through one Gauss-Legendre rule.
+
+    Where the pole is an end of the range, one-sided, the principal value
+    diverges unless f(pole)^2 pole^4 is 0 (f jumps to 0 at an end of a
+    table).
     """
+    if coupling.kind == "canonical":
+        if lo <= 0.0:
+            raise DomainError(
+                "the canonical coupling makes the level shifts infrared-divergent; "
+                "supply a positive ir_cutoff")
+        _reject_one_sided_pole(coupling, pole, lo, hi)
+        return coupling._weight / pole * (_log_gap(hi, pole) - _log_gap(lo, pole))
     c, h, q, edges, order = _table_panels(coupling, lo, hi, 4)
+    if len(edges):
+        _reject_one_sided_pole(coupling, pole, edges[0], edges[-1])
     ends = np.stack((edges[:-1][order], edges[1:][order]))
     s0 = _pole_offsets(ends, h, pole)
     near = np.abs(s0) <= _NEAR
@@ -526,14 +551,25 @@ def _table_principal_value(coupling, pole, lo, hi):
         f0, _ = _line_at(coupling, ends[:, near], pole)
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(ends[::-1, near] - pole))
-        first, last = ends[0].min(), ends[1].max()
-        if pole in (first, last) and pole != 0.0 and coupling(pole) != 0.0:
-            raise DomainError(
-                f"the pole {pole:.6g} lies on an end of the integration range "
-                f"[{first:.6g}, {last:.6g}], where the principal value diverges")
         logs[np.isinf(logs)] = 0.0
         total += (f0 * f0 * pole**4) @ (logs[0] - logs[1])
     return float(total)
+
+
+def _reject_one_sided_pole(coupling, pole, first, last):
+    """Raise where the pole is an end of [first, last] and f(pole) is not 0."""
+    if pole in (first, last) and pole != 0.0 and coupling(pole) != 0.0:
+        raise DomainError(
+            f"the pole {pole:.6g} lies on an end of the integration range "
+            f"[{first:.6g}, {last:.6g}], where the principal value diverges")
+
+
+def _log_gap(end, pole):
+    """ln(|end - pole| / end), 0 at end = inf: log1p below end / 2, and
+    above it end - pole is exact or the logarithm far from 0."""
+    if abs(pole) < 0.5 * end:
+        return math.log1p(-pole / end)
+    return math.log(abs(end - pole) / end)
 
 
 def _sinc_squared_kernel(theta, u):
@@ -546,13 +582,16 @@ def _sinc_squared_kernel(theta, u):
                          - 4.0 * math.sin(0.5 * theta * x) ** 2 / x, u)
 
 
-def _table_sinc_squared(coupling, center, t, lo, hi):
-    """integral_lo^hi f(w)^2 w^4 sin^2((w - center) t / 2) / ((w - center) / 2)^2 dw
-    of a tabulated coupling, for t > 0.
+def _sinc_squared(coupling, center, t, lo, hi):
+    """integral_lo^hi f(w)^2 w^4 sin^2((w - center) t / 2) / ((w - center) / 2)^2 dw,
+    for t > 0 and, with the canonical coupling, center > 0.
 
-    On a panel w = c + h s, with theta = h t, u = s - s0 and
-    s0 = (center - c) / h, the integral is (1/h) integral Q(s) 4 sin^2(theta
-    u / 2) / u^2 ds.  A panel holding the resonance (|s0| <= 1) writes
+    The canonical integrand c 2 (1 - cos(y t)) / (w y^2), y = w - center, is
+    :func:`_emission_antiderivative`'s; it behaves like t^2 / w as w -> 0,
+    so lo must be positive.  For a tabulated coupling, on a panel
+    w = c + h s with theta = h t, u = s - s0 and s0 = (center - c) / h, the
+    integral is (1/h) integral Q(s) 4 sin^2(theta u / 2) / u^2 ds.  A panel
+    holding the resonance (|s0| <= 1) writes
     Q(s) = Q(s0) + Q'(s0) u + u^2 R(s) and integrates the first two terms in
     closed form: [-4 sin^2(theta u / 2) / u + 2 theta Si(theta u)] and
     [2 Cin(theta |u|)] between u = -1 - s0 and 1 - s0.  Beyond its panel the
@@ -562,6 +601,18 @@ def _table_sinc_squared(coupling, center, t, lo, hi):
     rule on sub-panels spanning a phase of at most _SUB_THETA, so the work
     grows as t (hi - lo).
     """
+    if coupling.kind == "canonical":
+        if lo <= 0.0:
+            raise DomainError(
+                "the canonical coupling makes finite-time emission infrared-divergent; "
+                "supply a positive ir_cutoff")
+        if not center * t < math.inf:
+            raise DomainError(f"the phase omega t = {center:.3g} x {t:.3g} overflows")
+        # the antiderivative carries a factor center^2 / 2, divided out a
+        # center at a time so that neither factor leaves the float range
+        return 2.0 * coupling._weight / center * ((
+            _emission_antiderivative(hi, center, t)
+            - _emission_antiderivative(lo, center, t)) / center)
     c, h, q, edges, order = _table_panels(coupling, lo, hi, 4)
     ends = np.stack((edges[:-1][order], edges[1:][order]))
     theta = h * t
@@ -604,6 +655,78 @@ def _table_sinc_squared(coupling, center, t, lo, hi):
     return total + _gauss_legendre_sum(coef, weight, subpanels)
 
 
+def _emission_antiderivative(end, omega, t):
+    """(w^2 / 2) times an antiderivative of 2 (1 - cos(y t)) / (w_k y^2) at w_k = end.
+
+    Partial fractions split 1/(w_k y^2) into 1/(w^2 w_k) - 1/(w^2 y) +
+    1/(w y^2), and each part against 2 (1 - cos y t) is elementary plus Si
+    and Cin.  With tau = w t, c = cos tau, s = sin tau, h = 1 - c, X = end t
+    and f(u) = (1 - cos u) / u (:func:`_versine_over`), it is
+
+        h ln(end) + c Cin(X) - Cin(|y| t) - s Si(X) + sign(y) tau [Si(|y| t) - f(|y| t)]
+
+    at y = end - w: the 1/w_k part gives the first, second and fourth terms,
+    the 1/y part the third (Cin(|y| t) is even in y) and the 1/y^2 part the
+    last (odd in y).  Above the resonance with tau <= 1 the integral is
+    O(tau^2) while these terms are O(tau), so there the same antiderivative
+    is summed as
+
+        h (ln(end) - Cin(X)) + (tau - s) Si(X)
+            + int_{X-tau}^{X} [f(u) - f(X - tau) - tau sin(u)/u] du,
+
+    whose terms are all O(tau^2), with the short integral by Gauss-Legendre.
+    Its limit at end = inf (or an end t that overflows) is
+    -h (gamma + ln t) + (tau - s) pi/2.
+    """
+    tau = omega * t
+    h = 2.0 * math.sin(0.5 * tau) ** 2
+    if end * t == math.inf:
+        return -h * (_EULER_GAMMA + math.log(t)) + _tau_minus_sin(tau) * 0.5 * math.pi
+    cin_end, si_end = _cin_si(end * t)
+    if end > omega and tau <= 1.0:
+        nodes, weights = _unit_gauss_legendre()
+        v = tau * nodes
+        x_gap = (end - omega) * t
+        u = x_gap + v
+        cos_gap, sin_gap = math.cos(x_gap), math.sin(x_gap)
+        # f(u) - f(X - tau) and sin(u) by the addition theorem, so that the
+        # rounding of X - tau + v shifts no phase
+        df = (2.0 * cos_gap * np.sin(0.5 * v) ** 2 + sin_gap * np.sin(v)
+              - _versine_over(x_gap) * v) / u
+        sin_u = sin_gap * np.cos(v) + cos_gap * np.sin(v)
+        return (h * (math.log(end) - cin_end) + _tau_minus_sin(tau) * si_end
+                + tau * float(weights @ (df - tau * sin_u / u)))
+    y = end - omega
+    x = abs(y) * t
+    cin_gap, si_gap = _cin_si(x)
+    return (h * math.log(end) + math.cos(tau) * cin_end - cin_gap - math.sin(tau) * si_end
+            + math.copysign(tau * (si_gap - _versine_over(x)), y))
+
+
+@functools.cache
+def _unit_gauss_legendre():
+    """Eight-point Gauss-Legendre nodes and weights on [0, 1]: exact to
+    rounding for the entire integrands above on an interval of length <= 1."""
+    x, w = _gauss_legendre(8)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _tau_minus_sin(tau):
+    """tau - sin(tau), as int_0^tau 2 sin^2(v/2) dv by Gauss-Legendre for tau <= 1."""
+    if tau > 1.0:
+        return tau - math.sin(tau)
+    nodes, weights = _unit_gauss_legendre()
+    return tau * float(weights @ (2.0 * np.sin(0.5 * tau * nodes) ** 2))
+
+
+def _versine_over(x):
+    """(1 - cos x) / x = 2 sin^2(x/2) / x, 0 at x = 0."""
+    if x == 0.0:
+        return 0.0
+    half = math.sin(0.5 * x)
+    return 2.0 * half * (half / x)
+
+
 @dataclass
 class MemoryKernel:
     """gamma(t) sampled on a uniform time grid; its Ohmic friction limit is
@@ -628,10 +751,11 @@ class MemoryKernel:
     def sample(cls, coupling, times, cfg=None):
         """Sample gamma on ``times`` (uniform grid starting at 0).
 
-        The canonical coupling uses its closed cutoff form directly.  A
-        tabulated coupling's gamma is its exact panel-by-panel cosine
-        transform on the window [epsilon, Lambda] (see the module
-        docstring), to rounding, in O(times x panels) work.
+        gamma is (8 pi / 3) times the exact cosine transform of f(w)^2 w^5
+        on the window [epsilon, Lambda] (see the module docstring): for the
+        canonical coupling (2 beta / pi) (sin(Lambda t) - sin(epsilon t)) / t,
+        for a tabulated one a panel sum, to rounding, in O(times x panels)
+        work.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):
@@ -640,15 +764,7 @@ class MemoryKernel:
         lam = cfg.uv_cutoff
         if not np.isfinite(lam):
             raise DomainError("kernel sampling needs a finite UV cutoff")
-        if coupling.kind == "canonical":
-            beta = coupling.beta
-            vals = np.empty_like(times)
-            small = np.abs(times) * lam < 1e-8
-            vals[small] = 2.0 * beta * lam / np.pi
-            tt = times[~small]
-            vals[~small] = 2.0 * beta / np.pi * np.sin(lam * tt) / tt
-            return cls(times, vals)
-        gamma = _table_transform(coupling, times, cfg.ir_cutoff, lam, 5, "cos")
+        gamma = _transform(coupling, times, cfg.ir_cutoff, lam, 5, "cos")
         return cls(times, (8.0 * np.pi / 3.0) * gamma)
 
     def at(self, t):
@@ -682,10 +798,9 @@ def friction_coefficient(coupling, cfg=None):
     Evaluates J(T) = (8 pi / 3) * integral dw S(w) sin(w T)/w over a
     doubling sweep of T and returns the plateau; a kernel whose integral
     keeps drifting (no local friction limit) raises
-    :class:`~dissipon.errors.NonMarkovianError`.  The canonical weight is
-    constant on the window, so there J(T) = (2 beta / pi) [Si(Lambda T) -
-    Si(epsilon T)].  A tabulated one is the exact panel sine transform of
-    f(w)^2 w^4 on the window, as for the kernel.
+    :class:`~dissipon.errors.NonMarkovianError`.  J(T) is the exact sine
+    transform of f(w)^2 w^4 on the window: (2 beta / pi) [Si(Lambda T) -
+    Si(epsilon T)] for the canonical coupling.
 
     J(T) tends to (4 pi^2 / 3) S(0+), the golden-rule weight at zero
     frequency, so a table has a plateau only if its S = f^2 w^5 reaches a
@@ -700,14 +815,11 @@ def friction_coefficient(coupling, cfg=None):
         raise DomainError("the friction sweep needs a finite UV cutoff")
     # the plateau test reads three doubling horizons; each is its own integral
     horizons = [2.0**j * 100.0 / lam for j in range(6, 9)]
-    if coupling.kind == "canonical":
-        # beta times a factor near 1, so a finite beta gives a finite J
-        sweep = [coupling.beta * (2.0 / np.pi)
-                 * (_cin_si(lam * T)[1] - _cin_si(cfg.ir_cutoff * T)[1]) for T in horizons]
-    else:
-        # S(w)/w = f^2 w^4 has no singularity at w = 0
-        sweep = ((8.0 * np.pi / 3.0) * _table_transform(
-            coupling, np.array(horizons), cfg.ir_cutoff, lam, 4, "sin")).tolist()
+    sweep = ((8.0 * np.pi / 3.0) * _transform(
+        coupling, np.array(horizons), cfg.ir_cutoff, lam, 4, "sin")).tolist()
+    if not np.all(np.isfinite(sweep)):
+        # a canonical beta past ~6e307 overflows its weight 3 beta / (4 pi^2)
+        raise DomainError(f"the kernel time integral overflows (last values {sweep})")
     diffs = np.abs(np.diff(sweep))
     scale = max(abs(sweep[-1]), cfg.abs_tol)
     if diffs[-1] <= 5e-4 * scale and diffs[-2] <= 5e-4 * scale:

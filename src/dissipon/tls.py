@@ -13,9 +13,9 @@ and E = <s^dag - s> close among themselves,
 
 with the reservoir-induced shifts D1 (principal value across w0) and D2.
 Both shifts are infrared-log-divergent for the canonical coupling, so the
-infrared cutoff is a mandatory, explicit parameter.  They are logarithms
-for the canonical coupling and ``reservoir``'s exact panel sums for a
-tabulated one.
+infrared cutoff is a mandatory, explicit parameter.  Each is one prefactor
+times ``reservoir``'s principal value of |f|^2 w^4, for either coupling:
+logarithms for the canonical one, exact panel sums for a table.
 
 The characteristic frequencies used for the closed form are the exact
 roots of that linear pair,
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .langevin import _block_powers, _check_grid
-from .reservoir import _table_principal_value
+from .reservoir import _principal_value
 
 __all__ = [
     "TwoLevelParams",
@@ -130,8 +130,9 @@ def level_shifts(p, cfg):
     D1 = pref * PV int dw |f|^2 w^4 / (w - w0),
     D2 = pref * int dw |f|^2 w^4 / (w + w0),     pref = 4 pi^2 w0^6 |x12|^2 / 3,
 
-    over the window [epsilon, Lambda] = [ir_cutoff, uv_cutoff].  For the
-    canonical coupling the integrands are beta / (w (w -+ w0)), so
+    over the window [epsilon, Lambda] = [ir_cutoff, uv_cutoff]: ``reservoir``'s
+    principal value with the pole at +w0 (D1) and -w0 (D2).  For the
+    canonical coupling the integrands are 3 beta / (4 pi^2 w (w -+ w0)), so
 
         D1 = beta w0^5 |x12|^2 [ln(|Lambda - w0| / Lambda) - ln(|epsilon - w0| / epsilon)],
         D2 = beta w0^5 |x12|^2 [ln(Lambda / (Lambda + w0)) - ln(epsilon / (epsilon + w0))],
@@ -140,46 +141,18 @@ def level_shifts(p, cfg):
     and D1 as either cutoff approaches w0; such a window is rejected rather
     than silently adjusted.  A w0 outside the window leaves D1 a plain
     integral, which the same formula gives.  A tabulated coupling's shifts
-    are ``reservoir``'s panel sums with the pole at +w0 (D1) and -w0 (D2):
-    the pole's Taylor term is taken out in closed form, a logarithm, on the
-    panels near it, so a window through w0 needs no adaptive quadrature.
+    are exact panel sums, with the pole's logarithm in closed form.
     """
     for name, cutoff in (("ir_cutoff", cfg.ir_cutoff), ("uv_cutoff", cfg.uv_cutoff)):
         if cutoff == p.omega0:
             raise DomainError(
                 f"the level splitting {p.omega0:.6g} lies on the {name} {cutoff:.6g}, "
                 "where the principal-value shift D1 has its pole; move the cutoff off it")
-    if p.coupling.kind == "canonical":
-        return _canonical_level_shifts(p, cfg)
     pref = p.omega0**6 * p.x12_sq * (4.0 * np.pi**2 / 3.0)
-    d1 = _table_principal_value(p.coupling, p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
-    d2 = _table_principal_value(p.coupling, -p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
+    d1 = _principal_value(p.coupling, p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
+    d2 = _principal_value(p.coupling, -p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
     return LevelShifts(delta1=pref * d1, delta2=pref * d2,
                        ir_cutoff=cfg.ir_cutoff, uv_cutoff=cfg.uv_cutoff)
-
-
-def _canonical_level_shifts(p, cfg):
-    """:func:`level_shifts` of the canonical coupling, in closed form."""
-    eps, lam, w0 = cfg.ir_cutoff, cfg.uv_cutoff, p.omega0
-    if eps <= 0.0:
-        raise DomainError(
-            "the canonical coupling makes the level shifts infrared-divergent; "
-            "supply a positive ir_cutoff")
-    scale = p.coupling.beta * w0**5 * p.x12_sq
-    d1 = scale * (_log_gap(lam, w0) - _log_gap(eps, w0))
-    # ln(Lambda / (Lambda + w0)) - ln(epsilon / (epsilon + w0))
-    d2 = scale * (math.log1p(w0 / eps) - math.log1p(w0 / lam))
-    return LevelShifts(delta1=d1, delta2=d2, ir_cutoff=eps, uv_cutoff=lam)
-
-
-def _log_gap(end, w0):
-    """ln(|end - w0| / end), what the pole at w0 leaves at one end of the
-    window; 0 at end = inf.  Within a factor 2 of w0, end - w0 is exact."""
-    if end == math.inf:
-        return 0.0
-    if end > 2.0 * w0:
-        return math.log1p(-w0 / end)
-    return math.log(abs(end - w0) / end)
 
 
 class CoherenceSpectrum(NamedTuple):

@@ -236,8 +236,10 @@ class TestExitCodes:
         grid = np.arange(0.0, 5.0 + 1e-3 / 2.0, 1e-3)
         pot = PotentialSpec.harmonic(1.0, 0.8)
         if solver:
-            kern = MemoryKernel.sample(CouplingFunction.canonical(
-                0.3, uv_cutoff=float(meta["uv_cutoff"])), grid)
+            # the window the table's metadata records
+            cfg = QuadratureConfig(uv_cutoff=float(meta["uv_cutoff"]),
+                                   ir_cutoff=float(meta["ir_cutoff"]))
+            kern = MemoryKernel.sample(CouplingFunction.canonical(0.3), grid, cfg)
             traj = evolve_mean_volterra(1.0, pot, kern, [0.5, -0.25, 1], [0, 0.5, 0], grid)
         else:
             traj = evolve_mean_markov(1.0, pot, 0.3, [0.5, -0.25, 1], [0, 0.5, 0], grid)
@@ -429,7 +431,8 @@ class TestExitCodes:
             map = staticmethod(map)
 
         monkeypatch.setattr(cli, "_time_grid", exhausted)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        # cmd_sweep imports the pool when it runs
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("[sweep]\nexperiment = field\nparameter = tmax\nvalues = 1 2\n")
         argv = ["--config", str(cfg)] if experiment == "sweep" else []
@@ -453,8 +456,7 @@ class TestExitCodes:
 
     def test_unknown_sweep_parameter_fails_before_pool(self, tmp_path, capsys,
                                                        monkeypatch):
-        from dissipon import cli
-        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("the pool started"))
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("[sweep]\nexperiment = tls\nparameter = bogus\nvalues = 1 2\n")
@@ -626,6 +628,12 @@ def test_cli_import_does_not_load_scipy_signal():
 def test_cli_import_does_not_load_scipy_integrate():
     # only the quadrature oracles import it, on their first call
     assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # only a sweep imports it, when it starts its pool
+    assert not _loaded_by_cli_import("concurrent.futures.process")
+    assert not _loaded_by_cli_import("multiprocessing")
 
 
 def test_canonical_bath_integrals_do_not_load_scipy():

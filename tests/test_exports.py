@@ -132,3 +132,27 @@ def test_no_private_scipy_module_is_named():
                       if "_quadpack" in w or (w.startswith("scipy.") and any(
                           part.startswith("_") for part in w.split(".")))]
     assert named == []
+
+
+def _function(module, name):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_bath_formulas_hold_one_prefactor_and_no_coupling_branch():
+    """``reservoir`` integrates against either coupling kind: ``tls`` and
+    ``rates`` import nothing private from ``quadrature``, and the level
+    shifts and finite-time emission read no ``.kind``, so each states its
+    physical prefactor once."""
+    for module in ("tls", "rates"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "quadrature"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == [], module
+    for module, name in (("tls", "level_shifts"),
+                         ("rates", "finite_time_emission_probability")):
+        kinds = [node for node in ast.walk(_function(module, name))
+                 if isinstance(node, ast.Attribute) and node.attr == "kind"]
+        assert kinds == [], name

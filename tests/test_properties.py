@@ -32,6 +32,7 @@ from dissipon.rates import (RateRequest, finite_time_emission_probability,  # no
 from dissipon.reservoir import (CouplingFunction, MemoryKernel,  # noqa: E402
                                 ReservoirState, friction_coefficient)
 from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E402
+from test_cli import FLAG_BASES, FLAG_NEEDS, FLAG_VALUES, VALUE_FLAGS  # noqa: E402
 from test_langevin import direct_volterra, stepwise_markov  # noqa: E402
 from test_reservoir import (gauss_legendre_transform, mpmath_principal_value,  # noqa: E402
                             mpmath_sinc_squared, subnormal_floor, table_edges)
@@ -374,7 +375,7 @@ class TestTabulatedTransformProperties:
         power, part = kind
         times = np.linspace(0.0, t_max, n)
         for grid in (times, times[::-1] * 0.999):
-            values = reservoir_module._table_transform(coupling, grid, lo, lo + width,
+            values = reservoir_module._transform(coupling, grid, lo, lo + width,
                                                        power, part)
             ref, scale = gauss_legendre_transform(coupling, grid, lo, lo + width, power,
                                                   part)
@@ -383,42 +384,86 @@ class TestTabulatedTransformProperties:
             assert np.max(np.abs(values - ref)) <= 1e-12 * scale + subnormal_floor(magnitude)
 
 
-def poles(coupling):
-    """Anywhere from below the window to past the table, or on a knot."""
+def bath_couplings():
+    """A table of coupling_tables, or the canonical coupling at a drawn beta."""
+    return st.one_of(coupling_tables(), log_uniform(1e-3, 1.0).map(CouplingFunction.canonical))
+
+
+def windows(coupling):
+    """The lower end of a window: 0 or anywhere up to 3, and for the
+    canonical coupling, whose integrals span a panel per decade in the
+    oracle, not below 1e-6 unless 0."""
+    if coupling.kind == "canonical":
+        return st.one_of(st.just(0.0), log_uniform(1e-6, 3.0))
+    return st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+def poles(coupling, lo, hi):
+    """Anywhere from below the window to past the table, or on a knot; a
+    canonical coupling's pole is on an end of the window or a normal float,
+    since its principal value divides a difference of logarithms by it."""
+    if coupling.kind == "canonical":
+        return st.one_of(st.floats(-1.0, 8.0).filter(lambda p: abs(p) >= 1e-300),
+                         st.sampled_from([lo, hi]))
     return st.one_of(st.floats(-1.0, 8.0), st.sampled_from([float(w) for w in coupling.grid]))
 
 
+def window_edges(coupling, lo, hi):
+    """The ends of the window's part that a coupling fills, with a table's
+    knots between them."""
+    return np.array([lo, hi]) if coupling.kind == "canonical" else table_edges(coupling, lo, hi)
+
+
 class TestTabulatedShiftProperties:
-    """The panel sums behind a tabulated coupling's level shifts (a principal
-    value) and finite-time emission (sinc^2) against per-panel 30-digit
-    mpmath.quad, within 1e-13 of the sum of the absolute contributions."""
+    """The panel sums behind a coupling's level shifts (a principal value)
+    and finite-time emission (sinc^2) against per-panel 30-digit
+    mpmath.quad, within 1e-13 of the sum of the absolute contributions.
+    The canonical coupling's closed forms need a positive lower end."""
 
     @settings(deadline=None, max_examples=40)
-    @given(coupling=coupling_tables(), lo=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-           width=st.floats(0.1, 4.0), data=st.data())
-    def test_principal_value_matches_mpmath(self, coupling, lo, width, data):
-        pole = data.draw(poles(coupling))
+    @given(coupling=bath_couplings(), width=st.floats(0.1, 4.0), data=st.data())
+    def test_principal_value_matches_mpmath(self, coupling, width, data):
+        lo = data.draw(windows(coupling))
         hi = lo + width
-        edges = table_edges(coupling, lo, hi)
+        pole = data.draw(poles(coupling, lo, hi))
+        if coupling.kind == "canonical" and lo == 0.0:
+            with pytest.raises(DomainError, match="infrared"):
+                reservoir_module._principal_value(coupling, pole, lo, hi)
+            return
+        edges = window_edges(coupling, lo, hi)
         if len(edges) and pole in (edges[0], edges[-1]) and pole != 0.0 \
                 and coupling(pole) != 0.0:
             # a one-sided pole where G = f^2 w^4 is not 0: a divergent integral
             with pytest.raises(DomainError, match="diverges"):
-                reservoir_module._table_principal_value(coupling, pole, lo, hi)
+                reservoir_module._principal_value(coupling, pole, lo, hi)
             return
-        value = reservoir_module._table_principal_value(coupling, pole, lo, hi)
+        value = reservoir_module._principal_value(coupling, pole, lo, hi)
         oracle, scale = mpmath_principal_value(coupling, pole, lo, hi)
         assert abs(value - oracle) <= 1e-13 * scale + subnormal_floor(hi**5)
 
     @settings(deadline=None, max_examples=30)
-    @given(coupling=coupling_tables(), lo=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-           width=st.floats(0.1, 4.0), log_t=st.floats(-2.0, math.log10(200.0)),
-           data=st.data())
-    def test_sinc_squared_matches_mpmath(self, coupling, lo, width, log_t, data):
-        center, t, hi = data.draw(poles(coupling)), 10.0**log_t, lo + width
-        value = reservoir_module._table_sinc_squared(coupling, center, t, lo, hi)
+    @given(coupling=bath_couplings(), width=st.floats(0.1, 4.0),
+           log_t=st.floats(-2.0, math.log10(200.0)), data=st.data())
+    def test_sinc_squared_matches_mpmath(self, coupling, width, log_t, data):
+        lo = data.draw(windows(coupling))
+        t, hi = 10.0**log_t, lo + width
+        center = data.draw(poles(coupling, lo, hi).filter(lambda c: c > 0.0)
+                           if coupling.kind == "canonical" else poles(coupling, lo, hi))
+        if coupling.kind == "canonical" and lo == 0.0:
+            with pytest.raises(DomainError, match="infrared"):
+                reservoir_module._sinc_squared(coupling, center, t, lo, hi)
+            return
+        value = reservoir_module._sinc_squared(coupling, center, t, lo, hi)
         oracle, scale = mpmath_sinc_squared(coupling, center, t, lo, hi)
-        assert abs(value - oracle) <= 1e-13 * scale + subnormal_floor(hi**5 * t * t)
+        bound = 1e-13 * scale + subnormal_floor(hi**5 * t * t)
+        if coupling.kind == "canonical" and not lo <= center <= hi:
+            # off the window the value is small against the closed form's
+            # partial fractions, O(c t / center) and O(c ln(w) / center^2),
+            # which keep a few ulps each (ROADMAP, known defects)
+            terms = 2.0 * coupling.spectral_weight(1.0) / center * (
+                t + (abs(math.log(lo)) + abs(math.log(hi)) + 1.0) / center)
+            bound += 16.0 * np.finfo(float).eps * terms
+        assert abs(value - oracle) <= bound
 
 
 solver_steps = st.one_of(st.sampled_from([63, 64, 65, 1024, 1025]), st.integers(2, 1100))
@@ -562,3 +607,105 @@ class TestCliConfigFiles:
             if codes[0] == 0:
                 assert (tmp / "flags" / "oscillator.csv").read_bytes() \
                     == (tmp / "file" / "oscillator.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:beta/\\(m w\\).*weak-damping")
+    @pytest.mark.filterwarnings("ignore:first-order probability")
+    @pytest.mark.parametrize("experiment", sorted(FLAG_BASES))
+    @settings(deadline=None, max_examples=6)
+    @given(data=st.data())
+    def test_flags_and_config_file_agree(self, experiment, data):
+        # 2-4 of the experiment's value flags, each with the flags it needs,
+        # from the command line and from a config file: the same exit code,
+        # and byte-identical tables and snapshots
+        drawn = data.draw(st.lists(st.sampled_from(EXPERIMENT_FLAGS[experiment]),
+                                   min_size=2, max_size=4, unique=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            run = run_settings(experiment, drawn, tmp)
+            config = tmp / "run.ini"
+            config.write_text(ini_section(experiment, run))
+            codes = [main([experiment, *flag_tokens(run), "--out", str(tmp / "flags")]),
+                     main([experiment, "--config", str(config), "--out", str(tmp / "file")])]
+            assert codes[0] == codes[1]
+            if codes[0] == 0:
+                assert outputs(tmp / "flags") == outputs(tmp / "file")
+
+    @settings(deadline=None, max_examples=4)
+    @given(data=st.data())
+    def test_tls_sweep_jobs_match_standalone_runs(self, data):
+        # a sweep INI over one drawn tls flag, with 2-4 others set in its
+        # [tls] section: each job's table is the standalone run's
+        drawn = data.draw(st.lists(st.sampled_from(EXPERIMENT_FLAGS["tls"]),
+                                   min_size=2, max_size=4, unique=True))
+        parameter = data.draw(st.sampled_from(sorted(set(TLS_SWEEP_VALUES) - set(drawn))))
+        values = [FLAG_VALUES[parameter], TLS_SWEEP_VALUES[parameter]]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            run = run_settings("tls", drawn, tmp)
+            config = tmp / "sweep.ini"
+            config.write_text(f"[sweep]\nexperiment = tls\nparameter = {parameter[2:]}\n"
+                              f"values = {' '.join(values)}\n\n" + ini_section("tls", run))
+            code = main(["sweep", "--config", str(config), "--workers", "1",
+                         "--out", str(tmp / "sweep")])
+            alone = [main(["tls", *flag_tokens({**run, parameter: value}),
+                           "--out", str(tmp / f"alone{i}")]) for i, value in enumerate(values)]
+            assert (code == 0) == (alone == [0, 0])
+            if code == 0:
+                for i in range(len(values)):
+                    assert (tmp / "sweep" / f"sweep_{i:04d}" / "tls_decay.csv").read_bytes() \
+                        == (tmp / f"alone{i}" / "tls_decay.csv").read_bytes()
+
+
+# the value flags of each experiment, as test_cli's flag tests draw them
+EXPERIMENT_FLAGS = {experiment: [flag for exp, flag in VALUE_FLAGS if exp == experiment]
+                    for experiment in FLAG_BASES}
+# a second valid value of each tls flag a sweep may run over
+TLS_SWEEP_VALUES = {"--beta": "0.05", "--uv-cutoff": "40", "--ir-cutoff": "1e-4",
+                    "--omega0": "0.7", "--x12sq": "0.2", "--tmax": "1", "--steps": "30",
+                    "--sz0": "-0.5", "--f0": "0.1"}
+
+
+def run_settings(experiment, drawn, tmp):
+    """{flag: value or None for a switch}: the experiment's base run, then
+    the flags each drawn one needs, then the drawn flags' values.  A
+    coupling table goes to ``tmp``: an Ohmic one for the kernel, whose
+    friction sweep needs a plateau."""
+    run = flag_pairs(FLAG_BASES[experiment])
+    for flag in drawn:
+        run.update(flag_pairs(FLAG_NEEDS.get((experiment, flag), [])))
+    for flag in drawn:
+        if flag != "--coupling-file":
+            run[flag] = FLAG_VALUES[flag]
+            continue
+        run[flag] = str(tmp / "coupling.dat")
+        w = np.geomspace(1e-6, 60.0, 2000) if experiment == "kernel" else \
+            np.linspace(0.0, 50.0, 11)
+        f = 0.1 * w**-2.5 if experiment == "kernel" else 3e-4 * np.exp(-w / 20.0)
+        np.savetxt(run[flag], np.column_stack([w, f]))
+    return run
+
+
+def flag_pairs(tokens):
+    """Command-line tokens as {flag: value}, None for a switch."""
+    pairs = {}
+    for i, token in enumerate(tokens):
+        if token.startswith("--"):
+            value = tokens[i + 1] if i + 1 < len(tokens) else None
+            pairs[token] = None if value is None or value.startswith("--") else value
+    return pairs
+
+
+def flag_tokens(run):
+    return [token for flag, value in run.items()
+            for token in ([flag] if value is None else [flag, value])]
+
+
+def ini_section(experiment, run):
+    return f"[{experiment}]\n" + "".join(
+        f"{flag[2:]} = {'true' if value is None else value}\n" for flag, value in run.items())
+
+
+def outputs(out):
+    """The tables and binary snapshots a run wrote, by name."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())
+            if path.suffix in (".csv", ".bin")}

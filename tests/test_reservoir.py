@@ -80,8 +80,18 @@ def _mpmath_weights(coupling, lo, hi):
     """The table's panels (a, b, G) in [lo, hi] with G(w) = f(w)^2 w^4 at the
     working precision, scaled by the bound max f^2 max w^4 of G, and the
     factor that scales integrals of G back: mpmath.quad stops on an
-    absolute error estimate, which a tiny integrand meets too early."""
+    absolute error estimate, which a tiny integrand meets too early.  The
+    canonical G(w) = 3 beta / (4 pi^2 w) takes a panel per decade of the
+    window, each scaled by G(lo)."""
     mpmath = pytest.importorskip("mpmath")
+    if coupling.kind == "canonical":
+        weight = 3 * mpmath.mpf(coupling.beta) / (4 * mpmath.pi**2)
+        ends = [mpmath.mpf(lo)]
+        while ends[-1] * 10 < hi:
+            ends.append(ends[-1] * 10)
+        ends.append(mpmath.mpf(hi))
+        return [(a, b, lambda w: ends[0] / w) for a, b in zip(ends[:-1], ends[1:])], \
+            weight / ends[0]
     edges = table_edges(coupling, lo, hi)
     if len(edges) == 0:
         return [], 1.0
@@ -218,6 +228,23 @@ class TestMemoryKernel:
             expect = 2.0 * beta / np.pi * np.sin(lam * t) / t
             assert sampled_kernel(c, t) == pytest.approx(expect, abs=1e-8)
             assert quadpack_kernel(c, t) == pytest.approx(expect, abs=1e-8)
+
+    def test_canonical_kernel_honours_the_ir_cutoff(self):
+        # the window [epsilon, Lambda] = [1, 50]: gamma(0) = 2 beta (Lambda -
+        # epsilon) / pi = 15.597, not the 15.915 of [0, 50]
+        beta, eps, lam = 0.5, 1.0, 50.0
+        cfg = QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam)
+        times = np.array([0.0, 1e-12, 0.05, 0.31, 1.7])
+        kern = MemoryKernel.sample(CouplingFunction.canonical(beta), times, cfg)
+        assert kern.values[0] == pytest.approx(15.597, abs=5e-4)
+        assert kern.values[0] == pytest.approx(2.0 * beta * (lam - eps) / np.pi, rel=1e-15)
+        expect = [2.0 * beta / np.pi * (np.sin(lam * t) - np.sin(eps * t)) / t
+                  for t in times[1:]]
+        assert kern.values[1:] == pytest.approx(expect, rel=1e-13, abs=1e-13)
+        for t, value in zip(times, kern.values):
+            # QUADPACK's cosine-weighted integral over the same window
+            oracle, _ = integrate_oscillatory(lambda w: 2.0 * beta / np.pi, 1.0, t, cfg)
+            assert value == pytest.approx(oracle, abs=1e-8)
 
     def test_zero_coupling(self):
         c = CouplingFunction.zero(uv_cutoff=10.0)
@@ -371,6 +398,7 @@ class TestMemoryKernel:
 
 
 FEW_KNOTS = CouplingFunction.tabulated([0.5, 1.2, 2.0, 3.1, 4.0], [0.3, -0.2, 0.5, 0.1, -0.4])
+CANONICAL = CouplingFunction.canonical(0.3)
 
 
 class TestTabulatedTransforms:
@@ -388,7 +416,7 @@ class TestTabulatedTransforms:
         # all in the recurrence; the widest panel's theta on either side of 2
         times = np.array([0.0, 0.3, 1.9 / h_max, 2.1 / h_max, 40.0,
                           2.0 / h_max * (1.0 - 1e-9), 2.0 / h_max * (1.0 + 1e-9)])
-        values = reservoir_module._table_transform(FEW_KNOTS, times, lo, hi, power, part)
+        values = reservoir_module._transform(FEW_KNOTS, times, lo, hi, power, part)
         scale = mpmath_transform(FEW_KNOTS, 0.0, lo, hi, power, "cos")
         for t, value in zip(times, values):
             oracle = mpmath_transform(FEW_KNOTS, t, lo, hi, power, part)
@@ -437,8 +465,17 @@ class TestTabulatedShiftsAndEmission:
     @pytest.mark.parametrize("pole", [1.2, 1.6, -1.6, 4.5, 0.2, np.nextafter(2.0, 3.0)])
     @pytest.mark.parametrize("lo, hi", [(0.1, 6.0), (0.8, 2.5), (0.0, 3.1)])
     def test_principal_value_against_mpmath(self, pole, lo, hi):
-        value = reservoir_module._table_principal_value(FEW_KNOTS, pole, lo, hi)
+        value = reservoir_module._principal_value(FEW_KNOTS, pole, lo, hi)
         oracle, scale = mpmath_principal_value(FEW_KNOTS, pole, lo, hi)
+        assert abs(value - oracle) <= 1e-13 * scale
+
+    # the canonical weight c / w: D1's pole inside the window, below it and
+    # above it, D2's, and windows of one and of six decades
+    @pytest.mark.parametrize("pole", [1.6, 0.5, 7.0, -1.6, -1e-3])
+    @pytest.mark.parametrize("lo, hi", [(1e-3, 6.0), (0.8, 6.0), (0.8, 1e3)])
+    def test_canonical_principal_value_against_mpmath(self, pole, lo, hi):
+        value = reservoir_module._principal_value(CANONICAL, pole, lo, hi)
+        oracle, scale = mpmath_principal_value(CANONICAL, pole, lo, hi)
         assert abs(value - oracle) <= 1e-13 * scale
 
     @pytest.mark.parametrize("pole, lo, hi", [(0.5, 0.1, 6.0), (4.0, 0.1, 6.0),
@@ -446,11 +483,16 @@ class TestTabulatedShiftsAndEmission:
     def test_pole_on_an_end_of_the_range_diverges(self, pole, lo, hi):
         # f jumps to 0 at the table's ends, and the window's end is one-sided
         with pytest.raises(DomainError, match="diverges"):
-            reservoir_module._table_principal_value(FEW_KNOTS, pole, lo, hi)
+            reservoir_module._principal_value(FEW_KNOTS, pole, lo, hi)
+
+    @pytest.mark.parametrize("pole", [0.1, 6.0])
+    def test_canonical_pole_on_an_end_of_the_window_diverges(self, pole):
+        with pytest.raises(DomainError, match="diverges"):
+            reservoir_module._principal_value(CANONICAL, pole, 0.1, 6.0)
 
     def test_pole_on_an_end_where_f_is_zero(self):
         table = CouplingFunction.tabulated([0.5, 1.0, 2.0], [0.0, 0.3, 0.1])
-        value = reservoir_module._table_principal_value(table, 0.5, 0.0, 3.0)
+        value = reservoir_module._principal_value(table, 0.5, 0.0, 3.0)
         oracle, scale = mpmath_principal_value(table, 0.5, 0.0, 3.0)
         assert abs(value - oracle) <= 1e-13 * scale
 
@@ -459,8 +501,17 @@ class TestTabulatedShiftsAndEmission:
     @pytest.mark.parametrize("center", [1.2, 1.6, 4.5])
     @pytest.mark.parametrize("t", [0.01, 3.0, 200.0])
     def test_sinc_squared_against_mpmath(self, center, t):
-        value = reservoir_module._table_sinc_squared(FEW_KNOTS, center, t, 0.0, 3.1)
+        value = reservoir_module._sinc_squared(FEW_KNOTS, center, t, 0.0, 3.1)
         oracle, scale = mpmath_sinc_squared(FEW_KNOTS, center, t, 0.0, 3.1)
+        assert abs(value - oracle) <= 1e-13 * scale
+
+    # the canonical weight c / w: the resonance inside the window, below it
+    # and above it
+    @pytest.mark.parametrize("center", [1.6, 0.5, 7.0])
+    @pytest.mark.parametrize("t", [0.01, 3.0, 200.0])
+    def test_canonical_sinc_squared_against_mpmath(self, center, t):
+        value = reservoir_module._sinc_squared(CANONICAL, center, t, 0.8, 6.0)
+        oracle, scale = mpmath_sinc_squared(CANONICAL, center, t, 0.8, 6.0)
         assert abs(value - oracle) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [2000, 20000])
@@ -535,14 +586,14 @@ class TestFriction:
         w = np.linspace(0.01, 50.0, 500)
         c = CouplingFunction.tabulated(w, np.sqrt(0.9 / (4.0 * np.pi**2 * w**5)))
         horizons = 2.0 ** np.arange(6, 9) * 100.0 / 50.0
-        sweep = (8.0 * np.pi / 3.0) * reservoir_module._table_transform(
+        sweep = (8.0 * np.pi / 3.0) * reservoir_module._transform(
             c, horizons, 0.0, 50.0, 4, "sin")
         oracle, scale = gauss_legendre_transform(c, horizons, 0.0, 50.0, 4, "sin")
         assert np.max(np.abs(sweep - (8.0 * np.pi / 3.0) * oracle)) <= (
             1e-12 * (8.0 * np.pi / 3.0) * scale)
         assert sweep == pytest.approx([-19.1486, -3.05121, 0.444009], rel=1e-5)
         # long after the sweep, J is nearly gone
-        late = (8.0 * np.pi / 3.0) * reservoir_module._table_transform(
+        late = (8.0 * np.pi / 3.0) * reservoir_module._transform(
             c, np.array([2.0**14 * 2.0]), 0.0, 50.0, 4, "sin")
         assert abs(late[0]) < 1e-2 * abs(sweep[-1])
         with pytest.raises(NonMarkovianError):
