@@ -408,12 +408,6 @@ def poles(coupling, lo, hi):
     return st.one_of(st.floats(-1.0, 8.0), st.sampled_from([float(w) for w in coupling.grid]))
 
 
-def window_edges(coupling, lo, hi):
-    """The ends of the window's part that a coupling fills, with a table's
-    knots between them."""
-    return np.array([lo, hi]) if coupling.kind == "canonical" else table_edges(coupling, lo, hi)
-
-
 class TestTabulatedShiftProperties:
     """The panel sums behind a coupling's level shifts (a principal value)
     and finite-time emission (sinc^2) against per-panel 30-digit
@@ -430,7 +424,8 @@ class TestTabulatedShiftProperties:
             with pytest.raises(DomainError, match="infrared"):
                 reservoir_module._principal_value(coupling, pole, lo, hi)
             return
-        edges = window_edges(coupling, lo, hi)
+        # the ends of the window's part that the coupling fills
+        edges = [lo, hi] if coupling.kind == "canonical" else table_edges(coupling, lo, hi)
         if len(edges) and pole in (edges[0], edges[-1]) and pole != 0.0 \
                 and coupling(pole) != 0.0:
             # a one-sided pole where G = f^2 w^4 is not 0: a divergent integral
