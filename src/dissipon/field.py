@@ -9,20 +9,22 @@ acceleration, and the bath Hamiltonian equals the field energy
 Fields are evolved at the level of c-number mode amplitudes (coherent
 expectation values); operator character never enters.  Two integrators
 are provided: exact per-mode rotation in k-space with the source's
-velocity interpolated linearly in time, and a leapfrog with a 7-point
-stencil Laplacian whose stability limit dt < dx/sqrt(3) is enforced.
+velocity interpolated linearly in time, and a trigonometric
+(Gautschi-type) leapfrog with the exact-phase symbol
+sigma = (2/dt)^2 sin^2(w dt/2), under which a free step rotates each mode
+by exactly w dt (W. Gautschi, Numer. Math. 3 (1961) 381; M. Hochbruck and
+Ch. Lubich, Numer. Math. 83 (1999) 403).  Both follow the dispersion
+w = |k| of the lattice memory kernel, so the particle and either field
+describe one discrete system.  The leapfrog enforces dt < dx/sqrt(3).
 
-Both run on classes of equivalent modes, keyed by exact integers built
-from the fft index triple (i, j, l): the k-space rotation per shell of one
-i^2 + j^2 + l^2 (one |k|, one coupling), the leapfrog per cubic orbit of
-one sorted (|i|, |j|, |l|) (also one stencil symbol).  By linearity every
-mode is a fixed combination, its basis, of its class's state columns, so
-each step costs O(classes), and the modes and fields are rebuilt once, at
-the end.  Only the live columns are stepped, those whose basis is nonzero
-on some masked mode: with a UV cutoff (no masked mode on a Nyquist plane)
-and a field starting at rest, the 3 the particle drives.  The discrete
-schemes are unchanged: the same rotation and source integral per mode,
-and the same stencil leapfrog per grid point, read in Fourier space.
+Both run on shells of equivalent modes, one i^2 + j^2 + l^2 of the fft
+index triple (i, j, l): one |k|, one coupling, one symbol.  By linearity
+every mode is a fixed combination, its basis, of its shell's state
+columns, so each step costs O(shells), and the modes and fields are
+rebuilt once, at the end.  Only the live columns are stepped, those
+whose basis is nonzero on some masked mode: with a UV cutoff (no masked
+mode on a Nyquist plane) and a field starting at rest, the 3 the particle
+drives.
 """
 
 from __future__ import annotations
@@ -307,11 +309,12 @@ def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
 
     ``kspace`` rotates every mode exactly and integrates the source
     exactly over each step against the linear interpolant of the
-    velocity; ``leapfrog`` steps Y with a 7-point stencil Laplacian and the
-    lattice source shapes.  Both advance one state per class of equivalent
-    modes (see the module docstring) and rebuild the modes and fields once,
-    at the end.  The trajectory's grid sets the time step; the leapfrog
-    enforces the CFL bound dt < dx / sqrt(3).
+    velocity; ``leapfrog`` steps Y with the exact-phase symbol and the
+    lattice source shapes.  Both advance one state per shell (see the
+    module docstring) and rebuild the modes and fields once, at the end.
+    The trajectory's grid sets the time step.  The leapfrog's CFL bound
+    dt < dx / sqrt(3) keeps w dt < pi on every mode (|k| <= sqrt(3) pi / dx),
+    so sigma dt^2 = 4 sin^2(w dt/2) stays below 4, its stability edge.
 
     Returns the energy trace (bath Hamiltonian identity form) at every
     time and the final field state.
@@ -347,29 +350,18 @@ def _masked_modes(coupling, grid):
     return _Modes(mask, index, grid.k_axes()[0][position], w, g)
 
 
-def _classes(keys):
-    """Each mode's class label and each class's first mode, for exact
-    integer class keys."""
-    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+def _shells(modes):
+    """Each mode's shell label and each shell's first mode.  A shell is one
+    exact integer i^2 + j^2 + l^2: its modes share |k|, g_k and the
+    leapfrog's symbol."""
+    _, first, label = np.unique(np.sum(modes.index**2, axis=1),
+                                return_index=True, return_inverse=True)
     return label, first
 
 
-def _shells(modes):
-    """Shells, one value of i^2 + j^2 + l^2: the modes share |k| and g_k."""
-    return _classes(np.sum(modes.index**2, axis=1))
-
-
-def _cubic_orbits(modes, n):
-    """Cubic orbits, one sorted (|i|, |j|, |l|): the modes of a shell that
-    also share the stencil symbol."""
-    a = np.sort(np.abs(modes.index), axis=1)
-    base = n // 2 + 1
-    return _classes((a[:, 0] * base + a[:, 1]) * base + a[:, 2])
-
-
-def _class_sums(label, count, values):
-    """Sum of ``values`` (one row per mode) over each class, adding each
-    class's rows in mode order."""
+def _shell_sums(label, count, values):
+    """Sum of ``values`` (one row per mode) over each shell, adding each
+    shell's rows in mode order."""
     order = np.argsort(label, kind="stable")
     starts = np.searchsorted(label[order], np.arange(count))
     return np.add.reduceat(values[order], starts, axis=0)
@@ -382,10 +374,10 @@ def _live_columns(basis):
     return np.flatnonzero(np.any(basis != 0, axis=0))
 
 
-def _class_energies(states, gram):
-    """sum_k |basis_k . s_c|^2 over the modes k of each class c, for every
-    row of ``states`` (rows, classes, columns); ``gram`` holds each class's
-    sum of basis_k conj(basis_k)^T.  Returns (classes, rows)."""
+def _shell_energies(states, gram):
+    """sum_k |basis_k . s_c|^2 over the modes k of each shell c, for every
+    row of ``states`` (rows, shells, columns); ``gram`` holds each shell's
+    sum of basis_k conj(basis_k)^T.  Returns (shells, rows)."""
     states = states.transpose(1, 0, 2)
     return np.einsum("crj,crj->cr", states.conj(), states @ gram).real
 
@@ -439,7 +431,7 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
         [modes.k, _initial_amplitudes(initial_amplitudes, grid)[modes.mask]])
     live = _live_columns(basis)
     basis = basis[:, live]
-    gram = _class_sums(label, len(first), basis[:, :, None] * basis[:, None, :].conj())
+    gram = _shell_sums(label, len(first), basis[:, :, None] * basis[:, None, :].conj())
     w, g = modes.w[first], modes.g[first]
     dt = traj.step
     theta = w * dt
@@ -471,7 +463,7 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
             if i:
                 z = rot * z + kicks[j]
             zs[j] = z
-        energies[rows] = w @ _class_energies(zs[:len(rows)], gram)
+        energies[rows] = w @ _shell_energies(zs[:len(rows)], gram)
     a = np.zeros((grid.n,) * 3, dtype=complex)
     a[modes.mask] = np.sum(basis * z[label], axis=1)
     y, pi = field_from_modes(a, grid)
@@ -481,7 +473,7 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
 
 def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     modes = _masked_modes(coupling, grid)
-    label, first = _cubic_orbits(modes, grid.n)
+    label, first = _shells(modes)
     n3 = grid.n**3
     # The lattice source shapes
     #     M(x) = Re sum_k sqrt(w_k/2V) g_k k e^{-ikx},
@@ -501,24 +493,25 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
         y_hat0, pi_hat0 = (spectrum[modes.mask] for spectrum in _field_spectra(a0, grid))
     else:
         y_hat0 = pi_hat0 = np.zeros(len(modes.w))
-    # (Y^_k, Pi^_k) = basis_k . (y_o, pi_o): a real 8-vector pair per orbit,
-    # each column stepped by the scalar leapfrog of the orbit's stencil symbol
-    # sigma_o.  Columns 0-2 are driven by the acceleration through N (and
-    # W - Pi = 2 v . N), 3-5 by the velocity through M; 6 and 7 start at unit
-    # Y and unit Pi.  Only the live columns are stepped: with a UV cutoff M
-    # vanishes, and a field at rest has no columns 6 and 7.  By Parseval the
-    # energy is dx^3 / (2 n^3) sum_o (pi_o^T G_o pi_o + |k_o|^2 y_o^T G_o y_o),
-    # with G_o the real part of the orbit's sum of basis_k conj(basis_k)^T
-    # (the states are real).
+    # (Y^_k, Pi^_k) = basis_k . (y_s, pi_s): a real 8-vector pair per shell,
+    # each column stepped by the scalar leapfrog of the shell's symbol
+    # sigma_s = (2/dt)^2 sin^2(w_s dt/2).  Columns 0-2 are driven by the
+    # acceleration through N (and W - Pi = 2 v . N), 3-5 by the velocity
+    # through M; 6 and 7 start at unit Y and unit Pi.  Only the live columns
+    # are stepped: with a UV cutoff M vanishes, and a field at rest has no
+    # columns 6 and 7.  By Parseval the energy is
+    # dx^3 / (2 n^3) sum_s (pi_s^T G_s pi_s + |k_s|^2 y_s^T G_s y_s), with G_s
+    # the real part of the shell's sum of basis_k conj(basis_k)^T (the states
+    # are real).
     basis = np.column_stack([2j * n3 * c_n[:, None] * k_odd,
                              2.0 * n3 * c_m[:, None] * k_nyq, y_hat0, pi_hat0])
     live = _live_columns(basis)
     basis = basis[:, live]
-    gram = _class_sums(label, len(first),
+    gram = _shell_sums(label, len(first),
                        (basis[:, :, None] * basis[:, None, :].conj()).real)
-    k_first = modes.k[first]
-    sigma = (4.0 / grid.dx**2) * np.sum(np.sin(0.5 * grid.dx * k_first) ** 2, axis=1)
-    ksq = np.sum(k_first**2, axis=1)
+    dt = traj.step
+    sigma_dt2 = (4.0 * np.sin(0.5 * dt * modes.w[first]) ** 2)[:, None]
+    ksq = np.sum(modes.k[first] ** 2, axis=1)
 
     n_rows = len(traj.times)
     v = traj.velocities
@@ -532,28 +525,28 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     pi = np.zeros_like(y)
     pi[:, 7] = 1.0
     source, offset, y, pi = (x[:, live] for x in (source, offset, y, pi))
-    sigma = sigma[:, None]
-    dt = traj.step
-    # W = dY/dt = Pi + 2 v . N;  staggered half-step start
-    w_half = pi + offset[0] + 0.5 * dt * (source[0] - sigma * y)
+    # u = dt W, W = dY/dt = Pi + 2 v . N;  staggered half-step start
+    kicks = dt**2 * source
+    u = dt * (pi + offset[0]) + 0.5 * (kicks[0] - sigma_dt2 * y)
     energies = np.empty(n_rows)
-    # per row of a block: W before the step's kick, Y and its acceleration
-    ws, ys, accels = (np.zeros((_ENERGY_BLOCK,) + y.shape) for _ in range(3))
+    # per row of a block: Y and u after the step
+    ys, us = (np.zeros((_ENERGY_BLOCK,) + y.shape) for _ in range(2))
     for rows in _row_blocks(n_rows):
+        u_before = u
         for j, i in enumerate(rows):
             if i:
-                ws[j] = w_half
-                y = y + dt * w_half
-                accels[j] = accel = source[i] - sigma * y
-                w_half = w_half + dt * accel
-            ys[j] = y
-        # canonical momentum at the block's full steps, for the energy trace
+                y = y + u
+                u = u + (kicks[i] - sigma_dt2 * y)
+            ys[j], us[j] = y, u
+        # canonical momentum at the block's full steps, for the energy trace:
+        # the mean of W over the half steps either side, less 2 v . N
         m = len(rows)
-        pis = ws[:m] + 0.5 * dt * accels[:m] - offset[rows, None]
+        pis = ((np.concatenate([u_before[None], us[:m - 1]]) + us[:m]) / (2.0 * dt)
+               - offset[rows, None])
         if rows[0] == 0:
             pis[0] = pi
-        energies[rows] = (_class_energies(pis, gram).sum(axis=0)
-                          + ksq @ _class_energies(ys[:m], gram)) * (0.5 * grid.dx**3 / n3)
+        energies[rows] = (_shell_energies(pis, gram).sum(axis=0)
+                          + ksq @ _shell_energies(ys[:m], gram)) * (0.5 * grid.dx**3 / n3)
     pi = pis[-1]
     fields = []
     for state in (y, pi):

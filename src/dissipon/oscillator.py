@@ -344,7 +344,8 @@ def _mode_sum_oracle(p, temperature, oracle_modes):
     if not np.isfinite(y).all():
         raise DomainError(f"temperature {temperature:.3g} overflows the thermal "
                           "occupations of the oracle's bath grid")
-    m_e = 0.25 * (np.outer(u[0], u[0]) + np.outer(vt[:, 0], vt[:, 0]))
-    m_y = 0.5 * ((u.T * y) @ u + (vt * y) @ vt.T)
-    resonant = np.abs(sigma[:, None] - sigma[None, :]) <= 1e-9 * sigma.max()
-    return 3.0 * 2.0 * (m_e * m_y)[resonant].sum()
+    # M_E and M_Y on the resonant pairs only: the diagonal and degenerate blocks
+    k, l = np.nonzero(np.abs(sigma[:, None] - sigma[None, :]) <= 1e-9 * sigma.max())
+    m_e = 0.25 * (u[0, k] * u[0, l] + vt[k, 0] * vt[l, 0])
+    m_y = 0.5 * (np.sum(u.T[k] * y * u.T[l], axis=1) + np.sum(vt[k] * y * vt[l], axis=1))
+    return 3.0 * 2.0 * (m_e * m_y).sum()

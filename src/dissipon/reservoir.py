@@ -764,8 +764,11 @@ class MemoryKernel:
         lam = cfg.uv_cutoff
         if not np.isfinite(lam):
             raise DomainError("kernel sampling needs a finite UV cutoff")
-        gamma = _transform(coupling, times, cfg.ir_cutoff, lam, 5, "cos")
-        return cls(times, (8.0 * np.pi / 3.0) * gamma)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            gamma = (8.0 * np.pi / 3.0) * _transform(coupling, times, cfg.ir_cutoff, lam, 5, "cos")
+        if not np.isfinite(gamma).all():
+            raise DomainError("the memory kernel passes the float range; the coupling is too strong")
+        return cls(times, gamma)
 
     def at(self, t):
         return np.interp(t, self.times, self.values)

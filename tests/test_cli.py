@@ -323,6 +323,9 @@ class TestExitCodes:
         (["field", "--beta=1e308", "--tmax", "1", "--modes", "8"], 1),
         (["rates", "--thermal", "--kt", "1e308", "--omega", "1e-5"], 1),
         (["rates", "--beta", "1e308", "--n", "3,0,0"], 1),
+        # a canonical memory kernel past the float range: 2 beta Lambda / pi
+        (["kernel", "--beta", "1e307"], 1),
+        (["langevin", "--volterra", "--beta", "1e307"], 1),
         # a window on which a canonical bath integral diverges: epsilon = 0,
         # and the level splitting on a cutoff
         (["rates", "--t", "5", "--ir-cutoff", "0"], 1),

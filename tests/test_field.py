@@ -3,7 +3,7 @@ import pytest
 from scipy.special import spherical_jn
 
 from dissipon.errors import DomainError, StabilityError
-from dissipon.field import (FieldGrid, _cubic_orbits, _field_energy,
+from dissipon.field import (FieldGrid, _field_energy,
                             _gradient_weights, _masked_modes, _shells,
                             evolve_field_with_source, field_from_modes,
                             hamiltonian_identity_check, lattice_memory_kernel,
@@ -121,15 +121,15 @@ def lattice_source_shapes(coupling, grid):
     return np.stack(m_comps, axis=-1), np.stack(n_comps, axis=-1)
 
 
-def stencil_laplacian(y, dx):
-    out = -6.0 * y
-    for axis in range(3):
-        out = out + np.roll(y, 1, axis=axis) + np.roll(y, -1, axis=axis)
-    return out / (dx * dx)
+def symbol_laplacian(y, grid, dt):
+    """-sigma Y, with the leapfrog's exact-phase symbol
+    sigma = (2/dt)^2 sin^2(|k| dt/2) applied by FFT."""
+    sigma = (2.0 / dt * np.sin(0.5 * dt * grid.omega())) ** 2
+    return -np.real(np.fft.ifftn(sigma * np.fft.fftn(y)))
 
 
 def realspace_leapfrog(traj, coupling, grid, a0=None):
-    """Energy trace and final (Y, Pi), one grid point at a time."""
+    """Energy trace and final (Y, Pi), stepped on the real grid."""
     m_field, n_field = lattice_source_shapes(coupling, grid)
     if a0 is None:
         y = np.zeros((grid.n,) * 3)
@@ -145,11 +145,11 @@ def realspace_leapfrog(traj, coupling, grid, a0=None):
     # W = dY/dt = Pi + 2 v . N;  staggered half-step start
     w_vel = pi + 2.0 * (n_field @ v[0])
     source0 = 2.0 * (n_field @ acc[0]) + 2.0 * (m_field @ v[0])
-    w_half = w_vel + 0.5 * dt * (stencil_laplacian(y, grid.dx) + source0)
+    w_half = w_vel + 0.5 * dt * (symbol_laplacian(y, grid, dt) + source0)
     for i in range(len(traj.times) - 1):
         y = y + dt * w_half
         source = 2.0 * (n_field @ acc[i + 1]) + 2.0 * (m_field @ v[i + 1])
-        accel = stencil_laplacian(y, grid.dx) + source
+        accel = symbol_laplacian(y, grid, dt) + source
         w_full = w_half + 0.5 * dt * accel
         pi = w_full - 2.0 * (n_field @ v[i + 1])
         energies[i + 1] = _field_energy(y, pi, grid, weights)
@@ -374,18 +374,13 @@ class TestClassIntegrators:
         grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
         modes = _masked_modes(CouplingFunction.zero(), grid)
         assert np.allclose(modes.index * grid.dk, modes.k, rtol=1e-14, atol=0.0)
-        triples = modes.index.tolist()
-        shell_keys = [i * i + j * j + l * l for i, j, l in triples]
-        orbit_keys = [tuple(sorted(map(abs, t))) for t in triples]
-        for (label, first), keys in ((_shells(modes), shell_keys),
-                                     (_cubic_orbits(modes, n), orbit_keys)):
-            # one class per key and one key per class: float keys split shells
-            assert len(first) == len(set(keys))
-            assert len(set(zip(label.tolist(), keys))) == len(first)
+        keys = [i * i + j * j + l * l for i, j, l in modes.index.tolist()]
+        label, first = _shells(modes)
+        # one shell per key and one key per shell: float keys split shells
+        assert len(first) == len(set(keys))
+        assert len(set(zip(label.tolist(), keys))) == len(first)
         if n == 32:
-            counts = (len(modes.w), len(_shells(modes)[1]),
-                      len(_cubic_orbits(modes, n)[1]))
-            assert counts == (12148, 171, 360)
+            assert (len(modes.w), len(first)) == (12148, 171)
 
     @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
     def test_kernel_matches_permode(self, n, dx, cutoff, kind):
@@ -457,7 +452,7 @@ class TestEvolution:
         assert np.max(np.abs(hist.energy - hist.energy[0])) / hist.energy[0] < 1e-8
 
     def test_leapfrog_conserves_with_small_step(self):
-        # the pointwise trace oscillates at the stencil-dispersion level, but
+        # the pointwise trace oscillates at the O((w dt)^2) level, but
         # a symplectic scheme has no secular drift: compare window means
         g = FieldGrid(n=8, dx=1.0)
         a0 = np.zeros((8,) * 3, dtype=complex)
@@ -479,29 +474,32 @@ class TestEvolution:
                                      CouplingFunction.zero(), g, method="leapfrog")
 
     def test_leapfrog_order_against_analytic_mode(self):
-        errs, steps = [], []
+        # t = 5: at t = 4 the mode has turned by k0 t = pi on every grid,
+        # where the initial-momentum error term of an exact-phase step vanishes
+        errs, steps = {"y": [], "pi": []}, []
         for n, dx in [(8, 1.0), (16, 0.5), (32, 0.25)]:
             g = FieldGrid(n=n, dx=dx)
             k0 = 2.0 * np.pi / g.box_length
             a0 = np.zeros((n,) * 3, dtype=complex)
             a0[1, 0, 0] = 1.0
             dt = 0.2 * dx
-            times = np.arange(0.0, 4.0 + dt / 2.0, dt)
+            times = np.arange(0.0, 5.0 + dt / 2.0, dt)
             hist = evolve_field_with_source(still_trajectory(times),
                                             CouplingFunction.zero(), g,
                                             method="leapfrog",
                                             initial_amplitudes=a0)
             x = dx * np.arange(n)
             amp = 1.0 / np.sqrt(2.0 * g.volume * k0)
-            y_exact = 2.0 * amp * np.real(np.exp(-1j * k0 * times[-1])
-                                          * np.exp(1j * k0 * x))
-            errs.append(np.max(np.abs(hist.final_y[:, 0, 0] - y_exact)))
+            wave = 2.0 * amp * np.exp(1j * k0 * (x - times[-1]))
+            errs["y"].append(np.max(np.abs(hist.final_y[:, 0, 0] - wave.real)))
+            errs["pi"].append(np.max(np.abs(hist.final_pi[:, 0, 0] - k0 * wave.imag)))
             steps.append(dt)
-        order = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-        assert order == pytest.approx(2.0, abs=0.1)
+        for name, err in errs.items():
+            order = np.polyfit(np.log(steps), np.log(err), 1)[0]
+            assert order == pytest.approx(2.0, abs=0.1), name
 
     def test_leapfrog_matches_kspace_with_source(self):
-        # same discrete system, two integrators: O(dt^2) + O(dx^2) difference
+        # same discrete system, two integrators: an O(dt^2) difference
         devs, steps = [], []
         for n, dx in [(16, 0.5), (32, 0.25)]:
             g = FieldGrid(n=n, dx=dx, uv_cutoff=2.0)
@@ -518,6 +516,25 @@ class TestEvolution:
             steps.append(dt)
         order = np.log2(devs[0] / devs[1])
         assert order == pytest.approx(2.0, abs=0.1)
+
+    def test_leapfrog_energy_balance_matches_kspace(self):
+        # acceptance 9's lattice at the benchmark's step and horizon: the
+        # exact-dispersion kernel drives the particle, so the leapfrog
+        # balances with it only if it follows the same dispersion
+        m, omega, beta = 1.0, 1.0, 0.1
+        grid = FieldGrid(n=32, dx=1.0, uv_cutoff=2.8)
+        coup = CouplingFunction.canonical(beta, uv_cutoff=2.8)
+        times = np.arange(0.0, 20.0 + 0.01, 0.02)
+        kern = lattice_memory_kernel(coup, grid, times)
+        traj = evolve_mean_volterra(m, PotentialSpec.harmonic(m, omega), kern,
+                                    [1.0, 0, 0], [0, 0, 0], times)
+        e_mech = traj.mechanical_energy(m, omega)
+        balance = {}
+        for method in ("kspace", "leapfrog"):
+            energy = evolve_field_with_source(traj, coup, grid, method=method).energy
+            balance[method] = (energy[-1] - energy[0]) / (e_mech[0] - e_mech[-1])
+        assert balance["leapfrog"] == pytest.approx(1.0, abs=0.05)
+        assert balance["leapfrog"] == pytest.approx(balance["kspace"], abs=1e-5)
 
     def test_energy_balance_against_trajectory(self):
         # stay inside the 16^3 box's recurrence window L = 16

@@ -236,6 +236,61 @@ class TestThermalSteadyEnergy:
         assert _mode_sum_oracle(p, kt, oracle_modes) == pytest.approx(
             dense_mode_sum(p, kt, oracle_modes), rel=1e-10)
 
+    @pytest.mark.parametrize("spectrum", ["default", "degenerate"])
+    def test_resonant_pair_sum_matches_dense_formula(self, monkeypatch, spectrum):
+        # the oracle sums M_E M_Y over the resonant (k, l) pairs only; the
+        # dense formula forms every entry of both and masks them
+        p, kt = OscillatorParams(1.0, 1.0, 0.1), 1.0
+        svd = np.linalg.svd
+
+        def coupling_matrix(wj, c):
+            c_mat = np.zeros((len(wj) + 1, len(wj) + 1))
+            c_mat[0, 0] = p.omega
+            c_mat[1:, 0] = np.sqrt(2.0 / p.m) * c * np.sqrt(wj)
+            c_mat[1:, 1:] = np.diag(-wj)
+            return c_mat
+
+        if spectrum == "default":
+            wj, c = _discretised_bath(p, kt, (320, 320))
+        else:
+            # uncoupled modes at two of the coupled system's singular values,
+            # and an uncoupled pair at one frequency: three degenerate blocks,
+            # two of them holding the particle
+            wj, c = np.array([0.5, 0.9, 1.3, 2.0]), np.array([0.1, 0.2, 0.15, 0.05])
+            sigma = svd(coupling_matrix(wj, c))[1]
+            wj = np.concatenate([wj, sigma[[1, 3]], [3.0, 3.0]])
+            c = np.concatenate([c, np.zeros(4)])
+            monkeypatch.setattr("dissipon.oscillator._discretised_bath",
+                                lambda *args: (wj, c))
+            unrotated = _mode_sum_oracle(p, kt, (320, 320))
+
+            # LAPACK keeps these blocks unmixed; any basis of a block is as
+            # valid, so hand the oracle one that spreads the particle over it
+            def rotated_svd(a):
+                u, sigma, vt = svd(a)
+                rot = np.array([[0.8, -0.6], [0.6, 0.8]])
+                for i in np.flatnonzero(np.abs(sigma[1:] - sigma[:-1]) <= 1e-9 * sigma[0]):
+                    u[:, i:i + 2] = u[:, i:i + 2] @ rot
+                    vt[i:i + 2] = rot.T @ vt[i:i + 2]
+                return u, sigma, vt
+
+            monkeypatch.setattr(np.linalg, "svd", rotated_svd)
+        u, sigma, vt = np.linalg.svd(coupling_matrix(wj, c))
+        y = np.concatenate([[0.0], wj * bose(wj, kt)])
+        m_e = 0.25 * (np.outer(u[0], u[0]) + np.outer(vt[:, 0], vt[:, 0]))
+        m_y = 0.5 * ((u.T * y) @ u + (vt * y) @ vt.T)
+        resonant = np.abs(sigma[:, None] - sigma[None, :]) <= 1e-9 * sigma.max()
+        dense = 6.0 * (m_e * m_y)[resonant].sum()
+        got = _mode_sum_oracle(p, kt, (320, 320))
+        assert got == pytest.approx(dense, rel=1e-13)
+        if spectrum == "degenerate":
+            assert np.count_nonzero(resonant) == len(sigma) + 6
+            # the off-diagonal pairs carry part of the value, and the sum
+            # over each block does not depend on its basis
+            diagonal = 6.0 * np.trace(m_e * m_y)
+            assert abs(dense - diagonal) > 0.01 * dense
+            assert got == pytest.approx(unrotated, rel=1e-13)
+
     @pytest.mark.filterwarnings("error")
     def test_validation(self):
         p = OscillatorParams(1.0, 1.0, 0.1)

@@ -256,6 +256,15 @@ class TestMemoryKernel:
         with pytest.raises(DomainError):
             MemoryKernel.sample(c, [-0.1, 0.0])
 
+    def test_overflowing_kernel_rejected(self):
+        # gamma(0) = 2 beta Lambda / pi: 6.4e307 at beta = 1e306 and
+        # Lambda = 100, past the float range at beta = 1e307
+        times = [0.0, 0.1]
+        kern = MemoryKernel.sample(CouplingFunction.canonical(1e306, uv_cutoff=100.0), times)
+        assert kern.values[0] == pytest.approx(20.0 / np.pi * 1e307, rel=1e-14)
+        with pytest.raises(DomainError, match="float range"):
+            MemoryKernel.sample(CouplingFunction.canonical(1e307, uv_cutoff=100.0), times)
+
     def test_even_in_time(self):
         # the kernel is a cosine transform: the mirrored formula coincides
         c = CouplingFunction.canonical(0.5, uv_cutoff=30.0)
