@@ -253,9 +253,8 @@ def cmd_tls(args, out_dir):
     path = out_dir / "tls_decay.csv"
     # ReF is the population-coherence quadrature <s + s^dag> (real for
     # physical states); ImF is the conjugate quadrature <s^dag - s>/i
-    rows = ((hist.times[i], hist.sz[i], hist.f[i], hist.e_im[i])
-            for i in range(len(hist.times)))
-    emit_table(path, ["t", "sz", "ReF", "ImF"], rows,
+    emit_table(path, ["t", "sz", "ReF", "ImF"],
+               np.column_stack([hist.times, hist.sz, hist.f, hist.e_im]),
                metadata=_metadata(args, cfg, mu=mu, decay_rate=2.0 * mu))
     return {"mu": mu}, [path]
 

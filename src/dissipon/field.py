@@ -24,7 +24,11 @@ columns, so each step costs O(shells), and the modes and fields are
 rebuilt once, at the end.  Only the live columns are stepped, those
 whose basis is nonzero on some masked mode: with a UV cutoff (no masked
 mode on a Nyquist plane) and a field starting at rest, the 3 the particle
-drives.
+drives.  Each shell's states are stepped in the eigenframe of its Gram
+matrix (the sum over its modes of conj(b) b^T, for the basis rows b), in
+which the energy summed over the shell's modes is a weighted sum of
+squares: the energy trace is one product per block of rows.  Both real
+fields come from one inverse FFT of Y^ + i Pi^.
 """
 
 from __future__ import annotations
@@ -153,14 +157,21 @@ def field_from_modes(a, grid):
     Y(x)  = sum_k (2 V w_k)^(-1/2) (a_k e^{ikx} + a_k* e^{-ikx})
     Pi(x) = i sum_k (w_k / 2V)^(1/2) (a_k* e^{-ikx} - a_k e^{ikx})
     """
-    y_hat, pi_hat = _field_spectra(a, grid)
-    return np.real(np.fft.ifftn(y_hat)), np.real(np.fft.ifftn(pi_hat))
+    y_hat, pi_hat = _field_spectra(_checked_amplitudes(a, grid), grid)
+    return _real_fields(y_hat + 1j * pi_hat)
+
+
+def _real_fields(spectrum):
+    """(Y, Pi) on the real grid from ``spectrum`` = Y^ + i Pi^, their
+    discrete Fourier transforms: both fields are real, so one inverse FFT
+    has Y as its real part and Pi as its imaginary part."""
+    fields = np.fft.ifftn(spectrum)
+    return fields.real, fields.imag
 
 
 def _field_spectra(a, grid):
     """Discrete Fourier transforms (numpy's ``fftn`` convention) of the
-    fields (Y, Pi) of :func:`field_from_modes`."""
-    a = _checked_amplitudes(a, grid)
+    fields (Y, Pi) of :func:`field_from_modes`, for checked amplitudes."""
     w = grid.omega()
     mask = grid._carries_dynamics(w)
     root = np.zeros_like(w)
@@ -353,18 +364,13 @@ def _masked_modes(coupling, grid):
 def _shells(modes):
     """Each mode's shell label and each shell's first mode.  A shell is one
     exact integer i^2 + j^2 + l^2: its modes share |k|, g_k and the
-    leapfrog's symbol."""
-    _, first, label = np.unique(np.sum(modes.index**2, axis=1),
-                                return_index=True, return_inverse=True)
+    leapfrog's symbol.  Shells are labelled in increasing i^2 + j^2 + l^2."""
+    key = np.sum(modes.index**2, axis=1)
+    rank = np.cumsum(np.bincount(key) > 0) - 1
+    label = rank[key]
+    first = np.full(rank[-1] + 1, len(key))
+    np.minimum.at(first, label, np.arange(len(key)))
     return label, first
-
-
-def _shell_sums(label, count, values):
-    """Sum of ``values`` (one row per mode) over each shell, adding each
-    shell's rows in mode order."""
-    order = np.argsort(label, kind="stable")
-    starts = np.searchsorted(label[order], np.arange(count))
-    return np.add.reduceat(values[order], starts, axis=0)
 
 
 def _live_columns(basis):
@@ -374,21 +380,51 @@ def _live_columns(basis):
     return np.flatnonzero(np.any(basis != 0, axis=0))
 
 
-def _shell_energies(states, gram):
-    """sum_k |basis_k . s_c|^2 over the modes k of each shell c, for every
-    row of ``states`` (rows, shells, columns); ``gram`` holds each shell's
-    sum of basis_k conj(basis_k)^T.  Returns (shells, rows)."""
-    states = states.transpose(1, 0, 2)
-    return np.einsum("crj,crj->cr", states.conj(), states @ gram).real
+def _shell_frames(label, count, basis):
+    """Each shell's Gram matrix H_s = sum_k conj(b_k) b_k^T over its modes k,
+    the rows b_k of ``basis``, in its eigenframe.
+
+    H_s is scaled to unit diagonal, D_s^-1 H_s D_s^-1 = Q_s diag(lam_s) Q_s^H,
+    so that the frame's state z' = Q_s^H D_s z has sum_k |b_k . z|^2 =
+    sum_i lam_si |z'_i|^2.  A column that is zero on every mode of a shell
+    keeps unit scale there.  Returns lam (shells, columns), the rotation into
+    the frames as (columns of z, columns of z', shells), and the rotation
+    back, D_s^-1 Q_s, as (shells, columns of z, columns of z').  A real
+    ``basis`` gives real frames.
+    """
+    cols = basis.shape[1]
+    gram = np.zeros((count, cols, cols), dtype=basis.dtype)
+    # one column pair at a time keeps the temporaries to one column of modes
+    for i, j in zip(*np.tril_indices(cols)):  # the triangle eigh reads
+        product = basis[:, i].conj() * basis[:, j]
+        gram[:, i, j] = np.bincount(label, weights=product.real, minlength=count)
+        if np.iscomplexobj(product):
+            gram[:, i, j] += 1j * np.bincount(label, weights=product.imag, minlength=count)
+    diagonal = np.diagonal(gram, axis1=1, axis2=2).real
+    scale = np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))
+    lam, q = np.linalg.eigh(gram / (scale[:, :, None] * scale[:, None, :]))
+    return lam, q.conj().transpose(1, 2, 0) * scale.T[:, None, :], q / scale[:, :, None]
 
 
-# rows of the energy trace evaluated per batched product
+# rows of the history stepped and rotated per block: the block's states, its
+# drive in the shells' frames and its energies are the only arrays of rows
+# times shells
 _ENERGY_BLOCK = 64
 
 
-def _row_blocks(n_rows):
-    for start in range(0, n_rows, _ENERGY_BLOCK):
-        yield np.arange(start, min(start + _ENERGY_BLOCK, n_rows))
+def _step_blocks(n_rows):
+    """(start, stop) of each block of the rows 1, ..., n_rows - 1, each row
+    one step from the row before."""
+    for start in range(1, n_rows, _ENERGY_BLOCK):
+        yield start, min(start + _ENERGY_BLOCK, n_rows)
+
+
+def _squares(states):
+    """Squares of every real number in each row of ``states``."""
+    x = states.reshape(len(states), -1)
+    if np.iscomplexobj(x):
+        x = x.view(float)
+    return x * x
 
 
 def _initial_amplitudes(a, grid):
@@ -426,12 +462,12 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     # a mode of shell s is a_k(n) = k . Z_s(n) + a_k(0) rot_s^n: a complex
     # 4-vector z_s = (Z_s, rot_s^n) per shell against the basis (k, a_k(0)),
     # of which only the live columns are stepped (a field at rest has no
-    # a_k(0) column)
+    # a_k(0) column), in the shell's frame
     basis = np.column_stack(
         [modes.k, _initial_amplitudes(initial_amplitudes, grid)[modes.mask]])
     live = _live_columns(basis)
     basis = basis[:, live]
-    gram = _shell_sums(label, len(first), basis[:, :, None] * basis[:, None, :].conj())
+    lam, into, back = _shell_frames(label, len(first), basis)
     w, g = modes.w[first], modes.g[first]
     dt = traj.step
     theta = w * dt
@@ -448,25 +484,35 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     u = np.zeros((n_rows, 4))
     u[:, :3] = traj.velocities
     u = u[:, live]
-    kick_old = (1j * g * b_old)[:, None]
-    kick_new = (1j * g * b_new)[:, None]
-    rot = rot[:, None]
-    z = np.zeros((len(w), 4), dtype=complex)
-    z[:, 3] = 1.0
-    z = z[:, live]
+    # a step's kick on state column c of shell s's frame from velocity
+    # column q at its start (rows q < C of ``drive``) and its end (q >= C);
+    # the states are (columns, shells)
+    drive = np.concatenate([1j * g * b_old * into, 1j * g * b_new * into])
+    drive = drive.reshape(2 * len(live), -1)
+    weights = np.repeat((lam * w[:, None]).T.ravel(), 2)  # per real, imaginary part
+    zs = np.zeros((_ENERGY_BLOCK + 1,) + into.shape[1:], dtype=complex)
+    if live[-1] == 3:  # z_s(0) = (0, 1)
+        zs[0] = into[-1]
     energies = np.empty(n_rows)
-    zs = np.empty((_ENERGY_BLOCK,) + z.shape, dtype=complex)
-    for rows in _row_blocks(n_rows):
-        kicks = (kick_old * u[np.maximum(rows - 1, 0), None]
-                 + kick_new * u[rows, None])
-        for j, i in enumerate(rows):
-            if i:
-                z = rot * z + kicks[j]
-            zs[j] = z
-        energies[rows] = w @ _shell_energies(zs[:len(rows)], gram)
+    energies[:1] = _squares(zs[:1]) @ weights
+    turned = np.empty_like(zs[0])
+    z_rows = list(zs)
+    # zs[0] holds the row before the block
+    for start, stop in _step_blocks(n_rows):
+        m = stop - start
+        block = zs[1:m + 1]
+        np.matmul(np.hstack([u[start - 1:stop - 1], u[start:stop]]), drive,
+                  out=block.reshape(m, -1))
+        for before, z in zip(z_rows[:m], z_rows[1:m + 1]):
+            np.multiply(before, rot, out=turned)
+            z += turned
+        energies[start:stop] = _squares(block) @ weights
+        zs[0] = zs[m]
+    z = np.einsum("sab,bs->sa", back, zs[0])
     a = np.zeros((grid.n,) * 3, dtype=complex)
     a[modes.mask] = np.sum(basis * z[label], axis=1)
-    y, pi = field_from_modes(a, grid)
+    y_hat, pi_hat = _field_spectra(a, grid)
+    y, pi = _real_fields(y_hat + 1j * pi_hat)
     return FieldHistory(times=traj.times.copy(), energy=energies,
                         final_y=y, final_pi=pi, final_amplitudes=a)
 
@@ -499,19 +545,22 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     # acceleration through N (and W - Pi = 2 v . N), 3-5 by the velocity
     # through M; 6 and 7 start at unit Y and unit Pi.  Only the live columns
     # are stepped: with a UV cutoff M vanishes, and a field at rest has no
-    # columns 6 and 7.  By Parseval the energy is
-    # dx^3 / (2 n^3) sum_s (pi_s^T G_s pi_s + |k_s|^2 y_s^T G_s y_s), with G_s
-    # the real part of the shell's sum of basis_k conj(basis_k)^T (the states
-    # are real).
+    # columns 6 and 7.  The states are real, so the shells' frames are those
+    # of the real part of the Gram matrix: the Gram matrix of the real and
+    # imaginary parts of the basis.  By Parseval the energy is
+    # dx^3 / (2 n^3) sum_s sum_i lam_si (pi'_si^2 + |k_s|^2 y'_si^2).
     basis = np.column_stack([2j * n3 * c_n[:, None] * k_odd,
                              2.0 * n3 * c_m[:, None] * k_nyq, y_hat0, pi_hat0])
     live = _live_columns(basis)
     basis = basis[:, live]
-    gram = _shell_sums(label, len(first),
-                       (basis[:, :, None] * basis[:, None, :].conj()).real)
+    lam, into, back = _shell_frames(np.concatenate([label, label]), len(first),
+                                    np.concatenate([basis.real, basis.imag]))
     dt = traj.step
-    sigma_dt2 = (4.0 * np.sin(0.5 * dt * modes.w[first]) ** 2)[:, None]
+    sigma_dt2 = 4.0 * np.sin(0.5 * dt * modes.w[first]) ** 2
     ksq = np.sum(modes.k[first] ** 2, axis=1)
+    energy_scale = 0.5 * grid.dx**3 / n3
+    weights_pi = (lam * energy_scale).T.ravel()
+    weights_y = (lam * (ksq * energy_scale)[:, None]).T.ravel()
 
     n_rows = len(traj.times)
     v = traj.velocities
@@ -527,34 +576,38 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     source, offset, y, pi = (x[:, live] for x in (source, offset, y, pi))
     # u = dt W, W = dY/dt = Pi + 2 v . N;  staggered half-step start
     kicks = dt**2 * source
-    u = dt * (pi + offset[0]) + 0.5 * (kicks[0] - sigma_dt2 * y)
+    u = dt * (pi + offset[0]) + 0.5 * (kicks[0] - sigma_dt2[:, None] * y)
+    # a drive common to every shell, (rows, columns), rotated into each
+    # shell's frame: (rows, columns, shells)
+    rotate = into.reshape(len(live), len(live) * len(first))  # no -1: none may be live
+    ys, us = (np.zeros((_ENERGY_BLOCK + 1,) + into.shape[1:]) for _ in range(2))
+    ys[0], us[0], pi = (np.einsum("bas,sb->as", into, x) for x in (y, u, pi))
     energies = np.empty(n_rows)
-    # per row of a block: Y and u after the step
-    ys, us = (np.zeros((_ENERGY_BLOCK,) + y.shape) for _ in range(2))
-    for rows in _row_blocks(n_rows):
-        u_before = u
-        for j, i in enumerate(rows):
-            if i:
-                y = y + u
-                u = u + (kicks[i] - sigma_dt2 * y)
-            ys[j], us[j] = y, u
+    energies[:1] = _squares(pi[None]) @ weights_pi + _squares(ys[:1]) @ weights_y
+    sigma_y = np.empty_like(ys[0])
+    yu_rows = list(zip(ys, us))
+    # ys[0], us[0] hold Y and u after the row before the block
+    for start, stop in _step_blocks(n_rows):
+        m = stop - start
+        np.matmul(kicks[start:stop], rotate, out=us[1:m + 1].reshape(m, -1))
+        for (y_before, u_before), (y, u) in zip(yu_rows[:m], yu_rows[1:m + 1]):
+            np.add(y_before, u_before, out=y)
+            np.multiply(sigma_dt2, y, out=sigma_y)
+            u -= sigma_y
+            u += u_before
         # canonical momentum at the block's full steps, for the energy trace:
         # the mean of W over the half steps either side, less 2 v . N
-        m = len(rows)
-        pis = ((np.concatenate([u_before[None], us[:m - 1]]) + us[:m]) / (2.0 * dt)
-               - offset[rows, None])
-        if rows[0] == 0:
-            pis[0] = pi
-        energies[rows] = (_shell_energies(pis, gram).sum(axis=0)
-                          + ksq @ _shell_energies(ys[:m], gram)) * (0.5 * grid.dx**3 / n3)
-    pi = pis[-1]
-    fields = []
-    for state in (y, pi):
-        spectrum = np.zeros((grid.n,) * 3, dtype=complex)
-        spectrum[modes.mask] = np.sum(basis * state[label], axis=1)
-        fields.append(np.real(np.fft.ifftn(spectrum)))
+        pis = (us[:m] + us[1:m + 1]) / (2.0 * dt)
+        pis -= (offset[start:stop] @ rotate).reshape(pis.shape)
+        energies[start:stop] = (_squares(pis) @ weights_pi
+                                + _squares(ys[1:m + 1]) @ weights_y)
+        ys[0], us[0], pi = ys[m], us[m], pis[-1]
+    y, pi = (np.einsum("sab,bs->sa", back, x) for x in (ys[0], pi))
+    spectrum = np.zeros((grid.n,) * 3, dtype=complex)
+    spectrum[modes.mask] = np.sum(basis * (y + 1j * pi)[label], axis=1)
+    y, pi = _real_fields(spectrum)
     return FieldHistory(times=traj.times.copy(), energy=energies,
-                        final_y=fields[0], final_pi=fields[1], final_amplitudes=None)
+                        final_y=y, final_pi=pi, final_amplitudes=None)
 
 
 SNAPSHOT_MAGIC = b"DISSIPON"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import time
 from itertools import islice
 
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = [
@@ -32,21 +34,31 @@ TABLE_CHUNK = 4096
 
 
 def emit_table(path, columns, rows, metadata=None):
-    """Stream ``rows`` (iterable of sequences) to a CSV file.
+    """Stream ``rows`` (iterable of sequences, or a 2-d float64 array) to a
+    CSV file.
 
     ``metadata`` key/value pairs go into a '#'-prefixed block above the
     header so every output records the tolerances and cutoffs it was
     produced with.  Floats are written with repr, which round-trips
     IEEE doubles exactly.  Rows are formatted and written TABLE_CHUNK at
-    a time, so memory stays bounded for any number of rows.
+    a time, so memory stays bounded for any number of rows.  A float64
+    array is formatted from Python floats, a chunk at a time, with the
+    bytes the per-cell rule gives.
     """
-    rows = iter(rows)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        chunks = (rows[start:start + TABLE_CHUNK].tolist()
+                  for start in range(0, len(rows), TABLE_CHUNK))
+        cell = repr
+    else:
+        rows = iter(rows)
+        chunks = iter(lambda: list(islice(rows, TABLE_CHUNK)), [])
+        cell = _format_cell
     with open(path, "w") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key} = {_format_cell(value)}\n")
         fh.write(",".join(columns) + "\n")
-        while chunk := list(islice(rows, TABLE_CHUNK)):
-            fh.write("".join(",".join(map(_format_cell, row)) + "\n" for row in chunk))
+        for chunk in chunks:
+            fh.write("".join(",".join(map(cell, row)) + "\n" for row in chunk))
 
 
 def read_table(path):

@@ -35,6 +35,19 @@ class TestTables:
         _, _, rows = read_table(path)
         assert tuple(rows[0]) == tuple(float(v) for v in values)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_array_rows_match_the_per_cell_rule(self, tmp_path, dtype):
+        # across a chunk boundary, with the values whose repr is special
+        special = [-0.0, np.nan, np.inf, -np.inf, 1e16, 5e-324, 0.1 + 0.2]
+        table = np.random.default_rng(3).normal(size=(4097, 7))
+        table[4095:] = special
+        table[0] = special[::-1]
+        table = table.astype(dtype)
+        emit_table(tmp_path / "array.csv", list("abcdefg"), table)
+        emit_table(tmp_path / "cells.csv", list("abcdefg"),
+                   ([value for value in row] for row in table))  # numpy scalars
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
     def test_metadata_block(self, tmp_path):
         path = tmp_path / "meta.csv"
         emit_table(path, ["v"], [(1.0,)], metadata={"uv_cutoff": 100.0, "tag": "x"})
@@ -157,6 +170,19 @@ class TestCommands:
         assert snap.shape == (8, 8, 8) and dx == 1.0
         _, cols, rows = read_table(out / "field_energy.csv")
         assert cols == ["t", "field_energy", "mechanical_energy"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["kspace", "leapfrog"])
+    def test_field_tiny_step_is_finite(self, tmp_path, capsys, method):
+        # the leapfrog's acceleration source used to difference the velocities
+        # with weights dx1 (dx1 + dx2) that underflow to 0 at this step
+        out = tmp_path / "field"
+        code = run_cli("field", "--modes", "8", "--step", "1e-300", "--tmax", "4e-300",
+                       "--method", method, "--out", str(out))
+        assert code == 0
+        assert "energy_balance = 0.0" in capsys.readouterr().out
+        _, _, rows = read_table(out / "field_energy.csv")
+        assert len(rows) == 5 and np.isfinite(rows).all()
 
 
 class TestExitCodes:

@@ -20,8 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dissipon.cli import build_parser, main  # noqa: E402
 from dissipon.errors import DomainError, StabilityError  # noqa: E402
-from dissipon.field import (FieldGrid, field_from_modes,  # noqa: E402
-                            hamiltonian_identity_check, modes_from_fields)
+from dissipon.field import (FieldGrid, evolve_field_with_source,  # noqa: E402
+                            field_from_modes, hamiltonian_identity_check,
+                            modes_from_fields)
 from dissipon.langevin import (PotentialSpec, evolve_mean_markov,  # noqa: E402
                                evolve_mean_volterra)
 from dissipon.oscillator import (FockTriple, OscillatorParams,  # noqa: E402
@@ -33,6 +34,8 @@ from dissipon.reservoir import (CouplingFunction, MemoryKernel,  # noqa: E402
                                 ReservoirState, friction_coefficient)
 from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E402
 from test_cli import FLAG_BASES, FLAG_NEEDS, FLAG_VALUES, VALUE_FLAGS  # noqa: E402
+from test_field import (driven_trajectory, lattice_coupling,  # noqa: E402
+                        permode_kspace, realspace_leapfrog)
 from test_langevin import direct_volterra, stepwise_markov  # noqa: E402
 from test_reservoir import (gauss_legendre_transform, mpmath_principal_value,  # noqa: E402
                             mpmath_sinc_squared, subnormal_floor, table_edges)
@@ -526,6 +529,57 @@ class TestFieldMapProperties:
         grid, a = masked_amplitudes(grid_spec, seed)
         back = modes_from_fields(*field_from_modes(a, grid), grid)
         assert np.max(np.abs(back - a)) <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def drawn_start(grid, start, seed):
+    """Initial amplitudes: at rest (None), every mode excited, or only the
+    modes of one drawn shell, so that on every other shell the initial-state
+    columns of the integrators' bases are zero."""
+    if start == "rest":
+        return None
+    rng = np.random.default_rng(seed)
+    a = 0.01 * (rng.normal(size=(grid.n,) * 3) + 1j * rng.normal(size=(grid.n,) * 3))
+    live = grid.mode_mask()
+    if start == "shell":
+        index = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+        key = index[:, None, None] ** 2 + index[None, :, None] ** 2 + index[None, None, :] ** 2
+        live &= key == rng.choice(key[live])
+    a[~live] = 0.0
+    return a
+
+
+class TestFieldIntegratorProperties:
+    # the shell integrators against the per-mode and real-space references,
+    # on grids with and without Nyquist planes in the mask; a reference that
+    # is zero throughout (the table's coupling misses every mode, so the
+    # leapfrog has no live column) must be matched exactly
+    @settings(deadline=None, max_examples=30)
+    @example(grid_spec=(4, 0.125, None), kind="table", start="rest", seed=0)
+    @given(grid_spec=st.sampled_from([4, 8, 16]).flatmap(lambda n: st.tuples(
+               st.just(n), st.floats(0.05, 5.0),
+               st.one_of(st.none(), st.floats(2.0 / n + 1e-9, 0.999)))),
+           kind=st.sampled_from(["canonical", "table"]),
+           start=st.sampled_from(["rest", "random", "shell"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_integrators_match_references(self, grid_spec, kind, start, seed):
+        n, dx, frac = grid_spec
+        cutoff = None if frac is None else frac * np.pi / dx
+        grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
+        coupling = lattice_coupling(kind, cutoff)
+        a0 = drawn_start(grid, start, seed)
+        traj = driven_trajectory(dx, steps=60)
+        kspace = evolve_field_with_source(traj, coupling, grid, "kspace",
+                                          initial_amplitudes=a0)
+        refs = permode_kspace(traj, coupling, grid, a0)
+        got = (kspace.energy, kspace.final_y, kspace.final_pi, kspace.final_amplitudes)
+        for name, value, ref in zip(("energy", "y", "pi", "amplitudes"), got, refs):
+            assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref)), f"kspace {name}"
+        leapfrog = evolve_field_with_source(traj, coupling, grid, "leapfrog",
+                                            initial_amplitudes=a0)
+        refs = realspace_leapfrog(traj, coupling, grid, a0)
+        got = (leapfrog.energy, leapfrog.final_y, leapfrog.final_pi)
+        for name, value, ref in zip(("energy", "y", "pi"), got, refs):
+            assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref)), f"leapfrog {name}"
 
 
 # small grids keep a run to milliseconds: the drawn flag comes last and wins
