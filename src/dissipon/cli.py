@@ -280,7 +280,9 @@ def cmd_field(args, out_dir):
                          "method": args.method})
     snap_path = out_dir / "field_final.bin"
     write_snapshot(snap_path, hist.final_y, grid.dx)
-    balance = (hist.energy[-1] - hist.energy[0]) / max(e_mech[0] - e_mech[-1], 1e-300)
+    # a particle that lost nothing leaves the share the field gained undefined
+    lost = e_mech[0] - e_mech[-1]
+    balance = (hist.energy[-1] - hist.energy[0]) / lost if lost != 0 else np.nan
     return {"energy_balance": balance}, [trace_path, snap_path]
 
 

@@ -27,8 +27,11 @@ mode on a Nyquist plane) and a field starting at rest, the 3 the particle
 drives.  Each shell's states are stepped in the eigenframe of its Gram
 matrix (the sum over its modes of conj(b) b^T, for the basis rows b), in
 which the energy summed over the shell's modes is a weighted sum of
-squares: the energy trace is one product per block of rows.  Both real
-fields come from one inverse FFT of Y^ + i Pi^.
+squares: the energy trace is one product per block of rows.  Both step
+one complex state per column by the same rotation e^{-i w dt}: the mode
+amplitude, and for the leapfrog z = Pi - i w~ Y at full steps, with
+w~ = sin(w dt)/dt.  Both real fields come from one inverse FFT of
+Y^ + i Pi^.
 """
 
 from __future__ import annotations
@@ -325,7 +328,8 @@ def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
     module docstring) and rebuild the modes and fields once, at the end.
     The trajectory's grid sets the time step.  The leapfrog's CFL bound
     dt < dx / sqrt(3) keeps w dt < pi on every mode (|k| <= sqrt(3) pi / dx),
-    so sigma dt^2 = 4 sin^2(w dt/2) stays below 4, its stability edge.
+    so w~ = sin(w dt)/dt, by which its state z = Pi - i w~ Y scales Y, stays
+    positive.
 
     Returns the energy trace (bath Hamiltonian identity form) at every
     time and the final field state.
@@ -412,13 +416,6 @@ def _shell_frames(label, count, basis):
 _ENERGY_BLOCK = 64
 
 
-def _step_blocks(n_rows):
-    """(start, stop) of each block of the rows 1, ..., n_rows - 1, each row
-    one step from the row before."""
-    for start in range(1, n_rows, _ENERGY_BLOCK):
-        yield start, min(start + _ENERGY_BLOCK, n_rows)
-
-
 def _squares(states):
     """Squares of every real number in each row of ``states``."""
     x = states.reshape(len(states), -1)
@@ -443,7 +440,7 @@ def lattice_memory_kernel(coupling, grid, times):
     closed system, so their energy exchange balances exactly (up to
     integration error).
     """
-    from .reservoir import MemoryKernel
+    from .reservoir import _TRANSFORM_BLOCK, MemoryKernel
     modes = _masked_modes(coupling, grid)
     label, first = _shells(modes)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -452,8 +449,47 @@ def lattice_memory_kernel(coupling, grid, times):
         raise DomainError("the lattice kernel's shell weights 2 g^2 w k_x^2 overflow; "
                           "the coupling is too strong for this lattice")
     times = np.asarray(times, dtype=float)
-    values = np.cos(np.outer(times, modes.w[first])) @ weights
+    flat = times.ravel()
+    w = modes.w[first]
+    values = np.empty(len(flat))
+    # the (times, shells) cosines are held a block of times at a time
+    rows = max(1, _TRANSFORM_BLOCK // len(w))
+    for start in range(0, len(flat), rows):
+        values[start:start + rows] = np.cos(np.outer(flat[start:start + rows], w)) @ weights
     return MemoryKernel(times, values)
+
+
+def _rotate_shells(z0, rot, ends, drive, weights):
+    """Step the shells' states z, (columns, shells), along the rows of ``ends``:
+
+        z_r = rot z_(r-1) + [e_(r-1), e_r] . drive,   z_0 = ``z0``,
+
+    with e_r the r-th row of ``ends``, each shell turned by its ``rot``, and
+    ``drive`` mapping a pair of rows to the flattened states.  The energy of
+    a row is the sum of the squares of its states' real and imaginary parts,
+    weighted by ``weights``.  Returns the last row's states and the energy
+    of every row.
+    """
+    n_rows = len(ends)
+    zs = np.zeros((_ENERGY_BLOCK + 1,) + z0.shape, dtype=complex)
+    zs[0] = z0
+    energies = np.empty(n_rows)
+    energies[:1] = _squares(zs[:1]) @ weights
+    turned = np.empty_like(zs[0])
+    z_rows = list(zs)
+    # zs[0] holds the row before the block
+    for start in range(1, n_rows, _ENERGY_BLOCK):
+        stop = min(start + _ENERGY_BLOCK, n_rows)
+        m = stop - start
+        block = zs[1:m + 1]
+        np.matmul(np.hstack([ends[start - 1:stop - 1], ends[start:stop]]), drive,
+                  out=block.reshape(m, -1))
+        for before, z in zip(z_rows[:m], z_rows[1:m + 1]):
+            np.multiply(before, rot, out=turned)
+            z += turned
+        energies[start:stop] = _squares(block) @ weights
+        zs[0] = zs[m]
+    return zs[0], energies
 
 
 def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
@@ -480,35 +516,19 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     b_new[small] = dt / 2.0
     b_old[small] = dt / 2.0
 
-    n_rows = len(traj.times)
-    u = np.zeros((n_rows, 4))
+    u = np.zeros((len(traj.times), 4))
     u[:, :3] = traj.velocities
-    u = u[:, live]
     # a step's kick on state column c of shell s's frame from velocity
     # column q at its start (rows q < C of ``drive``) and its end (q >= C);
     # the states are (columns, shells)
     drive = np.concatenate([1j * g * b_old * into, 1j * g * b_new * into])
-    drive = drive.reshape(2 * len(live), -1)
+    drive = drive.reshape(2 * len(live), len(live) * len(first))
     weights = np.repeat((lam * w[:, None]).T.ravel(), 2)  # per real, imaginary part
-    zs = np.zeros((_ENERGY_BLOCK + 1,) + into.shape[1:], dtype=complex)
+    z0 = np.zeros(into.shape[1:], dtype=complex)
     if live[-1] == 3:  # z_s(0) = (0, 1)
-        zs[0] = into[-1]
-    energies = np.empty(n_rows)
-    energies[:1] = _squares(zs[:1]) @ weights
-    turned = np.empty_like(zs[0])
-    z_rows = list(zs)
-    # zs[0] holds the row before the block
-    for start, stop in _step_blocks(n_rows):
-        m = stop - start
-        block = zs[1:m + 1]
-        np.matmul(np.hstack([u[start - 1:stop - 1], u[start:stop]]), drive,
-                  out=block.reshape(m, -1))
-        for before, z in zip(z_rows[:m], z_rows[1:m + 1]):
-            np.multiply(before, rot, out=turned)
-            z += turned
-        energies[start:stop] = _squares(block) @ weights
-        zs[0] = zs[m]
-    z = np.einsum("sab,bs->sa", back, zs[0])
+        z0[:] = into[-1]
+    z, energies = _rotate_shells(z0, rot, u[:, live], drive, weights)
+    z = np.einsum("sab,bs->sa", back, z)
     a = np.zeros((grid.n,) * 3, dtype=complex)
     a[modes.mask] = np.sum(basis * z[label], axis=1)
     y_hat, pi_hat = _field_spectra(a, grid)
@@ -539,70 +559,47 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
         y_hat0, pi_hat0 = (spectrum[modes.mask] for spectrum in _field_spectra(a0, grid))
     else:
         y_hat0 = pi_hat0 = np.zeros(len(modes.w))
-    # (Y^_k, Pi^_k) = basis_k . (y_s, pi_s): a real 8-vector pair per shell,
-    # each column stepped by the scalar leapfrog of the shell's symbol
-    # sigma_s = (2/dt)^2 sin^2(w_s dt/2).  Columns 0-2 are driven by the
-    # acceleration through N (and W - Pi = 2 v . N), 3-5 by the velocity
-    # through M; 6 and 7 start at unit Y and unit Pi.  Only the live columns
-    # are stepped: with a UV cutoff M vanishes, and a field at rest has no
-    # columns 6 and 7.  The states are real, so the shells' frames are those
-    # of the real part of the Gram matrix: the Gram matrix of the real and
-    # imaginary parts of the basis.  By Parseval the energy is
-    # dx^3 / (2 n^3) sum_s sum_i lam_si (pi'_si^2 + |k_s|^2 y'_si^2).
+    # (Y^_k, Pi^_k) = basis_k . (Y_s, Pi_s): a real 8-vector pair per shell.
+    # Columns 0-2 are driven by the acceleration through N (and W - Pi =
+    # 2 v . N), 3-5 by the velocity through M; 6 and 7 start at unit Y and
+    # unit Pi.  Only the live columns are stepped: with a UV cutoff M
+    # vanishes, and a field at rest has no columns 6 and 7.  Y and Pi are
+    # real, so the shells' frames are those of the real part of the Gram
+    # matrix: the Gram matrix of the real and imaginary parts of the basis.
+    # At full steps a column's Pi (the mean of W = dY/dt over the half steps
+    # either side, less 2 v . N) and Y make z = Pi - i w~ Y, w~ = sin(w dt)/dt,
+    # and the leapfrog of the symbol (2/dt)^2 sin^2(w dt/2) is exactly
+    #     z_r = rot z_(r-1) + rot (q_(r-1) + o_(r-1)) + q_r - o_r,
+    # with q = dt S / 2 for the source S and o = 2 v . N.  By Parseval the
+    # energy is dx^3 / (2 n^3) sum_s sum_i lam_si (Pi'_si^2 + w_s^2 Y'_si^2).
     basis = np.column_stack([2j * n3 * c_n[:, None] * k_odd,
                              2.0 * n3 * c_m[:, None] * k_nyq, y_hat0, pi_hat0])
     live = _live_columns(basis)
     basis = basis[:, live]
     lam, into, back = _shell_frames(np.concatenate([label, label]), len(first),
                                     np.concatenate([basis.real, basis.imag]))
+    cols, shells = len(live), len(first)
     dt = traj.step
-    sigma_dt2 = 4.0 * np.sin(0.5 * dt * modes.w[first]) ** 2
-    ksq = np.sum(modes.k[first] ** 2, axis=1)
-    energy_scale = 0.5 * grid.dx**3 / n3
-    weights_pi = (lam * energy_scale).T.ravel()
-    weights_y = (lam * (ksq * energy_scale)[:, None]).T.ravel()
-
-    n_rows = len(traj.times)
-    v = traj.velocities
-    source = np.zeros((n_rows, 8))
-    source[:, :3] = traj.accelerations()
-    source[:, 3:6] = v
-    offset = np.zeros((n_rows, 8))
-    offset[:, :3] = v
-    y = np.zeros((len(first), 8))
-    y[:, 6] = 1.0
-    pi = np.zeros_like(y)
-    pi[:, 7] = 1.0
-    source, offset, y, pi = (x[:, live] for x in (source, offset, y, pi))
-    # u = dt W, W = dY/dt = Pi + 2 v . N;  staggered half-step start
-    kicks = dt**2 * source
-    u = dt * (pi + offset[0]) + 0.5 * (kicks[0] - sigma_dt2[:, None] * y)
-    # a drive common to every shell, (rows, columns), rotated into each
-    # shell's frame: (rows, columns, shells)
-    rotate = into.reshape(len(live), len(live) * len(first))  # no -1: none may be live
-    ys, us = (np.zeros((_ENERGY_BLOCK + 1,) + into.shape[1:]) for _ in range(2))
-    ys[0], us[0], pi = (np.einsum("bas,sb->as", into, x) for x in (y, u, pi))
-    energies = np.empty(n_rows)
-    energies[:1] = _squares(pi[None]) @ weights_pi + _squares(ys[:1]) @ weights_y
-    sigma_y = np.empty_like(ys[0])
-    yu_rows = list(zip(ys, us))
-    # ys[0], us[0] hold Y and u after the row before the block
-    for start, stop in _step_blocks(n_rows):
-        m = stop - start
-        np.matmul(kicks[start:stop], rotate, out=us[1:m + 1].reshape(m, -1))
-        for (y_before, u_before), (y, u) in zip(yu_rows[:m], yu_rows[1:m + 1]):
-            np.add(y_before, u_before, out=y)
-            np.multiply(sigma_dt2, y, out=sigma_y)
-            u -= sigma_y
-            u += u_before
-        # canonical momentum at the block's full steps, for the energy trace:
-        # the mean of W over the half steps either side, less 2 v . N
-        pis = (us[:m] + us[1:m + 1]) / (2.0 * dt)
-        pis -= (offset[start:stop] @ rotate).reshape(pis.shape)
-        energies[start:stop] = (_squares(pis) @ weights_pi
-                                + _squares(ys[1:m + 1]) @ weights_y)
-        ys[0], us[0], pi = ys[m], us[m], pis[-1]
-    y, pi = (np.einsum("sab,bs->sa", back, x) for x in (ys[0], pi))
+    w = modes.w[first]
+    w_tilde = np.sin(w * dt) / dt
+    rot = np.exp(-1j * w * dt)
+    ends = np.zeros((len(traj.times), 2, 8))  # the rows (q, o)
+    ends[:, 0, :3] = 0.5 * dt * traj.accelerations()
+    ends[:, 0, 3:6] = 0.5 * dt * traj.velocities
+    ends[:, 1, :3] = traj.velocities
+    ends = ends[:, :, live].reshape(len(traj.times), 2 * cols)
+    # rotated into each shell's frame, (columns, shells) per row; no -1:
+    # none may be live
+    drive = np.concatenate([rot * into, rot * into, into, -into])
+    drive = drive.reshape(4 * cols, cols * shells)
+    weights = np.stack([lam.T, (lam * ((w / w_tilde) ** 2)[:, None]).T], axis=-1)
+    weights = weights.ravel() * (0.5 * grid.dx**3 / n3)  # per Re z, Im z
+    start = np.zeros((shells, 8), dtype=complex)
+    start[:, 6] = -1j * w_tilde  # unit Y
+    start[:, 7] = 1.0            # unit Pi
+    z, energies = _rotate_shells(np.einsum("bas,sb->as", into, start[:, live]), rot,
+                                 ends, drive, weights)
+    y, pi = (np.einsum("sab,bs->sa", back, x) for x in (-z.imag / w_tilde, z.real))
     spectrum = np.zeros((grid.n,) * 3, dtype=complex)
     spectrum[modes.mask] = np.sum(basis * (y + 1j * pi)[label], axis=1)
     y, pi = _real_fields(spectrum)

@@ -161,9 +161,9 @@ def rel_dev(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-def driven_trajectory(dx, steps=120):
-    """A damped oscillator's mean path, moving along all three axes."""
-    dt = 0.2 * dx
+def driven_trajectory(dt, steps=120):
+    """A damped oscillator's mean path at time step ``dt``, moving along all
+    three axes."""
     times = np.arange(steps + 1) * dt
     xs = mean_trajectory(OscillatorParams(1.0, 1.0, 0.1), [1.0, -0.5, 0.3],
                          [0.0, 0.4, -0.2], times)
@@ -390,6 +390,19 @@ class TestClassIntegrators:
         got = lattice_memory_kernel(coup, grid, times).values
         assert rel_dev(got, permode_kernel(coup, grid, times)) <= 1e-12
 
+    def test_kernel_blocks_match_one_shot(self):
+        # a grid of two and a half blocks of cosines, the last one partial
+        from dissipon.reservoir import _TRANSFORM_BLOCK
+        grid = FieldGrid(n=16, dx=1.0)
+        coup = CouplingFunction.canonical(0.1, uv_cutoff=3.0)
+        modes = _masked_modes(coup, grid)
+        label, first = _shells(modes)
+        times = np.arange(5 * (_TRANSFORM_BLOCK // len(first)) // 2) * 0.05
+        weights = np.bincount(label, weights=2.0 * modes.g**2 * modes.w * modes.k[:, 0] ** 2)
+        one_shot = np.cos(np.outer(times, modes.w[first])) @ weights
+        got = lattice_memory_kernel(coup, grid, times).values
+        assert rel_dev(got, one_shot) <= 1e-14
+
     # "zeros" is a field at rest given explicitly, and must run as the
     # implicit one; "one-mode" keeps the initial-state columns live
     @pytest.mark.parametrize("start", ["rest", "zeros", "one-mode", "random"])
@@ -398,7 +411,7 @@ class TestClassIntegrators:
         grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
         coup = lattice_coupling(kind, cutoff)
         a0 = start_amplitudes(grid, start)
-        traj = driven_trajectory(dx)
+        traj = driven_trajectory(0.2 * dx)
         hist = evolve_field_with_source(traj, coup, grid, method="kspace",
                                         initial_amplitudes=a0)
         refs = permode_kspace(traj, coup, grid, a0)
@@ -414,7 +427,7 @@ class TestClassIntegrators:
         grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
         coup = lattice_coupling(kind, cutoff)
         a0 = start_amplitudes(grid, start)
-        traj = driven_trajectory(dx)
+        traj = driven_trajectory(0.2 * dx)
         hist = evolve_field_with_source(traj, coup, grid, method="leapfrog",
                                         initial_amplitudes=a0)
         refs = realspace_leapfrog(traj, coup, grid, a0)
