@@ -129,7 +129,7 @@ def cmd_kernel(args, out_dir):
     beta_eff = friction_coefficient(coup, cfg)
     path = out_dir / "kernel.csv"
     emit_table(path, ["t", "gamma"],
-               zip(kern.times, kern.values),
+               np.column_stack([kern.times, kern.values]),
                metadata=_metadata(args, cfg, beta_eff=beta_eff))
     return {"beta_eff": beta_eff}, [path]
 
@@ -274,7 +274,7 @@ def cmd_field(args, out_dir):
     e_mech = traj.mechanical_energy(args.m, args.omega)
     trace_path = out_dir / "field_energy.csv"
     emit_table(trace_path, ["t", "field_energy", "mechanical_energy"],
-               zip(hist.times, hist.energy, e_mech),
+               np.column_stack([hist.times, hist.energy, e_mech]),
                metadata={"experiment": args.experiment, "modes": args.modes,
                          "dx": args.dx, "uv_cutoff": args.uv_cutoff,
                          "method": args.method})

@@ -18,7 +18,10 @@ w = |k| of the lattice memory kernel, so the particle and either field
 describe one discrete system.  The leapfrog enforces dt < dx/sqrt(3).
 
 Both run on shells of equivalent modes, one i^2 + j^2 + l^2 of the fft
-index triple (i, j, l): one |k|, one coupling, one symbol.  By linearity
+index triple (i, j, l): one |k|, one coupling, one symbol.  A grid builds
+its masked modes, their shells and each mode's mirror -k once, as its
+read-only ``geometry``, which the lattice kernel and both integrators
+share.  By linearity
 every mode is a fixed combination, its basis, of its shell's state
 columns, so each step costs O(shells), and the modes and fields are
 rebuilt once, at the end.  Only the live columns are stepped, those
@@ -31,13 +34,14 @@ squares: the energy trace is one product per block of rows.  Both step
 one complex state per column by the same rotation e^{-i w dt}: the mode
 amplitude, and for the leapfrog z = Pi - i w~ Y at full steps, with
 w~ = sin(w dt)/dt.  Both real fields come from one inverse FFT of
-Y^ + i Pi^.
+Y^ + i Pi^, whose spectra are formed on the masked modes alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,14 +89,18 @@ class FieldGrid:
         if not 3.0 * k_nyquist * k_nyquist < math.inf:  # the corner mode's |k|^2
             raise DomainError(f"grid spacing {self.dx:.3g} is too fine: the squared "
                               "wavenumbers of its modes overflow")
+        # the first shell's |k| as the geometry computes it, within an ulp of dk
+        k_first = float(self.k_axes()[0][1])
+        if not k_first * k_first >= np.finfo(float).tiny:
+            raise DomainError(f"grid spacing {self.dx:.3g} is too coarse: the squared "
+                              "wavenumbers of its modes underflow")
         if self.uv_cutoff is None:
             return
         if self.dx * self.uv_cutoff >= np.pi:
             raise DomainError(
                 f"Nyquist violation: dx * cutoff = {self.dx * self.uv_cutoff:.3g} "
                 ">= pi; refine the grid or lower the cutoff")
-        # the first shell's |k| as mode_mask computes it, within an ulp of dk
-        if not self.uv_cutoff >= self.k_axes()[0][1]:
+        if not self.uv_cutoff >= k_first:
             raise DomainError(
                 f"UV cutoff {self.uv_cutoff} is below the mode spacing dk = {self.dk:.3g}; "
                 "no mode carries dynamics")
@@ -124,14 +132,29 @@ class FieldGrid:
 
     def mode_mask(self):
         """Modes carrying dynamics: nonzero and inside the radial cutoff."""
-        return self._carries_dynamics(self.omega())
+        return self.geometry.mask.copy()
 
-    def _carries_dynamics(self, w):
-        """:meth:`mode_mask` of the per-mode |k| ``w``."""
+    @cached_property
+    def geometry(self):
+        """The masked modes and their shells (:class:`_Geometry`), built once
+        per grid; its arrays are read-only."""
+        w = self.omega()
         mask = w > 0
         if self.uv_cutoff is not None:
             mask &= w <= self.uv_cutoff
-        return mask
+        position = np.argwhere(mask)  # grid order, as boolean indexing takes them
+        index = np.where(position < self.n // 2, position, position - self.n)
+        key = np.sum(index**2, axis=1)
+        rank = np.cumsum(np.bincount(key) > 0) - 1
+        label = rank[key]
+        first = np.full(rank[-1] + 1, len(key))
+        np.minimum.at(first, label, np.arange(len(key)))
+        mirror = np.ravel_multi_index((-position % self.n).T, mask.shape)
+        geometry = _Geometry(mask, index, self.k_axes()[0][position], w[mask],
+                             label, first, mirror)
+        for array in geometry:
+            array.flags.writeable = False
+        return geometry
 
     def radii(self):
         """Minimum-image distance of every grid point from the origin."""
@@ -141,13 +164,26 @@ class FieldGrid:
         return np.sqrt(gx**2 + gy**2 + gz**2), (gx, gy, gz)
 
 
+class _Geometry(NamedTuple):
+    """A grid's masked modes in grid order and their shells, labelled in increasing
+    i^2 + j^2 + l^2 of the fft index triple: one |k|, one g_k, one symbol each."""
+
+    mask: np.ndarray    # (n, n, n) modes carrying dynamics
+    index: np.ndarray   # (M, 3) integer fft indices (i, j, l)
+    k: np.ndarray       # (M, 3) wave vectors
+    w: np.ndarray       # |k|
+    label: np.ndarray   # each mode's shell
+    first: np.ndarray   # each shell's first mode
+    mirror: np.ndarray  # flat grid index of each mode's -k
+
+
 def _checked_amplitudes(a, grid):
     a = np.asarray(a, dtype=complex)
     if a.shape != (grid.n, grid.n, grid.n):
         raise DomainError(f"amplitudes must have shape {(grid.n,) * 3}")
     if abs(a[0, 0, 0]) != 0.0:
         raise DomainError("the zero mode carries no dynamics; its amplitude must be 0")
-    if np.any(a[~grid.mode_mask()]):
+    if np.any(a[~grid.geometry.mask]):
         raise DomainError(
             f"modes above the UV cutoff {grid.uv_cutoff} carry no dynamics; "
             "their amplitudes must be 0")
@@ -160,35 +196,31 @@ def field_from_modes(a, grid):
     Y(x)  = sum_k (2 V w_k)^(-1/2) (a_k e^{ikx} + a_k* e^{-ikx})
     Pi(x) = i sum_k (w_k / 2V)^(1/2) (a_k* e^{-ikx} - a_k e^{ikx})
     """
-    y_hat, pi_hat = _field_spectra(_checked_amplitudes(a, grid), grid)
-    return _real_fields(y_hat + 1j * pi_hat)
+    y_hat, pi_hat = _mode_spectra(_checked_amplitudes(a, grid), grid)
+    return _real_fields(y_hat + 1j * pi_hat, grid)
 
 
-def _real_fields(spectrum):
-    """(Y, Pi) on the real grid from ``spectrum`` = Y^ + i Pi^, their
-    discrete Fourier transforms: both fields are real, so one inverse FFT
-    has Y as its real part and Pi as its imaginary part."""
-    fields = np.fft.ifftn(spectrum)
+def _real_fields(spectrum, grid):
+    """(Y, Pi) on the real grid from ``spectrum`` = Y^ + i Pi^ at the masked
+    modes (zero elsewhere): both fields are real, so one inverse FFT has Y
+    as its real part and Pi as its imaginary part."""
+    full = np.zeros((grid.n,) * 3, dtype=complex)
+    full[grid.geometry.mask] = spectrum
+    fields = np.fft.ifftn(full)
     return fields.real, fields.imag
 
 
-def _field_spectra(a, grid):
-    """Discrete Fourier transforms (numpy's ``fftn`` convention) of the
-    fields (Y, Pi) of :func:`field_from_modes`, for checked amplitudes."""
-    w = grid.omega()
-    mask = grid._carries_dynamics(w)
-    root = np.zeros_like(w)
-    root[mask] = 1.0 / np.sqrt(2.0 * grid.volume * w[mask])
-    a_rev = _reverse_modes(a)
+def _mode_spectra(a, grid):
+    """Discrete Fourier transforms (numpy's ``fftn`` convention) of the fields
+    (Y, Pi) of :func:`field_from_modes` at the masked modes, for checked
+    amplitudes: Y^_k = n^3 r_k (a_k + conj(a_-k)) and
+    Pi^_k = i n^3 w_k r_k (conj(a_-k) - a_k), with r_k = (2 V w_k)^(-1/2)."""
+    geo = grid.geometry
+    a_k = a[geo.mask]
+    a_rev = np.conj(a.ravel()[geo.mirror])
+    root = 1.0 / np.sqrt(2.0 * grid.volume * geo.w)
     n3 = grid.n**3
-    y_hat = root * (a + np.conj(a_rev)) * n3
-    pi_hat = 1j * np.where(mask, w, 0.0) * root * (np.conj(a_rev) - a) * n3
-    return y_hat, pi_hat
-
-
-def _reverse_modes(a):
-    """a[-k] on the fft layout."""
-    return np.roll(a[::-1, ::-1, ::-1], shift=1, axis=(0, 1, 2))
+    return root * (a_k + a_rev) * n3, 1j * geo.w * root * (a_rev - a_k) * n3
 
 
 def modes_from_fields(y, pi, grid):
@@ -196,11 +228,10 @@ def modes_from_fields(y, pi, grid):
     n3 = grid.n**3
     y_k = np.fft.fftn(y) / n3
     pi_k = np.fft.fftn(pi) / n3
-    w = grid.omega()
-    mask = grid._carries_dynamics(w)
+    geo = grid.geometry
     a = np.zeros_like(y_k)
-    a[mask] = (np.sqrt(grid.volume * w[mask] / 2.0) * y_k[mask]
-               + 1j * np.sqrt(grid.volume / (2.0 * w[mask])) * pi_k[mask])
+    a[geo.mask] = (np.sqrt(grid.volume * geo.w / 2.0) * y_k[geo.mask]
+                   + 1j * np.sqrt(grid.volume / (2.0 * geo.w)) * pi_k[geo.mask])
     return a
 
 
@@ -345,43 +376,26 @@ def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
     raise DomainError(f"unknown method {method!r}")
 
 
-class _Modes(NamedTuple):
-    """The masked modes, flattened in grid order."""
-
-    mask: np.ndarray   # (n, n, n) modes carrying dynamics
-    index: np.ndarray  # (M, 3) integer fft indices (i, j, l)
-    k: np.ndarray      # (M, 3) wave vectors
-    w: np.ndarray      # |k|
-    g: np.ndarray      # lattice coupling f(|k|) dk^(3/2)
-
-
 def _masked_modes(coupling, grid):
-    w = grid.omega()
-    mask = grid._carries_dynamics(w)
-    w = w[mask]
-    position = np.argwhere(mask)  # grid order, as boolean indexing takes them
-    index = np.where(position < grid.n // 2, position, position - grid.n)
-    g = np.asarray(coupling(w), dtype=float) * np.sqrt(grid.dk**3)
-    return _Modes(mask, index, grid.k_axes()[0][position], w, g)
+    """The grid's :attr:`~FieldGrid.geometry` and the lattice coupling
+    g_k = f(|k|) dk^(3/2) of each masked mode."""
+    geo = grid.geometry
+    f = np.asarray(coupling(geo.w), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        g = f * np.sqrt(grid.dk**3)
+    if not np.isfinite(g).all():
+        raise DomainError("the lattice coupling f(|k|) dk^(3/2) is not finite on this lattice")
+    return geo, g
 
 
-def _shells(modes):
-    """Each mode's shell label and each shell's first mode.  A shell is one
-    exact integer i^2 + j^2 + l^2: its modes share |k|, g_k and the
-    leapfrog's symbol.  Shells are labelled in increasing i^2 + j^2 + l^2."""
-    key = np.sum(modes.index**2, axis=1)
-    rank = np.cumsum(np.bincount(key) > 0) - 1
-    label = rank[key]
-    first = np.full(rank[-1] + 1, len(key))
-    np.minimum.at(first, label, np.arange(len(key)))
-    return label, first
-
-
-def _live_columns(basis):
-    """Columns of ``basis`` (one row per masked mode) that are nonzero on
-    some mode; a state column against a zero basis column never reaches a
-    mode, a field or the energy, so it is not stepped."""
-    return np.flatnonzero(np.any(basis != 0, axis=0))
+def _live_basis(columns, modes):
+    """The ``columns`` (one value per masked mode each) that are nonzero on
+    some mode, stacked as a basis, and their positions.  A state column
+    against a zero basis column never reaches a mode, a field or the energy,
+    so it is not stepped; real columns give a real basis."""
+    live = [i for i, column in enumerate(columns) if column.any()]
+    basis = np.stack([columns[i] for i in live], axis=1) if live else np.zeros((modes, 0))
+    return basis, live
 
 
 def _shell_frames(label, count, basis):
@@ -416,20 +430,6 @@ def _shell_frames(label, count, basis):
 _ENERGY_BLOCK = 64
 
 
-def _squares(states):
-    """Squares of every real number in each row of ``states``."""
-    x = states.reshape(len(states), -1)
-    if np.iscomplexobj(x):
-        x = x.view(float)
-    return x * x
-
-
-def _initial_amplitudes(a, grid):
-    if a is None:
-        return np.zeros((grid.n,) * 3, dtype=complex)
-    return _checked_amplitudes(a, grid)
-
-
 def lattice_memory_kernel(coupling, grid, times):
     """Memory kernel the finite mode lattice exerts on the particle.
 
@@ -441,21 +441,21 @@ def lattice_memory_kernel(coupling, grid, times):
     integration error).
     """
     from .reservoir import _TRANSFORM_BLOCK, MemoryKernel
-    modes = _masked_modes(coupling, grid)
-    label, first = _shells(modes)
+    geo, g = _masked_modes(coupling, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        weights = np.bincount(label, weights=2.0 * modes.g**2 * modes.w * modes.k[:, 0] ** 2)
+        weights = np.bincount(geo.label, weights=2.0 * g**2 * geo.w * geo.k[:, 0] ** 2)
     if not np.isfinite(weights).all():
         raise DomainError("the lattice kernel's shell weights 2 g^2 w k_x^2 overflow; "
                           "the coupling is too strong for this lattice")
     times = np.asarray(times, dtype=float)
     flat = times.ravel()
-    w = modes.w[first]
+    w = geo.w[geo.first]
     values = np.empty(len(flat))
     # the (times, shells) cosines are held a block of times at a time
     rows = max(1, _TRANSFORM_BLOCK // len(w))
     for start in range(0, len(flat), rows):
-        values[start:start + rows] = np.cos(np.outer(flat[start:start + rows], w)) @ weights
+        phases = np.outer(flat[start:start + rows], w)
+        values[start:start + rows] = np.cos(phases, out=phases) @ weights
     return MemoryKernel(times, values)
 
 
@@ -464,47 +464,53 @@ def _rotate_shells(z0, rot, ends, drive, weights):
 
         z_r = rot z_(r-1) + [e_(r-1), e_r] . drive,   z_0 = ``z0``,
 
-    with e_r the r-th row of ``ends``, each shell turned by its ``rot``, and
-    ``drive`` mapping a pair of rows to the flattened states.  The energy of
-    a row is the sum of the squares of its states' real and imaginary parts,
-    weighted by ``weights``.  Returns the last row's states and the energy
-    of every row.
+    with e_r the r-th (real) row of ``ends``, each shell turned by its
+    ``rot``, and ``drive`` mapping a pair of rows to the flattened states.
+    The energy of a row is the sum of the squares of its states' real and
+    imaginary parts, weighted by ``weights``.  Returns the last row's states
+    and the energy of every row.
     """
     n_rows = len(ends)
     zs = np.zeros((_ENERGY_BLOCK + 1,) + z0.shape, dtype=complex)
     zs[0] = z0
+    # the real and imaginary parts of each row's states: real rows times the
+    # drive's parts are the parts of their kicks
+    parts = zs.reshape(_ENERGY_BLOCK + 1, z0.size).view(float)
+    kicks = drive.view(float)
+    pairs = np.hstack([ends[:-1], ends[1:]])
+    squares = np.empty((_ENERGY_BLOCK, parts.shape[1]))
     energies = np.empty(n_rows)
-    energies[:1] = _squares(zs[:1]) @ weights
+    np.multiply(parts[:1], parts[:1], squares[:1])
+    energies[:1] = squares[:1] @ weights
     turned = np.empty_like(zs[0])
     z_rows = list(zs)
     # zs[0] holds the row before the block
     for start in range(1, n_rows, _ENERGY_BLOCK):
         stop = min(start + _ENERGY_BLOCK, n_rows)
         m = stop - start
-        block = zs[1:m + 1]
-        np.matmul(np.hstack([ends[start - 1:stop - 1], ends[start:stop]]), drive,
-                  out=block.reshape(m, -1))
+        np.matmul(pairs[start - 1:stop - 1], kicks, parts[1:m + 1])
         for before, z in zip(z_rows[:m], z_rows[1:m + 1]):
-            np.multiply(before, rot, out=turned)
-            z += turned
-        energies[start:stop] = _squares(block) @ weights
+            np.multiply(before, rot, turned)
+            np.add(z, turned, z)
+        np.multiply(parts[1:m + 1], parts[1:m + 1], squares[:m])
+        energies[start:stop] = squares[:m] @ weights
         zs[0] = zs[m]
     return zs[0], energies
 
 
 def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
-    modes = _masked_modes(coupling, grid)
-    label, first = _shells(modes)
+    geo, g_k = _masked_modes(coupling, grid)
+    label, first = geo.label, geo.first
     # a mode of shell s is a_k(n) = k . Z_s(n) + a_k(0) rot_s^n: a complex
     # 4-vector z_s = (Z_s, rot_s^n) per shell against the basis (k, a_k(0)),
     # of which only the live columns are stepped (a field at rest has no
-    # a_k(0) column), in the shell's frame
-    basis = np.column_stack(
-        [modes.k, _initial_amplitudes(initial_amplitudes, grid)[modes.mask]])
-    live = _live_columns(basis)
-    basis = basis[:, live]
+    # a_k(0) column, and a real basis), in the shell's frame
+    columns = list(geo.k.T)
+    if initial_amplitudes is not None:
+        columns.append(_checked_amplitudes(initial_amplitudes, grid)[geo.mask])
+    basis, live = _live_basis(columns, len(label))
     lam, into, back = _shell_frames(label, len(first), basis)
-    w, g = modes.w[first], modes.g[first]
+    w, g = geo.w[first], g_k[first]
     dt = traj.step
     theta = w * dt
     rot = np.exp(-1j * theta)
@@ -530,16 +536,16 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     z, energies = _rotate_shells(z0, rot, u[:, live], drive, weights)
     z = np.einsum("sab,bs->sa", back, z)
     a = np.zeros((grid.n,) * 3, dtype=complex)
-    a[modes.mask] = np.sum(basis * z[label], axis=1)
-    y_hat, pi_hat = _field_spectra(a, grid)
-    y, pi = _real_fields(y_hat + 1j * pi_hat)
+    a[geo.mask] = np.sum(basis * z[label], axis=1)
+    y_hat, pi_hat = _mode_spectra(a, grid)
+    y, pi = _real_fields(y_hat + 1j * pi_hat, grid)
     return FieldHistory(times=traj.times.copy(), energy=energies,
                         final_y=y, final_pi=pi, final_amplitudes=a)
 
 
 def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
-    modes = _masked_modes(coupling, grid)
-    label, first = _shells(modes)
+    geo, g = _masked_modes(coupling, grid)
+    label, first = geo.label, geo.first
     n3 = grid.n**3
     # The lattice source shapes
     #     M(x) = Re sum_k sqrt(w_k/2V) g_k k e^{-ikx},
@@ -550,15 +556,10 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     # where k and -k alias: the sine source loses them and the cosine source
     # gains them, so M vanishes only when no masked mode sits on a Nyquist
     # plane.
-    k_nyq = np.where(modes.index == -(grid.n // 2), modes.k, 0.0)
-    k_odd = modes.k - k_nyq
-    c_n = modes.g / np.sqrt(2.0 * grid.volume * modes.w)
-    c_m = modes.g * np.sqrt(modes.w / (2.0 * grid.volume))
-    a0 = _initial_amplitudes(initial_amplitudes, grid)
-    if a0.any():
-        y_hat0, pi_hat0 = (spectrum[modes.mask] for spectrum in _field_spectra(a0, grid))
-    else:
-        y_hat0 = pi_hat0 = np.zeros(len(modes.w))
+    k_nyq = np.where(geo.index == -(grid.n // 2), geo.k, 0.0)
+    k_odd = geo.k - k_nyq
+    c_n = g / np.sqrt(2.0 * grid.volume * geo.w)
+    c_m = g * np.sqrt(geo.w / (2.0 * grid.volume))
     # (Y^_k, Pi^_k) = basis_k . (Y_s, Pi_s): a real 8-vector pair per shell.
     # Columns 0-2 are driven by the acceleration through N (and W - Pi =
     # 2 v . N), 3-5 by the velocity through M; 6 and 7 start at unit Y and
@@ -572,15 +573,15 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     #     z_r = rot z_(r-1) + rot (q_(r-1) + o_(r-1)) + q_r - o_r,
     # with q = dt S / 2 for the source S and o = 2 v . N.  By Parseval the
     # energy is dx^3 / (2 n^3) sum_s sum_i lam_si (Pi'_si^2 + w_s^2 Y'_si^2).
-    basis = np.column_stack([2j * n3 * c_n[:, None] * k_odd,
-                             2.0 * n3 * c_m[:, None] * k_nyq, y_hat0, pi_hat0])
-    live = _live_columns(basis)
-    basis = basis[:, live]
+    columns = [2j * n3 * c_n * k for k in k_odd.T] + [2.0 * n3 * c_m * k for k in k_nyq.T]
+    if initial_amplitudes is not None:
+        columns += _mode_spectra(_checked_amplitudes(initial_amplitudes, grid), grid)
+    basis, live = _live_basis(columns, len(label))
     lam, into, back = _shell_frames(np.concatenate([label, label]), len(first),
                                     np.concatenate([basis.real, basis.imag]))
     cols, shells = len(live), len(first)
     dt = traj.step
-    w = modes.w[first]
+    w = geo.w[first]
     w_tilde = np.sin(w * dt) / dt
     rot = np.exp(-1j * w * dt)
     ends = np.zeros((len(traj.times), 2, 8))  # the rows (q, o)
@@ -600,9 +601,7 @@ def _evolve_leapfrog(traj, coupling, grid, initial_amplitudes):
     z, energies = _rotate_shells(np.einsum("bas,sb->as", into, start[:, live]), rot,
                                  ends, drive, weights)
     y, pi = (np.einsum("sab,bs->sa", back, x) for x in (-z.imag / w_tilde, z.real))
-    spectrum = np.zeros((grid.n,) * 3, dtype=complex)
-    spectrum[modes.mask] = np.sum(basis * (y + 1j * pi)[label], axis=1)
-    y, pi = _real_fields(spectrum)
+    y, pi = _real_fields(np.sum(basis * (y + 1j * pi)[label], axis=1), grid)
     return FieldHistory(times=traj.times.copy(), energy=energies,
                         final_y=y, final_pi=pi, final_amplitudes=None)
 

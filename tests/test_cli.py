@@ -337,6 +337,10 @@ class TestExitCodes:
         (["tls", "--omega0", "1e308"], 1),
         (["langevin", "--omega", "1e308", "--tmax", "1"], 1),
         (["field", "--dx", "1e-308", "--tmax", "1", "--modes", "8"], 1),
+        # a grid so coarse that its squared wavenumbers underflow, and one on
+        # which the lattice coupling f(|k|) dk^(3/2) is inf * 0
+        (["field", "--dx", "1e300", "--tmax", "1", "--modes", "8"], 1),
+        (["field", "--dx", "1e150", "--tmax", "1", "--modes", "8"], 1),
         (["rates", "--beta", "inf"], 1),
         (["oscillator", "--kt", "1e308"], 1),
         (["oscillator", "--beta", "1e-310"], 1),  # I0 = pi m / (2 beta w^2) overflows

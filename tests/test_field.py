@@ -3,9 +3,9 @@ import pytest
 from scipy.special import spherical_jn
 
 from dissipon.errors import DomainError, StabilityError
-from dissipon.field import (FieldGrid, _field_energy,
-                            _gradient_weights, _masked_modes, _shells,
-                            evolve_field_with_source, field_from_modes,
+from dissipon.field import (_ENERGY_BLOCK, FieldGrid, _field_energy,
+                            _gradient_weights, _masked_modes, _mode_spectra,
+                            _rotate_shells, evolve_field_with_source, field_from_modes,
                             hamiltonian_identity_check, lattice_memory_kernel,
                             modes_from_fields, read_snapshot, source_shapes,
                             write_snapshot)
@@ -121,6 +121,35 @@ def lattice_source_shapes(coupling, grid):
     return np.stack(m_comps, axis=-1), np.stack(n_comps, axis=-1)
 
 
+def fullgrid_spectra(a, grid):
+    """(Y^, Pi^) of field_from_modes on the whole grid, with a_-k read by
+    flipping and rolling the grid: the form the masked-mode spectra
+    replaced, kept as a reference."""
+    w = grid.omega()
+    mask = grid.mode_mask()
+    root = np.zeros_like(w)
+    root[mask] = 1.0 / np.sqrt(2.0 * grid.volume * w[mask])
+    a_rev = np.roll(a[::-1, ::-1, ::-1], shift=1, axis=(0, 1, 2))
+    n3 = grid.n**3
+    y_hat = root * (a + np.conj(a_rev)) * n3
+    pi_hat = 1j * np.where(mask, w, 0.0) * root * (np.conj(a_rev) - a) * n3
+    return y_hat, pi_hat
+
+
+def complex_rotation(z0, rot, ends, drive, weights):
+    """The states and energies of field._rotate_shells, one row at a time in
+    complex arithmetic."""
+    z = z0.astype(complex)
+    energies = []
+    for r in range(len(ends)):
+        if r:
+            pair = np.concatenate([ends[r - 1], ends[r]]).astype(complex)
+            z = rot * z + (pair @ drive).reshape(z.shape)
+        parts = np.stack([z.real, z.imag], axis=-1).ravel()
+        energies.append(np.sum(weights * parts**2))
+    return z, np.array(energies)
+
+
 def symbol_laplacian(y, grid, dt):
     """-sigma Y, with the leapfrog's exact-phase symbol
     sigma = (2/dt)^2 sin^2(|k| dt/2) applied by FFT."""
@@ -201,11 +230,42 @@ class TestGrid:
         for dx in (1e-200, np.float64(1e-308)):  # the corner mode's |k|^2 overflows
             with pytest.raises(DomainError, match="too fine"):
                 FieldGrid(n=8, dx=dx)
+        for dx in (1e160, 1e300):  # the first shell's |k|^2 underflows
+            with pytest.raises(DomainError, match="too coarse"):
+                FieldGrid(n=8, dx=dx)
         for cutoff in (np.nan, 0.0, -1.0, 0.7):  # dk = 2 pi / 8 = 0.785
             with pytest.raises(DomainError, match="below the mode spacing"):
                 FieldGrid(n=8, dx=1.0, uv_cutoff=cutoff)
         with pytest.raises(DomainError, match="too large"):
             FieldGrid(n=2**21, dx=1.0)  # 2^63 points: no array indexes them
+
+    def test_nonfinite_lattice_coupling_rejected(self):
+        # f(|k|) overflows to inf while dk^3 underflows to 0
+        grid = FieldGrid(n=8, dx=1e150)
+        with pytest.raises(DomainError, match="not finite"):
+            lattice_memory_kernel(CouplingFunction.canonical(0.1), grid, np.arange(3.0))
+
+    def test_geometry_is_built_once_per_grid(self, monkeypatch):
+        calls = []
+        omega = FieldGrid.omega
+        monkeypatch.setattr(FieldGrid, "omega", lambda self: calls.append(self) or omega(self))
+        grid = FieldGrid(n=8, dx=0.5, uv_cutoff=2.0)
+        coup = lattice_coupling("canonical", 2.0)
+        traj = driven_trajectory(0.1)
+        lattice_memory_kernel(coup, grid, traj.times)
+        for method in ("kspace", "leapfrog"):
+            evolve_field_with_source(traj, coup, grid, method=method)
+        assert len(calls) == 1 and calls[0] is grid
+        # an equal grid builds its own geometry, and neither can be written
+        twin = FieldGrid(n=8, dx=0.5, uv_cutoff=2.0)
+        assert twin == grid and "geometry" not in vars(twin)
+        for name, mine, theirs in zip(grid.geometry._fields, grid.geometry, twin.geometry):
+            np.testing.assert_array_equal(mine, theirs, err_msg=name)
+            assert not np.shares_memory(mine, theirs), name
+            assert not mine.flags.writeable and not theirs.flags.writeable, name
+        mask = grid.mode_mask()
+        mask[...] = False  # a copy
+        assert grid.geometry.mask.any()
 
     def test_box_relations(self):
         g = FieldGrid(n=16, dx=0.5)
@@ -229,6 +289,20 @@ class TestModeFieldMaps:
         expect = 2.0 / np.sqrt(2.0 * g.volume * k0) * np.cos(k0 * x)
         assert np.max(np.abs(y[:, 0, 0] - expect)) < 1e-14
         assert np.max(np.abs(y - y[:, :1, :1])) < 1e-14  # constant along y, z
+
+    @pytest.mark.parametrize("n, dx, cutoff", [(2, 1.0, None), (8, 0.5, None), (16, 1.0, 2.8)])
+    def test_mode_spectra_match_full_grid(self, n, dx, cutoff):
+        # Nyquist planes in the mask (no cutoff) or none (cutoff 2.8)
+        g = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
+        a = random_amplitudes(g)
+        mask = g.mode_mask()
+        for got, ref in zip(_mode_spectra(a, g), fullgrid_spectra(a, g)):
+            assert not ref[~mask].any()
+            assert rel_dev(got, ref[mask]) <= 1e-15
+        y_hat, pi_hat = fullgrid_spectra(a, g)
+        fields = np.fft.ifftn(y_hat + 1j * pi_hat)
+        for got, ref in zip(field_from_modes(a, g), (fields.real, fields.imag)):
+            assert rel_dev(got, ref) <= 1e-15
 
     def test_round_trip(self):
         g = FieldGrid(n=16, dx=0.5)
@@ -372,15 +446,14 @@ class TestClassIntegrators:
     @pytest.mark.parametrize("n, dx, cutoff", [(16, 0.5, None), (32, 1.0, 2.8)])
     def test_classes_are_the_integer_partitions(self, n, dx, cutoff):
         grid = FieldGrid(n=n, dx=dx, uv_cutoff=cutoff)
-        modes = _masked_modes(CouplingFunction.zero(), grid)
-        assert np.allclose(modes.index * grid.dk, modes.k, rtol=1e-14, atol=0.0)
-        keys = [i * i + j * j + l * l for i, j, l in modes.index.tolist()]
-        label, first = _shells(modes)
+        geo = grid.geometry
+        assert np.allclose(geo.index * grid.dk, geo.k, rtol=1e-14, atol=0.0)
+        keys = [i * i + j * j + l * l for i, j, l in geo.index.tolist()]
         # one shell per key and one key per shell: float keys split shells
-        assert len(first) == len(set(keys))
-        assert len(set(zip(label.tolist(), keys))) == len(first)
+        assert len(geo.first) == len(set(keys))
+        assert len(set(zip(geo.label.tolist(), keys))) == len(geo.first)
         if n == 32:
-            assert (len(modes.w), len(first)) == (12148, 171)
+            assert (len(geo.w), len(geo.first)) == (12148, 171)
 
     @pytest.mark.parametrize("n, dx, cutoff, kind", REFERENCE_CASES)
     def test_kernel_matches_permode(self, n, dx, cutoff, kind):
@@ -395,13 +468,34 @@ class TestClassIntegrators:
         from dissipon.reservoir import _TRANSFORM_BLOCK
         grid = FieldGrid(n=16, dx=1.0)
         coup = CouplingFunction.canonical(0.1, uv_cutoff=3.0)
-        modes = _masked_modes(coup, grid)
-        label, first = _shells(modes)
-        times = np.arange(5 * (_TRANSFORM_BLOCK // len(first)) // 2) * 0.05
-        weights = np.bincount(label, weights=2.0 * modes.g**2 * modes.w * modes.k[:, 0] ** 2)
-        one_shot = np.cos(np.outer(times, modes.w[first])) @ weights
+        geo, g = _masked_modes(coup, grid)
+        times = np.arange(5 * (_TRANSFORM_BLOCK // len(geo.first)) // 2) * 0.05
+        weights = np.bincount(geo.label, weights=2.0 * g**2 * geo.w * geo.k[:, 0] ** 2)
+        one_shot = np.cos(np.outer(times, geo.w[geo.first])) @ weights
         got = lattice_memory_kernel(coup, grid, times).values
         assert rel_dev(got, one_shot) <= 1e-14
+
+    # three states of five shells driven by a pair of 2-vectors, over rows
+    # that end in a short block; with no live column nothing is stepped
+    @pytest.mark.parametrize("cols, width, rows", [
+        (3, 2, 2 * _ENERGY_BLOCK + 6), (3, 2, 1), (0, 0, _ENERGY_BLOCK + 3)])
+    def test_rotation_matches_complex_reference(self, cols, width, rows):
+        rng = np.random.default_rng(5)
+        shells = 5
+        rot = np.exp(-1j * rng.uniform(0.0, 3.0, shells))
+        z0 = rng.normal(size=(cols, shells)) + 1j * rng.normal(size=(cols, shells))
+        ends = rng.normal(size=(rows, width))
+        drive = (rng.normal(size=(2 * width, cols * shells))
+                 + 1j * rng.normal(size=(2 * width, cols * shells)))
+        weights = rng.uniform(0.5, 2.0, 2 * cols * shells)
+        z, energies = _rotate_shells(z0, rot, ends, drive, weights)
+        ref_z, ref_energies = complex_rotation(z0, rot, ends, drive, weights)
+        assert z.shape == ref_z.shape and energies.shape == (rows,)
+        if cols == 0:
+            assert not energies.any()
+        else:
+            assert rel_dev(z, ref_z) <= 1e-13
+            assert rel_dev(energies, ref_energies) <= 1e-13
 
     # "zeros" is a field at rest given explicitly, and must run as the
     # implicit one; "one-mode" keeps the initial-state columns live
