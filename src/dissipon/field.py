@@ -39,7 +39,6 @@ Y^ + i Pi^, whose spectra are formed on the masked modes alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -50,11 +49,8 @@ from .errors import DomainError, StabilityError
 
 __all__ = [
     "FieldGrid",
-    "SourceShapes",
     "FieldHistory",
     "field_from_modes",
-    "modes_from_fields",
-    "source_shapes",
     "hamiltonian_identity_check",
     "evolve_field_with_source",
     "lattice_memory_kernel",
@@ -85,17 +81,18 @@ class FieldGrid:
             raise DomainError(f"a lattice of {self.n}^3 modes is too large to allocate")
         if not 0.0 < self.dx < np.inf:
             raise DomainError("grid spacing must be positive and finite")
-        k_nyquist = math.pi / float(self.dx)
-        if not 3.0 * k_nyquist * k_nyquist < math.inf:  # the corner mode's |k|^2
-            raise DomainError(f"grid spacing {self.dx:.3g} is too fine: the squared "
-                              "wavenumbers of its modes overflow")
-        # the first shell's |k| as the geometry computes it, within an ulp of dk
-        k_first = float(self.k_axes()[0][1])
-        if not k_first * k_first >= np.finfo(float).tiny:
-            raise DomainError(f"grid spacing {self.dx:.3g} is too coarse: the squared "
-                              "wavenumbers of its modes underflow")
+        with np.errstate(over="ignore"):  # with both finite, every |k|^2 is a normal float
+            volume, density = np.float64(self.box_length) ** 3, np.float64(self.dk) ** 3
+        if not density < np.inf:
+            raise DomainError(f"grid spacing {self.dx:.3g} is too fine: the mode density "
+                              f"dk^3 of its box n dx = {self.box_length:.3g} overflows")
+        if not volume < np.inf:
+            raise DomainError(f"grid spacing {self.dx:.3g} is too coarse: the volume "
+                              f"(n dx)^3 of its box n dx = {self.box_length:.3g} overflows")
         if self.uv_cutoff is None:
             return
+        # the first shell's |k| as the geometry computes it, within an ulp of dk
+        k_first = float(self.k_axes()[0][1])
         if self.dx * self.uv_cutoff >= np.pi:
             raise DomainError(
                 f"Nyquist violation: dx * cutoff = {self.dx * self.uv_cutoff:.3g} "
@@ -120,10 +117,6 @@ class FieldGrid:
     def k_axes(self):
         k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         return k, k, k
-
-    def k_vectors(self):
-        kx, ky, kz = self.k_axes()
-        return np.meshgrid(kx, ky, kz, indexing="ij")
 
     def omega(self):
         """|k| per mode (zero at the zero mode; mask before dividing)."""
@@ -155,13 +148,6 @@ class FieldGrid:
         for array in geometry:
             array.flags.writeable = False
         return geometry
-
-    def radii(self):
-        """Minimum-image distance of every grid point from the origin."""
-        x = self.dx * np.arange(self.n)
-        x = np.where(x > self.box_length / 2, x - self.box_length, x)
-        gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
-        return np.sqrt(gx**2 + gy**2 + gz**2), (gx, gy, gz)
 
 
 class _Geometry(NamedTuple):
@@ -221,91 +207,6 @@ def _mode_spectra(a, grid):
     root = 1.0 / np.sqrt(2.0 * grid.volume * geo.w)
     n3 = grid.n**3
     return root * (a_k + a_rev) * n3, 1j * geo.w * root * (a_rev - a_k) * n3
-
-
-def modes_from_fields(y, pi, grid):
-    """Invert :func:`field_from_modes` (round trip exact off the zero mode)."""
-    n3 = grid.n**3
-    y_k = np.fft.fftn(y) / n3
-    pi_k = np.fft.fftn(pi) / n3
-    geo = grid.geometry
-    a = np.zeros_like(y_k)
-    a[geo.mask] = (np.sqrt(grid.volume * geo.w / 2.0) * y_k[geo.mask]
-                   + 1j * np.sqrt(grid.volume / (2.0 * geo.w)) * pi_k[geo.mask])
-    return a
-
-
-@dataclass
-class SourceShapes:
-    """Static spatial weights of the velocity and acceleration sources.
-
-    ``m_field`` and ``n_field`` are (n, n, n, 3) arrays on the grid; the
-    radial profiles of the continuum reduction are kept alongside.  Both
-    fields point radially and vanish at the origin.
-    """
-
-    m_field: np.ndarray
-    n_field: np.ndarray
-    radial_r: np.ndarray
-    radial_m: np.ndarray
-    radial_n: np.ndarray
-
-
-# radial samples and Simpson frequency panels of the continuum source shapes
-SHAPE_RADII = 1200
-SHAPE_FREQUENCIES = 4000
-
-
-def source_shapes(coupling, grid):
-    """Velocity and acceleration source weights of the coupled field.
-
-    The 3-d integrals reduce to spherical-Bessel (j1) radial transforms:
-
-        M(x) = -Im S_M'(r) rhat,  S_M(r) = 4 pi int dk k^2 sqrt(k/(2(2pi)^3)) f(k) sinc(kr)
-        N(x) = +Re S_N'(r) rhat,  S_N(r) = 4 pi int dk k^2 f(k)/sqrt(2(2pi)^3 k) sinc(kr)
-
-    with S'(r) = -4 pi int dk k^3 g(k) j1(kr).  The canonical coupling
-    makes the M integrand only conditionally convergent, so the coupling's
-    UV cutoff is mandatory; the k grid starts at 1e-10 of it.
-    """
-    lam = coupling.uv_cutoff
-    if lam is None or not np.isfinite(lam):
-        raise DomainError(
-            "source shapes need a UV cutoff; the canonical coupling integrand "
-            "is only conditionally convergent")
-
-    k = np.linspace(lam * 1e-10, lam, SHAPE_FREQUENCIES + 1)
-    fk = np.asarray(coupling(k), dtype=complex)
-    norm = np.sqrt(2.0 * (2.0 * np.pi) ** 3)
-    gm = np.sqrt(k) * fk / norm          # M-shape weight
-    gn = fk / (norm * np.sqrt(k))        # N-shape weight
-
-    r_max = np.sqrt(3.0) * grid.box_length / 2.0 * 1.001
-    r = np.linspace(0.0, r_max, SHAPE_RADII)
-
-    # S'(r) = -4 pi int k^3 g(k) j1(k r) dk via composite Simpson over k
-    wt = np.full(SHAPE_FREQUENCIES + 1, 2.0)
-    wt[1::2] = 4.0
-    wt[0] = wt[-1] = 1.0
-    wt *= (k[1] - k[0]) / 3.0
-    kr = np.outer(r, k)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        j1 = np.where(kr > 1e-8, np.sin(kr) / kr**2 - np.cos(kr) / kr, kr / 3.0)
-    sm_prime = -4.0 * np.pi * (j1 @ (k**3 * gm * wt))
-    sn_prime = -4.0 * np.pi * (j1 @ (k**3 * gn * wt))
-    radial_m = -np.imag(sm_prime)
-    radial_n = np.real(sn_prime)
-
-    radii, (gx, gy, gz) = grid.radii()
-    mag_m = np.interp(radii, r, radial_m)
-    mag_n = np.interp(radii, r, radial_n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_r = np.where(radii > 0, 1.0 / radii, 0.0)
-    unit = np.stack([gx * inv_r, gy * inv_r, gz * inv_r], axis=-1)
-    return SourceShapes(
-        m_field=mag_m[..., None] * unit,
-        n_field=mag_n[..., None] * unit,
-        radial_r=r, radial_m=radial_m, radial_n=radial_n)
 
 
 class FieldHistory(NamedTuple):

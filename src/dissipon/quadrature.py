@@ -9,13 +9,13 @@ between knots, and ``reservoir`` sums its kernel, friction sweep, level
 shifts and finite-time emission exactly, panel by panel.  ``oscillator``'s
 Lorentzian and thermal moments are partial fractions in closed form.
 
-The four ``integrate_*`` routines stay public with no caller in the
-package: the tests use them as independent oracles.  Semi-infinite
-integrals are mapped to (0, 1) via x = u/(1-u); principal values use the
-Cauchy-weight rule (QAWC), long-time oscillatory integrals a resolved head
-plus Chebyshev-moment (Filon-type) tails, and sinc^2 kernels a dedicated
-split.  Each is ``scipy.integrate.quad`` (QUADPACK), imported on the first
-call, and returns ``(value, error_estimate)`` or raises
+The four ``integrate_*`` routines have no caller in the package: they are
+the tests' independent oracles.  Semi-infinite integrals are mapped to
+(0, 1) via x = u/(1-u); principal values use the Cauchy-weight rule
+(QAWC), long-time oscillatory integrals a resolved head plus
+Chebyshev-moment (Filon-type) tails, and sinc^2 kernels a dedicated split.
+Each is ``scipy.integrate.quad`` (QUADPACK), imported on the first call
+from the ``test`` extra, and returns ``(value, error_estimate)`` or raises
 :class:`~dissipon.errors.QuadratureError` carrying the best estimate when
 the requested tolerance cannot be certified.
 """
@@ -50,8 +50,7 @@ class QuadratureConfig:
     ----------
     abs_tol, rel_tol : float
         Requested absolute / relative accuracy of the ``integrate_*``
-        oracles.  The package's bath integrals are exact; only the friction
-        sweep's plateau test reads ``abs_tol``, as its floor.
+        oracles.  The package's bath integrals are exact and read neither.
     uv_cutoff : float
         Upper frequency cutoff Lambda.  ``inf`` maps the tail to (0, 1).
     ir_cutoff : float
@@ -108,7 +107,10 @@ def _quad(f, a, b, cfg, points=None, weight=None, wvar=None):
     """
     if a == b:
         return 0.0, 0.0
-    from scipy.integrate import quad  # ~0.5 s cold; only these oracles load it
+    try:
+        from scipy.integrate import quad  # ~0.5 s cold; only these oracles load it
+    except ImportError as exc:
+        raise ImportError("the quadrature oracles need scipy: pip install 'dissipon[test]'") from exc
 
     # b < a when integrate_sinc_squared's resonance window lies past the
     # cutoff; the sign flip makes its head and tail still add up

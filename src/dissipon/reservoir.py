@@ -124,8 +124,12 @@ class CouplingFunction:
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
         if self.kind == "canonical":
-            with np.errstate(divide="ignore"):
-                out = np.sqrt(3.0 * self.beta / (4.0 * np.pi**2 * omega**5))
+            with np.errstate(divide="ignore", over="ignore"):
+                quintic = 4.0 * np.pi**2 * omega**5
+                out = np.sqrt(3.0 * self.beta / quintic)
+                exact = (quintic >= np.finfo(float).tiny) & (quintic < np.inf)
+                if not exact.all():  # past w ~ 2e61 or below ~1e-62; f ~ w^(-5/2)
+                    out = np.where(exact, out, math.sqrt(self._weight) * omega**-2.5)
         else:
             out = np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
         if out.ndim == 0:
@@ -138,7 +142,11 @@ class CouplingFunction:
         if self.kind == "canonical":
             out = np.full(omega.shape, self._weight)
         else:
-            out = self(omega) ** 2 * omega**5
+            with np.errstate(over="ignore", invalid="ignore"):  # f = 0 where w^5 overflows
+                f = self(omega)
+                out = f**2 * omega**5
+            if np.isnan(out).any():
+                out = np.where(np.isnan(out) & (f == 0.0), 0.0, out)
         if out.ndim == 0 or np.isscalar(omega):
             return float(out)
         return out
@@ -222,6 +230,8 @@ _SERIES_THETA = 2.0
 # rows of a uniform time grid per row whose phases are evaluated directly;
 # the others are rotated from earlier rows
 _ROTATIONS = 16
+# the friction sweep's plateau test: its absolute floor, for a sweep settling at 0
+_PLATEAU_FLOOR = 1e-10
 
 
 def _table_panels(coupling, lo, hi, power):
@@ -824,7 +834,7 @@ def friction_coefficient(coupling, cfg=None):
         # a canonical beta past ~6e307 overflows its weight 3 beta / (4 pi^2)
         raise DomainError(f"the kernel time integral overflows (last values {sweep})")
     diffs = np.abs(np.diff(sweep))
-    scale = max(abs(sweep[-1]), cfg.abs_tol)
+    scale = max(abs(sweep[-1]), _PLATEAU_FLOOR)
     if diffs[-1] <= 5e-4 * scale and diffs[-2] <= 5e-4 * scale:
         return sweep[-1]
     raise NonMarkovianError(

@@ -337,10 +337,17 @@ class TestExitCodes:
         (["tls", "--omega0", "1e308"], 1),
         (["langevin", "--omega", "1e308", "--tmax", "1"], 1),
         (["field", "--dx", "1e-308", "--tmax", "1", "--modes", "8"], 1),
-        # a grid so coarse that its squared wavenumbers underflow, and one on
-        # which the lattice coupling f(|k|) dk^(3/2) is inf * 0
+        # a grid so coarse that its squared wavenumbers underflow, a box whose
+        # volume (n dx)^3 or mode density dk^3 overflows, and a lattice
+        # coupling f(|k|) dk^(3/2) that overflows
         (["field", "--dx", "1e300", "--tmax", "1", "--modes", "8"], 1),
         (["field", "--dx", "1e150", "--tmax", "1", "--modes", "8"], 1),
+        (["field", "--dx", "1e104", "--modes", "8", "--coupling-file", "{table}"], 1),
+        (["field", "--dx", "1e-120", "--modes", "8"], 1),
+        (["field", "--dx", "1e100", "--beta", "1e300", "--tmax", "1", "--modes", "8"], 1),
+        # a grid whose |k|^5 overflows: the canonical f ~ |k|^(-5/2) does not,
+        # and the particle's huge kernel trips the Volterra energy guard
+        (["field", "--dx", "1e-100", "--modes", "8"], 1),
         (["rates", "--beta", "inf"], 1),
         (["oscillator", "--kt", "1e308"], 1),
         (["oscillator", "--beta", "1e-310"], 1),  # I0 = pi m / (2 beta w^2) overflows
@@ -383,10 +390,11 @@ class TestExitCodes:
     def test_bad_input_is_a_diagnostic(self, tmp_path, capsys, argv, expected):
         (tmp_path / "directory").mkdir()
         (tmp_path / "non_numeric").write_text("0.1 0.2\n0.5 abc\n")
+        (tmp_path / "table").write_text("0 0.1\n1 0.2\n2 0.1\n")
         (tmp_path / "sweep").write_text(
             "[sweep]\nexperiment = tls\nparameter = sz0\nvalues = 0.5\n")
         files = {name: str(tmp_path / name)
-                 for name in ("missing", "directory", "non_numeric", "sweep")}
+                 for name in ("missing", "directory", "non_numeric", "sweep", "table")}
         argv = [arg.format(**files) for arg in argv]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -397,6 +405,17 @@ class TestExitCodes:
         assert "did not converge" not in err and "Traceback" not in err
         assert "Warning" not in err and not caught, [str(w.message) for w in caught]
         assert not list(tmp_path.glob("out/*.csv"))
+
+    def test_rate_far_past_the_table_is_zero(self, tmp_path, capsys):
+        # f = 0 outside the table while w^5 overflows: the golden-rule weight is 0
+        table = tmp_path / "table"
+        table.write_text("0 0.1\n1 0.2\n2 0.1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("rates", "--omega", "1e70", "--coupling-file", str(table),
+                           "--out", str(tmp_path / "out"))
+        assert code == 0 and not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().out.splitlines() == ["emission = 0.0", "absorption = 0.0"]
 
     @pytest.mark.parametrize("config, message", [
         ("[rates]\nkt = 1\n", "--kt and --thermal"),
@@ -733,3 +752,34 @@ def test_tabulated_runs_do_not_load_scipy():
         "                       out + '/ohmic.dat', '--out', out])]\n"
         "print(codes, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     ) == "[0, 0, 0, 0] []"
+
+
+def test_every_subcommand_runs_without_scipy():
+    # numpy is the one runtime dependency: with scipy unimportable each
+    # subcommand runs, and only the quadrature oracles ask for the test extra
+    lines = run_python(
+        "import contextlib, io, sys, tempfile\n"
+        "sys.modules['scipy'] = None\n"
+        "from dissipon.cli import main\n"
+        "from dissipon.quadrature import QuadratureConfig, integrate_semi_infinite\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    with open(out + '/sweep.cfg', 'w') as fh:\n"
+        "        fh.write('[sweep]\\nexperiment = rates\\nparameter = kt\\n'\n"
+        "                 'values = 0.5 1.0\\n[rates]\\nthermal = true\\n')\n"
+        "    runs = [['kernel', '--tmax', '0.2', '--step', '0.01'],\n"
+        "            ['langevin', '--volterra', '--tmax', '0.5', '--step', '0.01'],\n"
+        "            ['oscillator', '--kt', '1'],\n"
+        "            ['rates', '--t', '5', '--beta', '1e-3'],\n"
+        "            ['tls', '--tmax', '2', '--steps', '50'],\n"
+        "            ['field', '--tmax', '0.2', '--modes', '8'],\n"
+        "            ['sweep', '--config', out + '/sweep.cfg', '--workers', '1']]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [main(argv + ['--out', out]) for argv in runs]\n"
+        "print(codes)\n"
+        "try:\n"
+        "    integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x), QuadratureConfig())\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    ).splitlines()
+    assert lines[0] == "[0, 0, 0, 0, 0, 0, 0]"
+    assert lines[1:] == ["the quadrature oracles need scipy: pip install 'dissipon[test]'"]

@@ -95,9 +95,11 @@ def test_tracer_wraps_the_package():
 
 
 def test_no_bath_path_imports_an_adaptive_integrator():
-    """No module but ``quadrature`` names a ``quadrature.integrate_*`` routine
-    (the package's re-export aside): every bath integral is a closed form
-    or an exact panel sum, and the adaptive routines are the tests' oracles."""
+    """No module but ``quadrature`` names a ``quadrature.integrate_*`` routine,
+    and the package does not re-export one: every bath integral is a closed
+    form or an exact panel sum, and the adaptive routines are the tests'
+    oracles."""
+    assert [name for name in vars(dissipon) if name.startswith("integrate_")] == []
     importers = set()
     for name in MODULES:
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
@@ -110,6 +112,21 @@ def test_no_bath_path_imports_an_adaptive_integrator():
                     and getattr(node, "id", getattr(node, "attr", "")).startswith("integrate_"):
                 importers.add(name)
     assert importers == set()
+
+
+def test_no_library_path_reads_an_oracle_tolerance():
+    """Only ``quadrature``'s oracles read a config's ``abs_tol``, ``rel_tol``
+    or ``max_subdivisions``: every other result is exact, and does not
+    depend on them."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "quadrature":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "abs_tol", "rel_tol", "max_subdivisions"):
+                readers.add(f"{path.stem}.{node.attr}")
+    assert readers == set()
 
 
 def test_no_private_scipy_module_is_named():

@@ -21,8 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dissipon.cli import build_parser, main  # noqa: E402
 from dissipon.errors import DomainError, StabilityError  # noqa: E402
 from dissipon.field import (FieldGrid, evolve_field_with_source,  # noqa: E402
-                            field_from_modes, hamiltonian_identity_check,
-                            modes_from_fields)
+                            hamiltonian_identity_check)
 from dissipon.langevin import (PotentialSpec, evolve_mean_markov,  # noqa: E402
                                evolve_mean_volterra)
 from dissipon.oscillator import (FockTriple, OscillatorParams,  # noqa: E402
@@ -522,13 +521,6 @@ class TestFieldMapProperties:
         grid, a = masked_amplitudes(grid_spec, seed)
         scale = float(np.sum(grid.omega() * np.abs(a) ** 2))
         assert hamiltonian_identity_check(a, grid) <= 1e-12 * scale
-
-    @settings(deadline=None, max_examples=80)
-    @given(grid_spec=field_grids, seed=st.integers(0, 2**32 - 1))
-    def test_modes_from_fields_inverts_field_from_modes(self, grid_spec, seed):
-        grid, a = masked_amplitudes(grid_spec, seed)
-        back = modes_from_fields(*field_from_modes(a, grid), grid)
-        assert np.max(np.abs(back - a)) <= 1e-12 * max(1.0, np.abs(a).max())
 
 
 def drawn_start(grid, start, seed):

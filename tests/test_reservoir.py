@@ -170,6 +170,28 @@ class TestCoupling:
         assert c(1.0) == pytest.approx(np.sqrt(3.0 / (4.0 * np.pi**2)))
         assert c.spectral_weight(2.5) == pytest.approx(3.0 / (4.0 * np.pi**2))
 
+    def test_canonical_value_outside_the_quintic_range(self):
+        # 4 pi^2 w^5 overflows past w ~ 2e61 and is subnormal below w ~ 1e-62,
+        # where f ~ w^(-5/2) is representable
+        mpmath = pytest.importorskip("mpmath")
+        c = CouplingFunction.canonical(0.1)
+        w = np.array([1e-120, 1e-70, 1e-63, 1e61, 2e61, 3e61, 1e70, 1e150, 1e300, np.inf])
+        expected = [float(mpmath.sqrt(0.3 / (4 * mpmath.pi**2 * mpmath.mpf(x) ** 5)))
+                    for x in w]
+        assert c(w) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert c(1e70) == pytest.approx(expected[6], rel=1e-15)
+        assert c(0.0) == np.inf
+        # the closed form's own bits wherever its quintic is a normal float
+        w = np.geomspace(1e-60, 1e61, 400)
+        np.testing.assert_array_equal(c(w), np.sqrt(3.0 * 0.1 / (4.0 * np.pi**2 * w**5)))
+
+    def test_tabulated_weight_past_the_quintic_overflow_is_zero(self):
+        # f = 0 outside the table, even where w^5 overflows
+        t = CouplingFunction.tabulated([0.0, 1.0, 2.0], [0.1, 0.2, 0.1])
+        w = np.array([0.5, 3.0, 1e70, 1e300, np.inf])
+        assert t.spectral_weight(w).tolist() == [t(0.5) ** 2 * 0.5**5, 0.0, 0.0, 0.0, 0.0]
+        assert t.spectral_weight(1e70) == 0.0 and t.golden_rule(1e70) == 0.0
+
     def test_canonical_requires_positive_beta(self):
         with pytest.raises(DomainError):
             CouplingFunction.canonical(0.0)
