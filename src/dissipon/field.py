@@ -348,16 +348,14 @@ def lattice_memory_kernel(coupling, grid, times):
     if not np.isfinite(weights).all():
         raise DomainError("the lattice kernel's shell weights 2 g^2 w k_x^2 overflow; "
                           "the coupling is too strong for this lattice")
-    times = np.asarray(times, dtype=float)
-    flat = times.ravel()
+    kernel = MemoryKernel(times, np.empty(np.shape(times)))
     w = geo.w[geo.first]
-    values = np.empty(len(flat))
     # the (times, shells) cosines are held a block of times at a time
     rows = max(1, _TRANSFORM_BLOCK // len(w))
-    for start in range(0, len(flat), rows):
-        phases = np.outer(flat[start:start + rows], w)
-        values[start:start + rows] = np.cos(phases, out=phases) @ weights
-    return MemoryKernel(times, values)
+    for start in range(0, len(kernel.times), rows):
+        phases = np.outer(kernel.times[start:start + rows], w)
+        kernel.values[start:start + rows] = np.cos(phases, out=phases) @ weights
+    return kernel
 
 
 def _rotate_shells(z0, rot, ends, drive, weights):

@@ -93,9 +93,7 @@ class Trajectory:
 
     def mechanical_energy(self, m, omega):
         """(1/2) m v^2 + (1/2) m w^2 x^2 along the trajectory."""
-        kin = 0.5 * m * np.sum(self.velocities**2, axis=1)
-        pot = 0.5 * m * omega**2 * np.sum(self.positions**2, axis=1)
-        return kin + pot
+        return _mechanical_energy(m, m * omega**2, self.positions, self.velocities)
 
     def write_csv(self, path, metadata=None):
         """The trajectory as a CSV table (see :func:`dissipon.io.emit_table`)."""
@@ -105,15 +103,15 @@ class Trajectory:
                    metadata=metadata)
 
 
-def _check_grid(grid):
+def _check_grid(grid, name="time grid"):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
-        raise DomainError("time grid must be a 1-d array with at least 2 points")
+        raise DomainError(f"{name} must be a 1-d array with at least 2 points")
     h = np.diff(grid)
     # a few ulps of the largest time: np.linspace's own rounding, not non-uniformity
     slack = 1e-10 * h[0] + 4.0 * np.spacing(np.abs(grid).max())
     if not np.all(h > 0) or not np.all(np.abs(h - h[0]) <= slack):
-        raise DomainError("time grid must be uniform and increasing")
+        raise DomainError(f"{name} must be uniform and increasing")
     return grid, float(h[0])
 
 
@@ -126,8 +124,9 @@ _POWER_BLOCK = 1024
 _GROWTH_CAP = 1e30
 
 
-def _initial_energy(pot, m, x0, v0):
-    return 0.5 * m * v0 @ v0 + 0.5 * pot.stiffness * (x0 @ x0)
+def _mechanical_energy(m, k, x, v):
+    """(1/2) m v^2 + (1/2) k x^2 of the last axis of x, v."""
+    return 0.5 * m * np.sum(v * v, axis=-1) + 0.5 * k * np.sum(x * x, axis=-1)
 
 
 def _energy_guard(pot, m, x, v, first, e0, label):
@@ -138,8 +137,7 @@ def _energy_guard(pot, m, x, v, first, e0, label):
     if pot.stiffness == 0.0 or e0 <= 0.0 or skip >= len(x):
         return
     x, v = x[skip::_GUARD_EVERY], v[skip::_GUARD_EVERY]
-    e = 0.5 * m * np.sum(v * v, axis=1) + 0.5 * pot.stiffness * np.sum(x * x, axis=1)
-    if np.any(e > 1.05 * e0):
+    if np.any(_mechanical_energy(m, pot.stiffness, x, v) > 1.05 * e0):
         raise StabilityError(
             f"{label}: mechanical energy grew by more than 5%; reduce the step")
 
@@ -199,7 +197,7 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     x1 = x + h * vh
     v1 = (vh - 0.5 * h * (k * x1) / m) / (1.0 + h * beta / (2.0 * m))
     state = _initial_state(x0, v0)
-    e0 = _initial_energy(pot, m, *state)
+    e0 = _mechanical_energy(m, k, *state)
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     for start, rows in _block_powers(np.array([x1, v1]), state, n):
@@ -218,8 +216,9 @@ _DIRECT_LAGS = 64
 def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     """Integrate the full memory equation on a uniform grid.
 
-    The kernel must be sampled at least as finely as the grid; it is
-    resampled onto the step offsets internally.  The trapezoidal memory
+    The kernel is read as its lags gamma(0), gamma(h), gamma(2h), ...: it
+    must be sampled from t = 0 on the grid's own step h, over at least the
+    grid's n points, and is not resampled.  The trapezoidal memory
     sum includes the current velocity implicitly (the term is linear, so
     the half-weight endpoint is solved for exactly), keeping the scheme
     second order.
@@ -242,19 +241,18 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     if not 0 < m < np.inf:
         raise DomainError("mass must be positive and finite")
     grid, h = _check_grid(grid)
-    if kernel.step > h * (1.0 + 1e-9):
-        raise DomainError("kernel must be sampled at least as finely as the grid")
-    if grid[-1] - grid[0] > kernel.times[-1] + 1e-12:
-        raise DomainError("kernel samples do not cover the integration window")
     n = len(grid)
-    gam = kernel.at(np.arange(n) * h)
+    if not abs(kernel.step - h) <= 1e-9 * h or len(kernel.values) < n:
+        raise DomainError(f"the kernel's lags must have the grid's step {h:.6g} "
+                          f"and cover its {n} points")
+    gam = kernel.values[:n]
     m_state, m_force = _block_response(m, pot.stiffness, h, gam)
     size = m_force.shape[1]
 
     # (x, v, a) before the next block; the memory integral is empty at t = 0
     state = _initial_state(x0, v0, 0.0)
     state[2] = -pot.gradient(state[0]) / m
-    e0 = _initial_energy(pot, m, state[0], state[1])
+    e0 = _mechanical_energy(m, pot.stiffness, state[0], state[1])
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     x[0], v[0] = state[0], state[1]

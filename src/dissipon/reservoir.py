@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMarkovianError
+from .langevin import _check_grid
 from .quadrature import _EULER_GAMMA, QuadratureConfig, _cin_si, _gauss_legendre
 
 __all__ = [
@@ -156,11 +157,12 @@ class CouplingFunction:
         return 4.0 * np.pi**2 / 3.0 * self.spectral_weight(omega)
 
     def default_config(self, cfg=None):
-        if cfg is not None:
-            return cfg
-        if self.uv_cutoff is None:
-            raise DomainError("coupling has no UV cutoff and no config was given")
-        return QuadratureConfig(uv_cutoff=self.uv_cutoff)
+        """The kernel's and the friction sweep's window: ``cfg``, else [0, uv_cutoff]."""
+        if cfg is None:
+            cfg = QuadratureConfig(uv_cutoff=np.inf if self.uv_cutoff is None else self.uv_cutoff)
+        if not cfg.uv_cutoff < np.inf:
+            raise DomainError("the kernel and the friction sweep need a finite UV cutoff")
+        return cfg
 
 
 class ReservoirState:
@@ -570,8 +572,9 @@ def _reject_one_sided_pole(coupling, pole, first, last):
     """Raise where the pole is an end of [first, last] and f(pole) is not 0."""
     if pole in (first, last) and pole != 0.0 and coupling(pole) != 0.0:
         raise DomainError(
-            f"the pole {pole:.6g} lies on an end of the integration range "
-            f"[{first:.6g}, {last:.6g}], where the principal value diverges")
+            f"the pole {pole:.6g} lies on the {'lower' if pole == first else 'upper'} end "
+            f"of the integration window [{first:.6g}, {last:.6g}], where the principal "
+            "value diverges")
 
 
 def _log_gap(end, pole):
@@ -625,9 +628,13 @@ def _sinc_squared(coupling, center, t, lo, hi):
             - _emission_antiderivative(lo, center, t)) / center)
     c, h, q, edges, order = _table_panels(coupling, lo, hi, 4)
     ends = np.stack((edges[:-1][order], edges[1:][order]))
-    theta = h * t
-    if not np.all(theta < np.inf):
-        raise DomainError(f"the phase of the sinc^2 kernel at t = {t:.3g} overflows")
+    with np.errstate(over="ignore"):  # an overflowing count is rejected below
+        theta = h * t
+        subpanels = np.maximum(1.0, np.ceil(theta / _SUB_THETA))
+        count = subpanels.sum()
+    if not count < np.iinfo(np.intp).max:
+        raise DomainError(f"the sinc^2 sum at t = {t:.3g} needs {count:.3g} sub-panels, "
+                          "past the index range")
     s0 = _pole_offsets(ends, h, center)
     near = np.flatnonzero(np.abs(s0) <= 1.0)
     coef = q.copy()
@@ -661,8 +668,7 @@ def _sinc_squared(coupling, center, t, lo, hi):
         u[~divided[p]] = 1.0
         out /= u
         return out
-    subpanels = np.maximum(1, np.ceil(theta / _SUB_THETA)).astype(np.int64)
-    return total + _gauss_legendre_sum(coef, weight, subpanels)
+    return total + _gauss_legendre_sum(coef, weight, subpanels.astype(np.intp))
 
 
 def _emission_antiderivative(end, omega, t):
@@ -739,8 +745,8 @@ def _versine_over(x):
 
 @dataclass
 class MemoryKernel:
-    """gamma(t) sampled on a uniform time grid; its Ohmic friction limit is
-    :func:`friction_coefficient`."""
+    """gamma(t) sampled at times t >= 0, read as lags through :attr:`step`; its
+    Ohmic friction limit is :func:`friction_coefficient`."""
 
     times: np.ndarray
     values: np.ndarray
@@ -755,7 +761,10 @@ class MemoryKernel:
 
     @property
     def step(self):
-        return float(self.times[1] - self.times[0])
+        """The step h of a kernel sampled at the lags t = 0, h, 2h, ...; else DomainError."""
+        if self.times[0] != 0.0:
+            raise DomainError(f"kernel lags must start at t = 0, not {self.times[0]:.6g}")
+        return _check_grid(self.times, "kernel lag grid")[1]
 
     @classmethod
     def sample(cls, coupling, times, cfg=None):
@@ -771,17 +780,12 @@ class MemoryKernel:
         if np.any(times < 0):
             raise DomainError("the memory kernel is defined for t >= 0")
         cfg = coupling.default_config(cfg)
-        lam = cfg.uv_cutoff
-        if not np.isfinite(lam):
-            raise DomainError("kernel sampling needs a finite UV cutoff")
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            gamma = (8.0 * np.pi / 3.0) * _transform(coupling, times, cfg.ir_cutoff, lam, 5, "cos")
+            gamma = (8.0 * np.pi / 3.0) * _transform(coupling, times, cfg.ir_cutoff,
+                                                     cfg.uv_cutoff, 5, "cos")
         if not np.isfinite(gamma).all():
             raise DomainError("the memory kernel passes the float range; the coupling is too strong")
         return cls(times, gamma)
-
-    def at(self, t):
-        return np.interp(t, self.times, self.values)
 
     def convolve(self, velocities):
         """Trapezoidal one-sided convolution of gamma against sampled velocity.
@@ -824,8 +828,6 @@ def friction_coefficient(coupling, cfg=None):
     """
     cfg = coupling.default_config(cfg)
     lam = cfg.uv_cutoff
-    if not np.isfinite(lam):
-        raise DomainError("the friction sweep needs a finite UV cutoff")
     # the plateau test reads three doubling horizons; each is its own integral
     horizons = [2.0**j * 100.0 / lam for j in range(6, 9)]
     sweep = ((8.0 * np.pi / 3.0) * _transform(

@@ -138,16 +138,11 @@ def level_shifts(p, cfg):
         D2 = beta w0^5 |x12|^2 [ln(Lambda / (Lambda + w0)) - ln(epsilon / (epsilon + w0))],
 
     whose Lambda terms vanish at Lambda = inf.  Both diverge as epsilon -> 0
-    and D1 as either cutoff approaches w0; such a window is rejected rather
-    than silently adjusted.  A w0 outside the window leaves D1 a plain
+    and D1 as either cutoff approaches w0: a w0 on a cutoff with f(w0) != 0
+    is rejected.  A w0 outside the window leaves D1 a plain
     integral, which the same formula gives.  A tabulated coupling's shifts
     are exact panel sums, with the pole's logarithm in closed form.
     """
-    for name, cutoff in (("ir_cutoff", cfg.ir_cutoff), ("uv_cutoff", cfg.uv_cutoff)):
-        if cutoff == p.omega0:
-            raise DomainError(
-                f"the level splitting {p.omega0:.6g} lies on the {name} {cutoff:.6g}, "
-                "where the principal-value shift D1 has its pole; move the cutoff off it")
     pref = p.omega0**6 * p.x12_sq * (4.0 * np.pi**2 / 3.0)
     d1 = _principal_value(p.coupling, p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)
     d2 = _principal_value(p.coupling, -p.omega0, cfg.ir_cutoff, cfg.uv_cutoff)

@@ -367,6 +367,9 @@ class TestExitCodes:
         # a window on which a canonical bath integral diverges: epsilon = 0,
         # and the level splitting on a cutoff
         (["rates", "--t", "5", "--ir-cutoff", "0"], 1),
+        # a tabulated emission whose sinc^2 sub-panels no index can count
+        (["rates", "--t", "1e20", "--coupling-file", "{faint}"], 1),
+        (["rates", "--t", "1e308", "--coupling-file", "{faint}"], 1),
         (["tls", "--omega0", "1", "--uv-cutoff", "1"], 1),
         (["tls", "--omega0", "1", "--ir-cutoff", "1"], 1),
         # a flag the experiment does not read, a second coupling and a second
@@ -391,10 +394,12 @@ class TestExitCodes:
         (tmp_path / "directory").mkdir()
         (tmp_path / "non_numeric").write_text("0.1 0.2\n0.5 abc\n")
         (tmp_path / "table").write_text("0 0.1\n1 0.2\n2 0.1\n")
+        (tmp_path / "faint").write_text("0.1 1e-12\n2.5 1e-12\n5 1e-12\n")
         (tmp_path / "sweep").write_text(
             "[sweep]\nexperiment = tls\nparameter = sz0\nvalues = 0.5\n")
         files = {name: str(tmp_path / name)
-                 for name in ("missing", "directory", "non_numeric", "sweep", "table")}
+                 for name in ("missing", "directory", "non_numeric", "sweep", "table",
+                              "faint")}
         argv = [arg.format(**files) for arg in argv]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

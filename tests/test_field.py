@@ -655,3 +655,22 @@ class TestSnapshots:
         path.write_bytes(b"NOTAFILE" + b"\0" * 64)
         with pytest.raises(DomainError):
             read_snapshot(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: field_from_modes(np.zeros((4, 4, 4)), FieldGrid(n=8, dx=0.25)),
+     "amplitudes must have shape"),
+    (lambda path: evolve_field_with_source(driven_trajectory(0.1),
+                                           lattice_coupling("canonical", 2.0),
+                                           FieldGrid(n=8, dx=0.5), method="euler"),
+     "unknown method"),
+    # g = f dk^(3/2) is finite, but 2 g^2 w k_x^2 on the first shell is not
+    (lambda path: lattice_memory_kernel(CouplingFunction.canonical(1e307),
+                                        FieldGrid(n=8, dx=0.01), np.arange(3.0)),
+     "shell weights .* overflow"),
+    (lambda path: write_snapshot(path / "field.bin", np.zeros((4, 4)), 0.25),
+     "snapshots hold one 3-d scalar field"),
+], ids=["amplitudes", "method", "shell weights", "snapshot"])
+def test_bad_input_rejected(tmp_path, make, message):
+    with pytest.raises(DomainError, match=message):
+        make(tmp_path)

@@ -46,7 +46,7 @@ def direct_volterra(m, pot, kernel, x0, v0, grid):
     """The memory equation with the full O(n^2) trapezoid sum at every step."""
     h = grid[1] - grid[0]
     n = len(grid)
-    gam = kernel.at(np.arange(n) * h)
+    gam = kernel.values[:n]
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     x[0], v[0] = x0, v0
@@ -300,8 +300,27 @@ class TestVolterra:
         grid = uniform_grid(1.0, 1e-3)
         kern = MemoryKernel(uniform_grid(2.0, 1e-2), np.zeros(201))
         pot = PotentialSpec.harmonic(1.0, 1.0)
-        with pytest.raises(DomainError, match="finely"):
+        with pytest.raises(DomainError, match="step"):
             evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
+
+    def test_finer_kernel_rejected(self):
+        # its lags are not the grid's offsets, and the solver does not resample
+        grid = uniform_grid(1.0, 1e-2)
+        kern = MemoryKernel(uniform_grid(2.0, 1e-3), np.ones(2001))
+        pot = PotentialSpec.harmonic(1.0, 1.0)
+        with pytest.raises(DomainError, match="step"):
+            evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
+
+    # lags 0, 0.1, 0.3, ... and a kernel sampled from t = 1, which the solver
+    # used to read as lags 0, 0.1, ... (the second clamped to gamma(1))
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.3, 0.4, 0.5, 0.6],
+                                       [1.0, 1.1, 1.2, 1.3, 1.4, 1.5]],
+                             ids=["non-uniform", "from t = 1"])
+    def test_kernel_must_be_a_lag_grid(self, times):
+        kern = MemoryKernel(times, np.ones(6))
+        pot = PotentialSpec.harmonic(1.0, 1.0)
+        with pytest.raises(DomainError, match="kernel"):
+            evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], uniform_grid(0.5, 0.1))
 
 
 class TestPotentialSpec:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -145,6 +146,16 @@ class TestFiniteTime:
         with pytest.raises(DomainError, match="overflows"):
             finite_time_emission_probability(r, QuadratureConfig(ir_cutoff=1.0,
                                                                  uv_cutoff=1e11))
+
+    # the sub-panel count of the sinc^2 sum passes the index range: at 1e20
+    # it was cast to int64 with a warning, at 1e308 an overflowing phase
+    @pytest.mark.parametrize("t", [1e20, 1e308])
+    def test_tabulated_sub_panel_count_overflow_rejected(self, t):
+        c = CouplingFunction.tabulated([0.1, 2.5, 5.0], [1e-12] * 3)
+        r = RateRequest(OscillatorParams(1.0, 1.0, 0.1), FockTriple(1, 0, 0),
+                        ReservoirState.vacuum(), c, t=t)
+        with pytest.raises(DomainError, match=re.escape(f"at t = {t:.3g} ")):
+            finite_time_emission_probability(r, QuadratureConfig(uv_cutoff=5.0))
 
     # QUADPACK flagged roundoff in the oscillatory tail above the resonance
     # of these, on the 11-knot table's kinks

@@ -427,6 +427,27 @@ class TestMemoryKernel:
         with pytest.raises(DomainError):
             kern.convolve(np.zeros(7))
 
+    # convolve reads the samples as lags 0, h, 2h, ...: at [0, 0.1, 0.3, 0.4]
+    # it returned 0.2 for integral_0^0.3 ds = 0.3
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.3, 0.4], [1.0, 1.1, 1.2, 1.3]],
+                             ids=["non-uniform", "from t = 1"])
+    def test_convolve_needs_a_lag_grid(self, times):
+        kern = MemoryKernel(times, np.ones(4))
+        with pytest.raises(DomainError, match="kernel lag"):
+            kern.convolve(np.ones(4))
+
+    @pytest.mark.parametrize("coupling, cfg", [
+        (CouplingFunction.canonical(0.3), None),
+        (CouplingFunction.canonical(0.3, uv_cutoff=10.0), QuadratureConfig()),
+    ], ids=["missing", "infinite"])
+    @pytest.mark.parametrize("run", [
+        lambda c, cfg: MemoryKernel.sample(c, [0.0, 0.1], cfg),
+        lambda c, cfg: friction_coefficient(c, cfg),
+    ], ids=["sample", "friction"])
+    def test_finite_uv_cutoff_required(self, run, coupling, cfg):
+        with pytest.raises(DomainError, match="finite UV cutoff"):
+            run(coupling, cfg)
+
 
 FEW_KNOTS = CouplingFunction.tabulated([0.5, 1.2, 2.0, 3.1, 4.0], [0.3, -0.2, 0.5, 0.1, -0.4])
 CANONICAL = CouplingFunction.canonical(0.3)
@@ -655,3 +676,26 @@ class TestReservoirState:
             ReservoirState.thermal(0.0)
         with pytest.raises(DomainError):
             ReservoirState.fock([[0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: CouplingFunction.tabulated([0.0, 1.0], [0.1]), "needs matching 1-d grids"),
+    (lambda path: CouplingFunction("ohmic"), "unknown coupling kind"),
+    (lambda path: CouplingFunction.from_file(path), "need at least two tabulated points"),
+    (lambda path: ReservoirState.fock([[1.0, 0.0]]), "fock quanta are 3-vectors"),
+    (lambda path: ReservoirState.fock([[1.0, 0.0, 0.0]], weights=[0.5, 0.5]),
+     "one line-width weight per quantum"),
+    (lambda path: ReservoirState("squeezed"), "unknown reservoir kind"),
+    (lambda path: MemoryKernel([0.0, 1.0], [0.0]),
+     "kernel needs matching 1-d time and value arrays"),
+    (lambda path: MemoryKernel([0.0, 0.0], [1.0, 1.0]), "strictly increasing"),
+    # a canonical beta past ~6e307 overflows its weight 3 beta / (4 pi^2)
+    (lambda path: friction_coefficient(CouplingFunction.canonical(1.7e308, uv_cutoff=10.0)),
+     "the kernel time integral overflows"),
+], ids=["grids", "coupling kind", "one point", "quanta", "weights", "reservoir kind",
+        "kernel arrays", "kernel times", "friction overflow"])
+def test_bad_input_rejected(tmp_path, make, message):
+    path = tmp_path / "one_point.dat"
+    path.write_text("1.0 0.1\n")
+    with pytest.raises(DomainError, match=message):
+        make(path)

@@ -107,8 +107,31 @@ class TestLevelShifts:
         p = canonical_tls(omega0=1.0) if kind == "canonical" else TwoLevelParams(
             1.0, (1, 0, 0), CouplingFunction.tabulated(w, 0.01 * np.exp(-w / 20.0)))
         window = {"ir_cutoff": 1e-3, "uv_cutoff": 50.0, cutoff: 1.0}
-        with pytest.raises(DomainError, match=cutoff):
+        end = {"ir_cutoff": "lower end", "uv_cutoff": "upper end"}[cutoff]
+        with pytest.raises(DomainError, match=end):
             level_shifts(p, QuadratureConfig(**window))
+
+    @pytest.mark.parametrize("cutoff", ["ir_cutoff", "uv_cutoff"])
+    def test_table_vanishing_on_a_cutoff_gives_a_finite_shift(self, cutoff):
+        # f(w0) = 0 at a knot on the cutoff: f^2 w^4 / (w - w0) stays bounded
+        # there, so D1 is a plain integral, here by 30-digit mpmath.quad
+        mpmath = pytest.importorskip("mpmath")
+        w = [0.2, 0.6, 1.0, 1.5, 2.5]
+        f = [0.3, 0.2, 0.0, 0.25, 0.1]
+        p = TwoLevelParams(1.0, (0.7, 0, 0), CouplingFunction.tabulated(w, f))
+        window = {"ir_cutoff": 0.2, "uv_cutoff": 2.5, cutoff: 1.0}
+        shifts = level_shifts(p, QuadratureConfig(**window))
+        with mpmath.workdps(30):
+            knots = [mpmath.mpf(x) for x in w]
+            lo, hi = mpmath.mpf(window["ir_cutoff"]), mpmath.mpf(window["uv_cutoff"])
+            pv = mpmath.mpf(0)
+            for a, b, fa, fb in zip(knots[:-1], knots[1:], f[:-1], f[1:]):
+                if lo <= a and b <= hi:
+                    pv += mpmath.quad(
+                        lambda x: (fa + (fb - fa) * (x - a) / (b - a)) ** 2 * x**4 / (x - 1),
+                        [a, b])
+            oracle = float(4 * mpmath.pi**2 / 3 * mpmath.mpf(0.7) ** 2 * pv)
+        assert shifts.delta1 == pytest.approx(oracle, rel=1e-12)
 
     def test_infinite_uv_cutoff_is_the_limit(self):
         # the Lambda terms of both closed forms vanish at Lambda = inf
@@ -334,3 +357,15 @@ class TestBlochIntegration:
     def test_state_validation(self):
         with pytest.raises(DomainError):
             BlochState(sz=1.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TwoLevelParams(0.0, (1, 0, 0), CouplingFunction.canonical(0.1)),
+     "level splitting must be positive"),
+    (lambda: TwoLevelParams(1.0, (1, 0), CouplingFunction.canonical(0.1)),
+     "x12 must be a 3-vector"),
+    (lambda: sigma_z_evolution(canonical_tls(), 1.5, 1.0), "cannot exceed 1"),
+], ids=["splitting", "x12", "sz0"])
+def test_bad_input_rejected(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
