@@ -9,7 +9,8 @@ acceleration, and the bath Hamiltonian equals the field energy
 Fields are evolved at the level of c-number mode amplitudes (coherent
 expectation values); operator character never enters.  Two integrators
 are provided: exact per-mode rotation in k-space with the source's
-velocity interpolated linearly in time, and a trigonometric
+velocity interpolated linearly in time (its kicks in half angles of
+theta = w dt, exact to rounding down to theta = 0), and a trigonometric
 (Gautschi-type) leapfrog with the exact-phase symbol
 sigma = (2/dt)^2 sin^2(w dt/2), under which a free step rotates each mode
 by exactly w dt (W. Gautschi, Numer. Math. 3 (1961) 381; M. Hochbruck and
@@ -46,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, StabilityError
+from .reservoir import _TRANSFORM_BLOCK, MemoryKernel, _tau_minus_sin
 
 __all__ = [
     "FieldGrid",
@@ -341,7 +343,6 @@ def lattice_memory_kernel(coupling, grid, times):
     closed system, so their energy exchange balances exactly (up to
     integration error).
     """
-    from .reservoir import _TRANSFORM_BLOCK, MemoryKernel
     geo, g = _masked_modes(coupling, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         weights = np.bincount(geo.label, weights=2.0 * g**2 * geo.w * geo.k[:, 0] ** 2)
@@ -413,13 +414,12 @@ def _evolve_kspace(traj, coupling, grid, initial_amplitudes):
     dt = traj.step
     theta = w * dt
     rot = np.exp(-1j * theta)
-    # exact integral of the rotating source against the linear interpolant of v
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b_new = (1.0 - (1.0 - rot) / (1j * theta)) / (1j * w)
-        b_old = (1.0 - rot) / (1j * w) - b_new
-    small = theta < 1e-6
-    b_new[small] = dt / 2.0
-    b_old[small] = dt / 2.0
+    # exact integral of the rotating source against the linear interpolant of
+    # v, in half angles of theta so that nothing cancels; both are dt/2 at 0
+    sinc = np.sinc(theta / (2.0 * np.pi))  # sin(theta/2) / (theta/2)
+    inverse = np.divide(1.0, theta, out=np.zeros_like(theta), where=theta > 0)
+    b_new = dt * (0.5 * sinc * sinc - 1j * _tau_minus_sin(theta) * inverse * inverse)
+    b_old = dt * np.exp(-0.5j * theta) * sinc - b_new
 
     u = np.zeros((len(traj.times), 4))
     u[:, :3] = traj.velocities

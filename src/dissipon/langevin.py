@@ -172,8 +172,19 @@ def _block_powers(step_map, state, n):
             state = jump @ state
 
 
-def _initial_state(*vectors):
-    return np.array([np.broadcast_to(vec, 3) for vec in vectors], dtype=float)
+def _initial_state(m, k, x0, v0):
+    """The rows (x0, v0) and their mechanical energy e0, checked before any step:
+    an infinite e0 would leave :func:`_energy_guard` nothing to compare with."""
+    state = np.array([np.broadcast_to(vec, 3) for vec in (x0, v0)], dtype=float)
+    if not np.isfinite(state).all():
+        raise DomainError("the initial position x0 and velocity v0 must be finite")
+    with np.errstate(over="ignore"):  # checked just below
+        # a free particle's position holds no energy, however far out it is
+        e0 = _mechanical_energy(m, k, state[0] if k else np.zeros(3), state[1])
+    if not e0 < np.inf:
+        raise DomainError("the initial mechanical energy m v0^2/2 + k x0^2/2 passes "
+                          "the float range")
+    return state, e0
 
 
 def evolve_mean_markov(m, pot, beta, x0, v0, grid):
@@ -196,8 +207,7 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     vh = v + 0.5 * h * (-k * x - beta * v) / m
     x1 = x + h * vh
     v1 = (vh - 0.5 * h * (k * x1) / m) / (1.0 + h * beta / (2.0 * m))
-    state = _initial_state(x0, v0)
-    e0 = _mechanical_energy(m, k, *state)
+    state, e0 = _initial_state(m, k, x0, v0)
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     for start, rows in _block_powers(np.array([x1, v1]), state, n):
@@ -250,9 +260,8 @@ def evolve_mean_volterra(m, pot, kernel, x0, v0, grid):
     size = m_force.shape[1]
 
     # (x, v, a) before the next block; the memory integral is empty at t = 0
-    state = _initial_state(x0, v0, 0.0)
-    state[2] = -pot.gradient(state[0]) / m
-    e0 = _mechanical_energy(m, pot.stiffness, state[0], state[1])
+    xv, e0 = _initial_state(m, pot.stiffness, x0, v0)
+    state = np.vstack([xv, -pot.gradient(xv[0]) / m])
     x = np.empty((n, 3))
     v = np.empty((n, 3))
     x[0], v[0] = state[0], state[1]

@@ -48,12 +48,14 @@ class OscillatorParams:
     beta: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise DomainError("mass must be positive")
-        if not self.omega > 0:
-            raise DomainError("frequency must be positive")
-        if not self.beta >= 0:
-            raise DomainError("friction must be nonnegative")
+        if not 0 < self.m < np.inf:
+            raise DomainError(f"the oscillator mass m ({self.m}) must be finite and positive")
+        if not 0 < self.omega < np.inf:
+            raise DomainError(f"the oscillator frequency omega ({self.omega}) must be "
+                              "finite and positive")
+        if not 0 <= self.beta < np.inf:
+            raise DomainError(f"the oscillator friction beta ({self.beta}) must be finite "
+                              "and nonnegative")
 
     @property
     def omega1(self):

@@ -184,9 +184,12 @@ class ReservoirState:
             momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
             if momenta.shape[1] != 3:
                 raise DomainError("fock quanta are 3-vectors")
-            norms = np.linalg.norm(momenta, axis=1)
-            if np.any(norms == 0):
-                raise DomainError("fock momenta must be nonzero vectors")
+            with np.errstate(over="ignore"):  # checked just below
+                norms = np.linalg.norm(momenta, axis=1)
+            bad = ~((norms > 0) & (norms < np.inf))
+            if bad.any():
+                raise DomainError("each fock momentum needs a norm |p| that is positive "
+                                  f"and finite, not {norms[bad][0]}")
             self.momenta = momenta
             self.frequencies = norms
             if weights is None:
@@ -194,6 +197,8 @@ class ReservoirState:
             self.weights = np.asarray(weights, dtype=float)
             if self.weights.shape != (len(momenta),):
                 raise DomainError("one line-width weight per quantum is required")
+            if not np.isfinite(self.weights).all():
+                raise DomainError("fock line-width weights must be finite")
         else:
             raise DomainError(f"unknown reservoir kind {kind!r}")
 
@@ -274,10 +279,12 @@ def _transform(coupling, times, lo, hi, power, part):
 
     ``part`` picks the real ("cos") or imaginary ("sin") part at each time.
     The canonical coupling has the kernel's (5, "cos"), c (sin(hi t) -
-    sin(lo t)) / t, and the friction sweep's (4, "sin"), c [Si(hi t) -
-    Si(lo t)].  A tabulated coupling's is a sum over its panels: on each,
-    h exp(i c t) integral Q(s) exp(i theta s) ds with theta = h t.  Below
-    theta = 2 that is the power series sum_j (i theta)^j mu_j / j! in Q's
+    sin(lo t)) / t, taken in half angles as c (hi - lo) cos((hi + lo) t/2)
+    sinc((hi - lo) t/2) so that no difference cancels near t = 0, and the
+    friction sweep's (4, "sin"), c [Si(hi t) - Si(lo t)].  A tabulated
+    coupling's is a sum over its panels: on each, h exp(i c t) integral
+    Q(s) exp(i theta s) ds with theta = h t.  Below theta = 2 that is the
+    power series sum_j (i theta)^j mu_j / j! in Q's
     moments mu_j, whose coefficients do not depend on time, so a block of
     times is one BLAS product against cos(c t) and one against sin(c t).
     From theta = 2 on it is
@@ -289,10 +296,8 @@ def _transform(coupling, times, lo, hi, power, part):
     """
     times = np.asarray(times, dtype=float)
     if coupling.kind == "canonical" and (power, part) == (5, "cos"):
-        small = times * hi < 1e-8  # where the sinc is its limit hi - lo
-        t = np.where(small, 1.0, times)
-        return coupling._weight * np.where(small, hi - lo,
-                                           (np.sin(hi * t) - np.sin(lo * t)) / t)
+        return coupling._weight * (hi - lo) * np.cos(0.5 * (hi + lo) * times) \
+            * np.sinc((hi - lo) * times / (2.0 * np.pi))
     if coupling.kind == "canonical" and (power, part) == (4, "sin"):
         return coupling._weight * np.array([_cin_si(hi * t)[1] - _cin_si(lo * t)[1]
                                             for t in times.tolist()])
@@ -728,11 +733,13 @@ def _unit_gauss_legendre():
 
 
 def _tau_minus_sin(tau):
-    """tau - sin(tau), as int_0^tau 2 sin^2(v/2) dv by Gauss-Legendre for tau <= 1."""
-    if tau > 1.0:
-        return tau - math.sin(tau)
+    """tau - sin(tau), as int_0^tau 2 sin^2(v/2) dv by Gauss-Legendre for tau <= 1;
+    a scalar ``tau`` gives a float, an array an array."""
+    tau = np.asarray(tau, dtype=float)
     nodes, weights = _unit_gauss_legendre()
-    return tau * float(weights @ (2.0 * np.sin(0.5 * tau * nodes) ** 2))
+    near = tau * ((2.0 * np.sin(np.multiply.outer(0.5 * tau, nodes)) ** 2) @ weights)
+    out = np.where(tau > 1.0, tau - np.sin(tau), near)
+    return float(out) if out.ndim == 0 else out
 
 
 def _versine_over(x):

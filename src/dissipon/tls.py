@@ -17,8 +17,7 @@ infrared cutoff is a mandatory, explicit parameter.  Each is one prefactor
 times ``reservoir``'s principal value of |f|^2 w^4, for either coupling:
 logarithms for the canonical one, exact panel sums for a table.
 
-The characteristic frequencies used for the closed form are the exact
-roots of that linear pair,
+The characteristic frequencies are the exact roots of that linear pair,
 
     Omega_pm = i mu +- i sqrt(mu^2 - w0 Gamma),
 
@@ -26,7 +25,8 @@ so in the oscillatory regime w0 Gamma > mu^2 both roots share the
 imaginary part mu and the coherence envelope decays at exactly that rate
 (flipping the radicand sign would break both the equations of motion and
 the free mu = 0 oscillation, so it is fixed by the characteristic
-equation).
+equation).  The closed form is Putzer's 2x2 exponential, one formula through
+the degenerate pair mu^2 = w0 Gamma (:func:`coherence_evolution`).
 
 A unit dipole, |x12|^2 = 1, gives the bare constant (4 pi^2 w0^6 / 3) |f(w0)|^2.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,37 +186,28 @@ def sigma_z_evolution(p, sz0, t):
 def coherence_evolution(p, f0, e0, t, cfg):
     """Closed-form coherence pair (F(t), E(t)) from initial values (f0, e0).
 
-    F(t) = C1 e^{i Omega_+ t} + C2 e^{i Omega_- t} and
-    E(t) = (w0/Omega_+) C1 e^{i Omega_+ t} + (w0/Omega_-) C2 e^{i Omega_- t},
-    with C1, C2 solving the 2x2 initial-value system.  A degenerate pair
-    Omega_+ = Omega_- falls back to the secular (t e^{i Omega t}) form.
+    (F, E)' = M (F, E) with M = [[-2 mu, i Gamma], [i w0, 0]], whose
+    eigenvalues are s_pm = -mu +- d, d = sqrt(mu^2 - w0 Gamma) (the
+    principal root: real >= 0 or imaginary).  Putzer's form of the 2x2
+    exponential (E. J. Putzer, Amer. Math. Monthly 73 (1966) 2),
+
+        e^{tM} = e^{s_- t} I + e^{s_+ t} t psi(2 d t) (M - s_- I),
+        psi(x) = (1 - e^{-x}) / x,  psi(0) = 1,
+
+    holds through the degenerate pair d = 0, where it is the secular
+    (t e^{-mu t}) form, with no cancellation on either side of it.
     """
     spec = coherence_frequencies(p, cfg)
+    mu, gamma, w0 = spec.mu, spec.gamma_shifted, p.omega0
     t = np.asarray(t, dtype=float)
-    w0 = p.omega0
-    s_plus = 1j * spec.omega_plus   # characteristic exponents: F ~ e^{s t}
-    s_minus = 1j * spec.omega_minus
-    if abs(s_plus - s_minus) <= 1e-12 * max(abs(s_plus), 1.0):
-        warnings.warn("degenerate coherence frequencies; using the secular form",
-                      stacklevel=2)
-        # F = (c1 + c2 t) e^{st}; E follows from dE/dt = i w0 F with E(0) = e0
-        s = s_plus
-        c1 = complex(f0)
-        # dF/dt(0) = i Gamma e0 - 2 mu f0 = s c1 + c2
-        c2 = 1j * spec.gamma_shifted * complex(e0) - 2.0 * spec.mu * complex(f0) \
-            - s * c1
-        grow = np.exp(s * t)
-        f_t = (c1 + c2 * t) * grow
-        e_t = e0 + 1j * w0 * ((c1 / s) * (grow - 1.0)
-                              + c2 * (grow * (t / s - 1.0 / s**2) + 1.0 / s**2))
-        return f_t, e_t
-    rhs = np.array([complex(f0), complex(e0)])
-    coeff = np.array([[1.0, 1.0],
-                      [1j * w0 / s_plus, 1j * w0 / s_minus]])
-    c1, c2 = np.linalg.solve(coeff, rhs)
-    f_t = c1 * np.exp(s_plus * t) + c2 * np.exp(s_minus * t)
-    e_t = (1j * w0 / s_plus) * c1 * np.exp(s_plus * t) \
-        + (1j * w0 / s_minus) * c2 * np.exp(s_minus * t)
+    d = cmath.sqrt(complex(mu * mu - w0 * gamma))
+    s_plus, s_minus = -mu + d, -mu - d
+    x = 2.0 * d * t
+    psi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+    lead = np.exp(s_minus * t)
+    cross = np.exp(s_plus * t) * t * psi
+    f_t = lead * f0 + cross * ((-2.0 * mu - s_minus) * f0 + 1j * gamma * e0)
+    e_t = lead * e0 + cross * (1j * w0 * f0 - s_minus * e0)
     return f_t, e_t
 
 

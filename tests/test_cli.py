@@ -349,6 +349,11 @@ class TestExitCodes:
         # and the particle's huge kernel trips the Volterra energy guard
         (["field", "--dx", "1e-100", "--modes", "8"], 1),
         (["rates", "--beta", "inf"], 1),
+        # an initial energy past the float range, which the energy guard could
+        # not compare with, and a fock momentum whose norm overflows
+        (["langevin", "--tmax", "0.5", "--x0", "1e308,0,0"], 1),
+        (["field", "--tmax", "0.2", "--modes", "4", "--x0", "1e308,0,0"], 1),
+        (["rates", "--fock", "1e308,0,0"], 1),
         (["oscillator", "--kt", "1e308"], 1),
         (["oscillator", "--beta", "1e-310"], 1),  # I0 = pi m / (2 beta w^2) overflows
         (["tls", "--tmax", "1e308", "--steps", "200"], 1),
@@ -615,6 +620,39 @@ def test_every_value_flag_changes_its_run(tmp_path, capsys, experiment, flag):
     assert run_cli(*base, flag, value, "--out", str(tmp_path / "set")) == 0
     after = _computed(tmp_path / "set", capsys)
     assert len(before) > 1 and before != after
+
+
+# each value flag of each experiment with nan, inf and -inf, in every
+# component of a triple flag's FLAG_VALUES entry
+NONFINITE_CASES = [(experiment, flag, ",".join(parts[:i] + [bad] + parts[i + 1:]))
+                   for experiment, flag in VALUE_FLAGS
+                   for parts in [FLAG_VALUES.get(flag, "").split(",")]
+                   for bad in ("nan", "inf", "-inf") for i in range(len(parts))]
+# a whole-axis window [epsilon, inf) of a run whose bath integrals converge there
+NONFINITE_RUNS = {("oscillator", "--uv-cutoff", "inf"), ("tls", "--uv-cutoff", "inf"),
+                  ("rates", "--uv-cutoff", "inf")}
+
+
+@pytest.mark.parametrize("experiment, flag, value", NONFINITE_CASES,
+                         ids=[f"{e} {f}={v}" for e, f, v in NONFINITE_CASES])
+def test_nonfinite_value_is_a_diagnostic(tmp_path, capsys, monkeypatch, experiment, flag,
+                                         value):
+    monkeypatch.chdir(tmp_path)  # a --coupling-file named nan or inf is missing
+    base = [experiment, *FLAG_BASES[experiment], *FLAG_NEEDS.get((experiment, flag), [])]
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*base, f"{flag}={value}", "--out", str(out))
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    if (experiment, flag, value) in NONFINITE_RUNS:
+        assert code == 0 and not err
+        rows = [line for path in out.glob("*.csv") for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows and not any("nan" in row or "inf" in row for row in rows)
+    else:
+        assert code in (1, 2)
+        assert len(err.splitlines()) == 1 and err.startswith("dissipon: ")
 
 
 class TestDeterminismAndOverrides:

@@ -525,6 +525,29 @@ class TestEvolution:
         drift = np.max(np.abs(hist.energy - hist.energy[0])) / hist.energy[0]
         assert drift < 1e-8  # free-field conservation over 1e4 steps
 
+    @pytest.mark.parametrize("phase", [2e-6, 1e-5, 1e-3])
+    def test_kspace_ramp_kick_is_exact_at_small_phase(self, phase):
+        # one step of a velocity ramp 0 -> v from rest: a_k = i g_k (k . v) b_new
+        # with b_new = dt [(1 - cos theta) - i (theta - sin theta)] / theta^2,
+        # theta = w dt, whose two differences cancel in floats at small theta;
+        # the reference is b_new at 40 digits on the lowest shell, |k| = dk
+        mpmath = pytest.importorskip("mpmath")
+        grid = FieldGrid(n=8, dx=1.0, uv_cutoff=3.0)
+        coupling = CouplingFunction.canonical(0.1, uv_cutoff=3.0)
+        w = float(grid.k_axes()[0][1])
+        dt = phase / w
+        traj = Trajectory(np.array([0.0, dt]), np.zeros((2, 3)),
+                          np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]))
+        a = evolve_field_with_source(traj, coupling, grid, method="kspace").final_amplitudes
+        g = float(coupling(w)) * np.sqrt(grid.dk**3)
+        with mpmath.workdps(40):
+            theta = mpmath.mpf(w) * mpmath.mpf(dt)
+            b_new = mpmath.mpf(dt) * ((1 - mpmath.cos(theta))
+                                      - 1j * (theta - mpmath.sin(theta))) / theta**2
+            ref = complex(1j * mpmath.mpf(g) * mpmath.mpf(w) * mpmath.mpf(0.3) * b_new)
+        for index, sign in (((1, 0, 0), 1.0), ((7, 0, 0), -1.0)):  # k = (+-dk, 0, 0)
+            assert abs(a[index] - sign * ref) <= 1e-13 * abs(ref)
+
     def test_free_energy_conservation_many_steps(self):
         g = FieldGrid(n=8, dx=0.5)
         a0 = random_amplitudes(g, seed=3)

@@ -202,6 +202,36 @@ def test_unstable_step_raises_before_any_overflow(solver, h, omega):
                 evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solver", ["markov", "volterra"])
+@pytest.mark.parametrize("x0, v0, message", [
+    ([np.inf, 0, 0], [0, 0, 0], "x0 and velocity v0 must be finite"),
+    ([0, 0, 0], [0, np.nan, 0], "x0 and velocity v0 must be finite"),
+    # e0 = inf would disarm the energy guard
+    ([1e308, 0, 0], [0, 0, 0], "initial mechanical energy"),
+    ([0, 0, 0], [0, 0, 1e200], "initial mechanical energy"),
+], ids=["x0 inf", "v0 nan", "x0 1e308", "v0 1e200"])
+def test_initial_state_rejected_before_any_step(solver, x0, v0, message):
+    grid = uniform_grid(1.0, 0.01)
+    pot = PotentialSpec.harmonic(1.0, 1.0)
+    with pytest.raises(DomainError, match=message):
+        if solver == "markov":
+            evolve_mean_markov(1.0, pot, 0.1, x0, v0, grid)
+        else:
+            kernel = MemoryKernel.sample(CouplingFunction.canonical(0.1, uv_cutoff=5.0),
+                                         grid)
+            evolve_mean_volterra(1.0, pot, kernel, x0, v0, grid)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_free_particle_far_out_runs():
+    # k = 0: the position holds no energy, so |x0|^2 overflowing is no reason
+    # to reject the run
+    traj = evolve_mean_markov(1.0, PotentialSpec.free(), 0.1, [1e308, 0, 0], [0, 0, 0],
+                              uniform_grid(1.0, 0.01))
+    assert np.all(traj.positions[:, 0] == 1e308)
+
+
 class TestVolterra:
     def test_zero_kernel_is_conservative(self):
         grid = uniform_grid(10.0, 1e-3)

@@ -73,6 +73,15 @@ class TestDampedFrequency:
         with pytest.raises(DomainError):
             OscillatorParams(1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("args, name", [
+        ((np.inf, 1.0, 0.1), "mass m"), ((1.0, np.inf, 0.1), "frequency omega"),
+        ((1.0, 1.0, np.inf), "friction beta"), ((np.nan, 1.0, 0.1), "mass m"),
+        ((1.0, np.nan, 0.1), "frequency omega"), ((1.0, 1.0, np.nan), "friction beta"),
+    ], ids=["m inf", "omega inf", "beta inf", "m nan", "omega nan", "beta nan"])
+    def test_params_must_be_finite(self, args, name):
+        with pytest.raises(DomainError, match=f"{name} .* must be finite"):
+            OscillatorParams(*args)
+
 
 class TestMeanTrajectory:
     def test_initial_value(self):

@@ -268,6 +268,24 @@ class TestMemoryKernel:
             oracle, _ = integrate_oscillatory(lambda w: 2.0 * beta / np.pi, 1.0, t, cfg)
             assert value == pytest.approx(oracle, abs=1e-8)
 
+    def test_canonical_kernel_on_a_narrow_window(self):
+        # on [1 - 1e-6, 1] the kernel is (2 beta / pi) (sin t - sin((1 - 1e-6) t)) / t,
+        # a difference that cancels in floats; its scale is 2 beta (hi - lo) / pi.
+        # The reference is that difference at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        beta, eps, lam = 0.3, 0.999999, 1.0
+        times = np.linspace(0.0, 20.0, 201)
+        kern = MemoryKernel.sample(CouplingFunction.canonical(beta), times,
+                                   QuadratureConfig(ir_cutoff=eps, uv_cutoff=lam))
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(eps), mpmath.mpf(lam)
+            pref = 2 * mpmath.mpf(beta) / mpmath.pi
+            ref = [pref * (hi - lo)] + [pref * (mpmath.sin(hi * t) - mpmath.sin(lo * t)) / t
+                                        for t in map(mpmath.mpf, times[1:])]
+            ref = np.array([float(v) for v in ref])
+            scale = float(pref * (hi - lo))
+        assert np.max(np.abs(kern.values - ref)) <= 1e-13 * scale
+
     def test_zero_coupling(self):
         c = CouplingFunction.zero(uv_cutoff=10.0)
         assert sampled_kernel(c, 0.3) == pytest.approx(0.0, abs=1e-12)
@@ -685,6 +703,10 @@ class TestReservoirState:
     (lambda path: ReservoirState.fock([[1.0, 0.0]]), "fock quanta are 3-vectors"),
     (lambda path: ReservoirState.fock([[1.0, 0.0, 0.0]], weights=[0.5, 0.5]),
      "one line-width weight per quantum"),
+    (lambda path: ReservoirState.fock([[np.nan, 0.0, 0.0]]), "positive and finite, not nan"),
+    (lambda path: ReservoirState.fock([[1e308, 0.0, 0.0]]), "positive and finite, not inf"),
+    (lambda path: ReservoirState.fock([[1.0, 0.0, 0.0]], weights=[np.inf]),
+     "line-width weights must be finite"),
     (lambda path: ReservoirState("squeezed"), "unknown reservoir kind"),
     (lambda path: MemoryKernel([0.0, 1.0], [0.0]),
      "kernel needs matching 1-d time and value arrays"),
@@ -692,7 +714,8 @@ class TestReservoirState:
     # a canonical beta past ~6e307 overflows its weight 3 beta / (4 pi^2)
     (lambda path: friction_coefficient(CouplingFunction.canonical(1.7e308, uv_cutoff=10.0)),
      "the kernel time integral overflows"),
-], ids=["grids", "coupling kind", "one point", "quanta", "weights", "reservoir kind",
+], ids=["grids", "coupling kind", "one point", "quanta", "weights", "nan momentum",
+        "momentum norm overflow", "infinite weight", "reservoir kind",
         "kernel arrays", "kernel times", "friction overflow"])
 def test_bad_input_rejected(tmp_path, make, message):
     path = tmp_path / "one_point.dat"

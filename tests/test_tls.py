@@ -1,3 +1,6 @@
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -246,12 +249,37 @@ class TestCoherence:
         monkeypatch.setattr("dissipon.tls.coherence_frequencies", lambda p, cfg: spectrum)
         p = canonical_tls(omega0=1.0)
         t = np.linspace(0.0, 5.0, 101)
-        with pytest.warns(UserWarning, match="secular form"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one formula through d = 0, no warning
             f_t, e_t = coherence_evolution(p, 0.7, 0.2j, t, shifts_config())
         generator = np.array([[-2.0, 1j], [1j, 0.0]])  # [[-2 mu, i Gamma], [i w0, 0]]
         ref = np.array([expm(generator * ti) @ [0.7, 0.2j] for ti in t])
         assert np.max(np.abs(f_t - ref[:, 0])) <= 1e-12
         assert np.max(np.abs(e_t - ref[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("radicand", [0.0, 1e-14, 1e-9, 1e-7])
+    def test_near_degenerate_pair_matches_exact_exponential(self, monkeypatch, radicand):
+        # mu = w0 = 1 and Gamma = 1 - radicand: the two roots are 2 sqrt(radicand)
+        # apart, where a sum over them cancels; the reference is e^{tM} at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mu, gamma = 1.0, 1.0 - radicand
+        root = 1j * cmath.sqrt(mu * mu - gamma)
+        spectrum = CoherenceSpectrum(mu=mu, gamma_shifted=gamma,
+                                     omega_plus=1j * mu + root, omega_minus=1j * mu - root)
+        monkeypatch.setattr("dissipon.tls.coherence_frequencies", lambda p, cfg: spectrum)
+        t = np.linspace(0.0, 5.0, 26)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_t, e_t = coherence_evolution(canonical_tls(omega0=1.0), 0.7, 0.2j, t,
+                                           shifts_config())
+        with mpmath.workdps(40):
+            generator = mpmath.matrix([[-2 * mpmath.mpf(mu), 1j * mpmath.mpf(gamma)],
+                                       [1j, 0]])
+            ref = [mpmath.expm(generator * mpmath.mpf(ti)) * mpmath.matrix([0.7, 0.2j])
+                   for ti in t]
+            ref = np.array([[complex(r[0]), complex(r[1])] for r in ref])
+        assert np.max(np.abs(f_t - ref[:, 0])) <= 1e-14
+        assert np.max(np.abs(e_t - ref[:, 1])) <= 1e-14
 
     def test_closed_form_matches_ode_oracle(self):
         p = canonical_tls(beta=0.05)
