@@ -11,7 +11,8 @@ with a harmonic potential (k = m w^2) or a free particle (k = 0); a
 nonlinear force would not close on the mean.  It is solved with a
 velocity-Verlet-style step and a trapezoidal memory sum (second order
 overall).  The Markovian specialisation replaces the convolution by a
-local friction beta * x'.
+local friction beta * x'; that constant-coefficient pair is stepped by
+its exact exponential (:func:`_damped_pair`), exact at any step.
 
 Every step is one fixed linear map, so neither solver loops over time
 steps: the Markov solver propagates blocks of rows with precomputed
@@ -23,6 +24,7 @@ at its start.  That history is a divide-and-conquer fast convolution
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +121,8 @@ def _check_grid(grid, name="time grid"):
 _GUARD_EVERY = 256
 # rows filled per batched product when a fixed step map is propagated
 _POWER_BLOCK = 1024
-# precomputed powers and block responses stop short of a full block once an
-# entry passes this, so an unstable step stays finite until the guard sees it
+# a Volterra block response stops short of a full block once an entry
+# passes this, so an unstable step stays finite until the guard sees it
 _GROWTH_CAP = 1e30
 
 
@@ -142,25 +144,44 @@ def _energy_guard(pot, m, x, v, first, e0, label):
             f"{label}: mechanical energy grew by more than 5%; reduce the step")
 
 
+def _damped_pair(mu, omega_sq, t, upper, lower):
+    """The roots s_-, s_+ of A = [[-2 mu, upper], [lower, 0]] and e^{tA}, complex.
+
+    upper * lower = -omega_sq.  s_pm = -mu +- d, d = sqrt(mu^2 - omega_sq) the
+    principal root, taken as sqrt(mu - w) sqrt(mu + w), w^2 = omega_sq, and
+    s_+ = -omega_sq / (mu + d) (0 at mu = d = 0), which does not cancel where
+    omega_sq << mu^2.  Putzer's form (E. J. Putzer, Amer. Math. Monthly 73
+    (1966) 2), e^{tA} = e^{s_- t} I + c (A - s_- I) with c = e^{s_+ t} t psi(2dt),
+    psi(x) = (1 - e^{-x}) / x, psi(0) = 1, holds through d = 0; its 0 corner is
+    written e^{s_+ t} - c s_+, which is exactly 1 at omega_sq = 0.  The shape
+    is (2, 2) + t's; past the float range the matrix is not finite, unwarned.
+    """
+    w = cmath.sqrt(omega_sq)
+    d = cmath.sqrt(mu - w) * cmath.sqrt(mu + w)
+    s_minus = -mu - d
+    s_plus = -omega_sq / (mu + d) if mu + d else 0.0
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 2.0 * d * t
+        psi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+        lead, slow = np.exp(s_minus * t), np.exp(s_plus * t)
+        cross = slow * t * psi
+        return s_minus, s_plus, np.array([[lead + cross * s_plus, cross * upper],
+                                          [cross * lower, slow - cross * s_plus]])
+
+
 def _block_powers(step_map, state, n):
     """Yield (start, rows), rows[j] = S^(start + j) state, until n rows are out.
 
     Each block of rows is one product with the precomputed powers S^k,
     k < _POWER_BLOCK, and the jump S^_POWER_BLOCK carries the state to the
-    next block.  The powers stop short of that once an entry passes
-    _GROWTH_CAP, so a block stays finite for an unstable S; the caller
-    checks each block before it asks for the next.
+    next block.
     """
     state = np.asarray(state, dtype=float)
     dim = len(step_map)
     powers = np.eye(dim)[None]
     while len(powers) < min(_POWER_BLOCK, n):
-        more = powers @ (step_map @ powers[-1])  # S^k .. S^(2k-1)
-        bounded = np.abs(more).max(axis=(1, 2)) <= _GROWTH_CAP
-        if not bounded.all():
-            powers = np.concatenate([powers, more[:np.argmin(bounded)]])
-            break
-        powers = np.concatenate([powers, more])
+        powers = np.concatenate([powers, powers @ (step_map @ powers[-1])])  # S^k .. S^(2k-1)
     powers = powers[:min(_POWER_BLOCK, n)]
     size = len(powers)
     jump = step_map @ powers[-1]
@@ -190,10 +211,11 @@ def _initial_state(m, k, x0, v0):
 def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     """Integrate m x'' + beta x' = -k x for the mean trajectory.
 
-    Velocity Verlet with the friction half-step folded in implicitly, so
-    the scheme stays second order for any beta >= 0.  The step is one
-    fixed 2x2 map on each axis' (x, v), propagated a block of rows at a
-    time by :func:`_block_powers`.
+    The step is the pair's exact exponential e^{hA} on each axis' (v, x),
+    A = [[-beta/m, -k/m], [1, 0]] (:func:`_damped_pair`), so the rows are
+    the exact solution at the grid's times, at any step, and no step size
+    is unstable.  The map is propagated a block of rows at a time by
+    :func:`_block_powers`.
     """
     if not 0 < m < np.inf:
         raise DomainError("mass must be positive and finite")
@@ -201,19 +223,16 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
         raise DomainError("friction must be nonnegative and finite")
     grid, h = _check_grid(grid)
     n = len(grid)
-    k = pot.stiffness
-    # the step applied to the unit states (x, v) = (1, 0) and (0, 1)
-    x, v = np.eye(2)
-    vh = v + 0.5 * h * (-k * x - beta * v) / m
-    x1 = x + h * vh
-    v1 = (vh - 0.5 * h * (k * x1) / m) / (1.0 + h * beta / (2.0 * m))
-    state, e0 = _initial_state(m, k, x0, v0)
+    w2 = pot.stiffness / m
+    pair = _damped_pair(0.5 * beta / m, w2, h, -w2, 1.0)[2].real
+    if not np.isfinite(pair).all():
+        raise DomainError(f"the exact step map of (m, beta, k) = ({m:.3g}, {beta:.3g}, "
+                          f"{pot.stiffness:.3g}) passes the float range")
+    state, _ = _initial_state(m, pot.stiffness, x0, v0)
     x = np.empty((n, 3))
     v = np.empty((n, 3))
-    for start, rows in _block_powers(np.array([x1, v1]), state, n):
-        stop = start + len(rows)
-        x[start:stop], v[start:stop] = rows[:, 0], rows[:, 1]
-        _energy_guard(pot, m, x[start:stop], v[start:stop], start, e0, "markov step")
+    for start, rows in _block_powers(pair[::-1, ::-1], state, n):  # on (x, v)
+        x[start:start + len(rows)], v[start:start + len(rows)] = rows[:, 0], rows[:, 1]
     return Trajectory(grid, x, v)
 
 

@@ -26,22 +26,21 @@ imaginary part mu and the coherence envelope decays at exactly that rate
 (flipping the radicand sign would break both the equations of motion and
 the free mu = 0 oscillation, so it is fixed by the characteristic
 equation).  The closed form is Putzer's 2x2 exponential, one formula through
-the degenerate pair mu^2 = w0 Gamma (:func:`coherence_evolution`).
+the degenerate pair mu^2 = w0 Gamma (:func:`dissipon.langevin._damped_pair`),
+and the Bloch solver steps that same exponential, exact at any step.
 
 A unit dipole, |x12|^2 = 1, gives the bare constant (4 pi^2 w0^6 / 3) |f(w0)|^2.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, StabilityError
-from .langevin import _block_powers, _check_grid
+from .errors import DomainError, RegimeError
+from .langevin import _block_powers, _check_grid, _damped_pair
 from .reservoir import _principal_value
 
 __all__ = [
@@ -161,16 +160,16 @@ def coherence_frequencies(p, cfg):
 
     Omega_pm = i mu +- i sqrt(mu^2 - w0 Gamma) are the exact roots of the
     coherence pair; F ~ e^{i Omega t}.  When w0 Gamma > mu^2 both roots
-    share the imaginary part mu: damped oscillation at rate mu.
+    share the imaginary part mu: damped oscillation at rate mu.  Omega_- is
+    i w0 Gamma / (mu + sqrt(mu^2 - w0 Gamma)), with no cancellation.
     """
     mu = decay_rate_mu(p)
     shifts = level_shifts(p, cfg)
     gamma = p.omega0 - 2.0 * shifts.delta2 - 2.0 * shifts.delta1
-    radical = cmath.sqrt(complex(mu * mu - p.omega0 * gamma))
-    omega_plus = 1j * mu + 1j * radical
-    omega_minus = 1j * mu - 1j * radical
+    # F ~ e^{s t} = e^{i Omega t} at the generator's roots s_pm
+    s_minus, s_plus, _ = _damped_pair(mu, p.omega0 * gamma, 0.0, 1j * gamma, 1j * p.omega0)
     return CoherenceSpectrum(mu=mu, gamma_shifted=gamma,
-                             omega_plus=omega_plus, omega_minus=omega_minus)
+                             omega_plus=-1j * s_minus, omega_minus=-1j * s_plus)
 
 
 def sigma_z_evolution(p, sz0, t):
@@ -186,65 +185,46 @@ def sigma_z_evolution(p, sz0, t):
 def coherence_evolution(p, f0, e0, t, cfg):
     """Closed-form coherence pair (F(t), E(t)) from initial values (f0, e0).
 
-    (F, E)' = M (F, E) with M = [[-2 mu, i Gamma], [i w0, 0]], whose
-    eigenvalues are s_pm = -mu +- d, d = sqrt(mu^2 - w0 Gamma) (the
-    principal root: real >= 0 or imaginary).  Putzer's form of the 2x2
-    exponential (E. J. Putzer, Amer. Math. Monthly 73 (1966) 2),
-
-        e^{tM} = e^{s_- t} I + e^{s_+ t} t psi(2 d t) (M - s_- I),
-        psi(x) = (1 - e^{-x}) / x,  psi(0) = 1,
-
-    holds through the degenerate pair d = 0, where it is the secular
-    (t e^{-mu t}) form, with no cancellation on either side of it.
+    (F, E)' = M (F, E) with M = [[-2 mu, i Gamma], [i w0, 0]].  Putzer's form
+    of e^{tM} (:func:`dissipon.langevin._damped_pair`) holds through the
+    degenerate pair mu^2 = w0 Gamma, where it is the secular (t e^{-mu t})
+    form, and cancels nowhere, near it or where w0 Gamma << mu^2.
     """
     spec = coherence_frequencies(p, cfg)
     mu, gamma, w0 = spec.mu, spec.gamma_shifted, p.omega0
-    t = np.asarray(t, dtype=float)
-    d = cmath.sqrt(complex(mu * mu - w0 * gamma))
-    s_plus, s_minus = -mu + d, -mu - d
-    x = 2.0 * d * t
-    psi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
-    lead = np.exp(s_minus * t)
-    cross = np.exp(s_plus * t) * t * psi
-    f_t = lead * f0 + cross * ((-2.0 * mu - s_minus) * f0 + 1j * gamma * e0)
-    e_t = lead * e0 + cross * (1j * w0 * f0 - s_minus * e0)
-    return f_t, e_t
+    _, _, e_tm = _damped_pair(mu, w0 * gamma, t, 1j * gamma, 1j * w0)
+    return e_tm[0, 0] * f0 + e_tm[0, 1] * e0, e_tm[1, 0] * f0 + e_tm[1, 1] * e0
 
 
 def evolve_bloch_markov(p, initial, grid, cfg):
-    """RK4 integration of the Markovian Bloch equations on a uniform grid.
+    """The Markovian Bloch equations on a uniform grid, exact at any step.
 
-    The system is linear and time invariant, so the classical RK4 update
-    is one affine map per step; its spectral radius doubles as the
-    stability check the step size must pass, and a map that overflows
-    fails it too.  The map is applied to the deviation from the exact
-    fixed point y* = (-1, 0, 0) (A y* + c = 0 holds exactly), so the
-    ground state stays exactly stationary.  Rows are filled a block at a
-    time by :func:`dissipon.langevin._block_powers`.
+    The system is linear and time invariant, so the step is one exact
+    map: e^{-2 mu h} on the population's deviation sz + 1 from the fixed
+    point y* = (-1, 0, 0), and the coherence pair's exponential
+    (:func:`dissipon.langevin._damped_pair`) on (f, e_im).  The ground
+    state therefore stays exactly stationary.  A negative Gamma makes the
+    pair grow, which is a ``RegimeError``; a map past the float range is
+    a ``DomainError``.  Rows are filled a block at a time by
+    :func:`dissipon.langevin._block_powers`.
     """
     grid, h = _check_grid(grid)
     spec = coherence_frequencies(p, cfg)
     mu, gamma = spec.mu, spec.gamma_shifted
+    if gamma < 0:
+        raise RegimeError(
+            f"the shifted frequency Gamma = w0 - 2 D2 - 2 D1 = {gamma:.6g} is negative, so "
+            "the coherence grows: the level shifts exceed the Markovian regime")
 
-    # state y = (sz, f, e_im):  y' = A y + c,  c = (-2 mu, 0, 0)
-    a_mat = np.array([
-        [-2.0 * mu, 0.0, 0.0],
-        [0.0, -2.0 * mu, -gamma],
-        [0.0, p.omega0, 0.0],
-    ])
-    taylor = [np.eye(3)]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is unstable
-        ha = h * a_mat
-        for _ in range(4):
-            taylor.append(taylor[-1] @ ha)
-        step_map = sum(taylor[k] / math.factorial(k) for k in range(5))
-    if not np.isfinite(step_map).all() \
-            or np.abs(np.linalg.eigvals(step_map)).max() > 1.0 + 1e-12:
-        raise StabilityError(
-            f"step {h:.3g} is unstable for (w0, mu) = ({p.omega0}, {mu:.3g}); "
-            "the RK4 amplification factor exceeds 1")
+    # state y = (sz, f, e_im):  f' = -2 mu f - Gamma e_im,  e_im' = w0 f
+    step_map = np.zeros((3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        step_map[0, 0] = np.exp(-2.0 * mu * h)
+        step_map[1:, 1:] = _damped_pair(mu, p.omega0 * gamma, h, -gamma, p.omega0)[2].real
+    if not np.isfinite(step_map).all():
+        raise DomainError(f"the exact step map of (w0, mu, Gamma) = ({p.omega0:.3g}, "
+                          f"{mu:.3g}, {gamma:.3g}) passes the float range")
 
-    # every RK4 stage vanishes at y*, so the deviation d = y - y* obeys d -> S d
     fixed = np.array([-1.0, 0.0, 0.0])
     out = np.empty((len(grid), 3))
     d = np.array([initial.sz, initial.f, initial.e_im]) - fixed

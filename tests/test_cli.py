@@ -217,6 +217,16 @@ class TestExitCodes:
         assert code == 1
         assert "infrared-divergent" in err and "Traceback" not in err
 
+    def test_huge_tls_step_runs(self, tmp_path):
+        # the Bloch step is the exact exponential, so h = 5e305 decays to the
+        # ground state in one step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("tls", "--tmax", "1e308", "--steps", "200", "--out", str(tmp_path))
+        assert code == 0
+        _, _, rows = read_table(tmp_path / "tls_decay.csv")
+        assert rows[-1][1:] == [-1.0, 0.0, 0.0]
+
     def test_explicit_zero_ir_cutoff_with_table_runs(self, tmp_path):
         # a tabulated coupling has finite level shifts down to w = 0
         table = tmp_path / "coupling.dat"
@@ -334,6 +344,10 @@ class TestExitCodes:
         (["oscillator", "--m", "1e-308"], 1),
         (["oscillator", "--kt", "inf"], 1),
         (["tls", "--x12sq", "1e308", "--steps", "200"], 1),
+        (["langevin", "--m", "0.5", "--beta", "1e308", "--tmax", "1"], 1),
+        # level shifts that make Gamma = w0 - 2 D2 - 2 D1 negative: the
+        # coherence grows, outside the Markovian regime
+        (["tls", "--beta", "0.5", "--ir-cutoff", "0.9"], 1),
         (["tls", "--omega0", "1e308"], 1),
         (["langevin", "--omega", "1e308", "--tmax", "1"], 1),
         (["field", "--dx", "1e-308", "--tmax", "1", "--modes", "8"], 1),
@@ -356,7 +370,6 @@ class TestExitCodes:
         (["rates", "--fock", "1e308,0,0"], 1),
         (["oscillator", "--kt", "1e308"], 1),
         (["oscillator", "--beta", "1e-310"], 1),  # I0 = pi m / (2 beta w^2) overflows
-        (["tls", "--tmax", "1e308", "--steps", "200"], 1),
         # infinite mass, friction or frequency, a lattice coupling whose
         # weights overflow and a Bose factor that overflows
         (["langevin", "--m=inf", "--tmax", "1"], 1),

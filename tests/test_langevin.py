@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dissipon.errors import DomainError, StabilityError
 from dissipon.field import FieldGrid, lattice_memory_kernel
@@ -22,24 +23,11 @@ def _guard_row(pot, m, x, v, i, e0, label):
         _energy_guard(pot, m, x[i:i + 1], v[i:i + 1], i, e0, label)
 
 
-def stepwise_markov(m, pot, beta, x0, v0, grid):
-    """The Markov solver's step, one Python iteration per time step."""
-    h = grid[1] - grid[0]
-    n = len(grid)
-    x = np.empty((n, 3))
-    v = np.empty((n, 3))
-    x[0], v[0] = x0, v0
-    e0 = 0.5 * m * v[0] @ v[0] + 0.5 * pot.stiffness * (x[0] @ x[0])
-    damp = 1.0 + h * beta / (2.0 * m)
-    f = -pot.gradient(x[0]) - beta * v[0]
-    for i in range(1, n):
-        vh = v[i - 1] + 0.5 * h * f / m
-        x[i] = x[i - 1] + h * vh
-        grad = pot.gradient(x[i])
-        v[i] = (vh - 0.5 * h * grad / m) / damp
-        f = -grad - beta * v[i]
-        _guard_row(pot, m, x, v, i, e0, "markov step")
-    return x, v
+def markov_expm(m, pot, beta, x0, v0, grid):
+    """The Markov pair's exact solution, scipy's expm of the 2x2 generator per row."""
+    generator = np.array([[0.0, 1.0], [-pot.stiffness / m, -beta / m]])  # on (x, v)
+    rows = np.array([expm(generator * t) @ np.array([x0, v0], dtype=float) for t in grid])
+    return rows[:, 0], rows[:, 1]
 
 
 def direct_volterra(m, pot, kernel, x0, v0, grid):
@@ -108,19 +96,26 @@ class TestMarkov:
         spacing = np.diff(crossings)
         assert np.max(np.abs(spacing - np.pi / w1)) < 1e-4
 
-    def test_closed_form_oracle_second_order(self):
+    @pytest.mark.parametrize("h", [4e-3, 2e-3, 1e-3])
+    def test_matches_closed_form_at_any_step(self, h):
         m, omega, beta = 1.0, 1.0, 0.3
         p = OscillatorParams(m, omega, beta)
         pot = PotentialSpec.harmonic(m, omega)
-        errs = []
-        hs = [4e-3, 2e-3, 1e-3]
-        for h in hs:
-            grid = uniform_grid(10.0, h)
-            traj = evolve_mean_markov(m, pot, beta, [1, 0, 0], [0.5, 0, 0], grid)
-            closed = mean_trajectory(p, [1.0, 0, 0], [0.5, 0, 0], grid)
-            errs.append(np.max(np.abs(traj.positions - closed)))
-        order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        assert order == pytest.approx(2.0, abs=0.1)
+        grid = uniform_grid(10.0, h)
+        traj = evolve_mean_markov(m, pot, beta, [1, 0, 0], [0.5, 0, 0], grid)
+        closed = mean_trajectory(p, [1.0, 0, 0], [0.5, 0, 0], grid)
+        assert np.max(np.abs(traj.positions - closed)) <= 1e-12 * np.abs(closed).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_critical_damping_is_exact(self):
+        # beta = 2 m w: the degenerate pair d = 0, x = (x0 + (v0 + mu x0) t) e^{-mu t}
+        m, omega = 1.0, 1.0
+        mu = omega
+        grid = uniform_grid(30.0, 1e-2)
+        traj = evolve_mean_markov(m, PotentialSpec.harmonic(m, omega), 2.0 * m * omega,
+                                  [1, 0, 0], [0.5, 0, 0], grid)
+        closed = (1.0 + (0.5 + mu) * grid) * np.exp(-mu * grid)
+        assert np.max(np.abs(traj.positions[:, 0] - closed)) <= 1e-12
 
     def test_dissipativity_envelope(self):
         m, omega, beta = 1.0, 1.0, 0.4
@@ -151,21 +146,25 @@ class TestMarkov:
         _, h = _check_grid(grid)
         assert h == pytest.approx(1e-4, rel=1e-9)
 
-    def test_unstable_step_raises(self):
-        pot = PotentialSpec.harmonic(1.0, 1.0)
-        with pytest.raises(StabilityError):
-            evolve_mean_markov(1.0, pot, 0.0, [1, 0, 0], [0, 0, 0],
-                               uniform_grid(2000.0, 2.5))
+    @pytest.mark.filterwarnings("error")
+    def test_coarse_step_matches_closed_form(self):
+        # the step map is the exact exponential: h = 2.5 > 2/w is no limit
+        m, omega = 1.0, 1.0
+        grid = uniform_grid(2000.0, 2.5)
+        traj = evolve_mean_markov(m, PotentialSpec.harmonic(m, omega), 0.0,
+                                  [1, 0, 0], [0, 0, 0], grid)
+        closed = mean_trajectory(OscillatorParams(m, omega, 0.0), [1.0, 0, 0], [0, 0, 0], grid)
+        assert np.max(np.abs(traj.positions - closed)) <= 1e-12
 
     @pytest.mark.parametrize("steps", [2, 1025, 5000])
     @pytest.mark.parametrize("omega", [0.0, 1.3])
-    def test_block_powers_match_stepwise(self, steps, omega):
+    def test_block_powers_match_expm(self, steps, omega):
         m, beta = 0.7, 0.3
         grid = np.arange(steps) * 5e-3
         pot = PotentialSpec.harmonic(m, omega)
         x0, v0 = [0.6, -0.2, 0.8], [0.1, 0.3, -0.5]
         traj = evolve_mean_markov(m, pot, beta, x0, v0, grid)
-        x, v = stepwise_markov(m, pot, beta, x0, v0, grid)
+        x, v = markov_expm(m, pot, beta, x0, v0, grid)
         assert np.max(np.abs(traj.positions - x)) <= 1e-12
         assert np.max(np.abs(traj.velocities - v)) <= 1e-12
 
@@ -185,21 +184,17 @@ def test_energy_guard_reads_rows_one_mod_256(first):
     _energy_guard(PotentialSpec.free(), 1.0, x, v, first, 1.0, "block")  # no guard at k = 0
 
 
-@pytest.mark.parametrize("solver", ["markov", "volterra"])
 @pytest.mark.parametrize("h, omega", [(2.5, 1.0), (1.0, 50.0)])
-def test_unstable_step_raises_before_any_overflow(solver, h, omega):
-    # the precomputed powers and block responses must stay finite until the
-    # energy guard has seen the growth, so no overflow warning comes first
+def test_unstable_step_raises_before_any_overflow(h, omega):
+    # the block responses must stay finite until the energy guard has seen
+    # the growth, so no overflow warning comes first
     grid = uniform_grid(800.0 * h, h)
     pot = PotentialSpec.harmonic(1.0, omega)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StabilityError, match="5%"):
-            if solver == "markov":
-                evolve_mean_markov(1.0, pot, 0.0, [1, 0, 0], [0, 0, 0], grid)
-            else:
-                kern = MemoryKernel(grid, np.zeros_like(grid))
-                evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
+            kern = MemoryKernel(grid, np.zeros_like(grid))
+            evolve_mean_volterra(1.0, pot, kern, [1, 0, 0], [0, 0, 0], grid)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -230,6 +225,15 @@ def test_free_particle_far_out_runs():
     traj = evolve_mean_markov(1.0, PotentialSpec.free(), 0.1, [1e308, 0, 0], [0, 0, 0],
                               uniform_grid(1.0, 0.01))
     assert np.all(traj.positions[:, 0] == 1e308)
+
+
+@pytest.mark.parametrize("beta, h", [(0.1, 0.01), (3.65, 0.365), (5.69, 0.231)])
+def test_free_particle_at_rest_stays_put_exactly(beta, h):
+    # k = 0: the step map's x-x entry is exactly 1, so x never moves by an ulp
+    grid = np.arange(200) * h
+    traj = evolve_mean_markov(1.0, PotentialSpec.free(), beta, [1.0, -2.0, 3.0], [0, 0, 0],
+                              grid)
+    assert np.all(traj.positions == [1.0, -2.0, 3.0]) and np.all(traj.velocities == 0.0)
 
 
 class TestVolterra:

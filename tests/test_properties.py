@@ -35,7 +35,7 @@ from dissipon.tls import TwoLevelParams, decay_rate_mu, level_shifts  # noqa: E4
 from test_cli import FLAG_BASES, FLAG_NEEDS, FLAG_VALUES, VALUE_FLAGS  # noqa: E402
 from test_field import (driven_trajectory, lattice_coupling,  # noqa: E402
                         permode_kspace, realspace_leapfrog)
-from test_langevin import direct_volterra, stepwise_markov  # noqa: E402
+from test_langevin import direct_volterra, markov_expm  # noqa: E402
 from test_reservoir import (gauss_legendre_transform, mpmath_principal_value,  # noqa: E402
                             mpmath_sinc_squared, subnormal_floor, table_edges)
 
@@ -480,7 +480,7 @@ class TestLinearSolverProperties:
         kern = MemoryKernel.sample(CouplingFunction.canonical(beta, uv_cutoff=lam), grid)
         cases = [
             (lambda: evolve_mean_markov(m, pot, beta, x0, v0, grid),
-             lambda: stepwise_markov(m, pot, beta, x0, v0, grid)),
+             lambda: markov_expm(m, pot, beta, x0, v0, grid)),
             (lambda: evolve_mean_volterra(m, pot, kern, x0, v0, grid),
              lambda: direct_volterra(m, pot, kern, x0, v0, grid)),
         ]

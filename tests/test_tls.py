@@ -6,10 +6,10 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from dissipon.errors import DomainError, StabilityError
+from dissipon.errors import DomainError, RegimeError
 from dissipon.quadrature import QuadratureConfig
 from dissipon.reservoir import CouplingFunction
-from dissipon.tls import (BlochState, CoherenceSpectrum, TwoLevelParams,
+from dissipon.tls import (BlochState, CoherenceSpectrum, LevelShifts, TwoLevelParams,
                           coherence_evolution, coherence_frequencies, decay_rate_mu,
                           evolve_bloch_markov, level_shifts, sigma_z_evolution)
 
@@ -281,6 +281,40 @@ class TestCoherence:
         assert np.max(np.abs(f_t - ref[:, 0])) <= 1e-14
         assert np.max(np.abs(e_t - ref[:, 1])) <= 1e-14
 
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-10])
+    def test_overdamped_pair_matches_exact_exponential(self, monkeypatch, gamma):
+        # mu = w0 = 1 and w0 Gamma << mu^2: the slow root s_+ = -mu + d loses
+        # the digits of w0 Gamma / mu^2 unless taken as -w0 Gamma / (mu + d);
+        # at t = 1/Gamma the slow mode is e^{-1/2}
+        mpmath = pytest.importorskip("mpmath")
+        spectrum = CoherenceSpectrum(mu=1.0, gamma_shifted=gamma,
+                                     omega_plus=np.nan, omega_minus=np.nan)
+        monkeypatch.setattr("dissipon.tls.coherence_frequencies", lambda p, cfg: spectrum)
+        t = 1.0 / gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_t, e_t = coherence_evolution(canonical_tls(omega0=1.0), 0.7, 0.2j, t,
+                                           shifts_config())
+        with mpmath.workdps(40):
+            generator = mpmath.matrix([[-2, 1j * mpmath.mpf(gamma)], [1j, 0]])
+            ref = mpmath.expm(generator * mpmath.mpf(t)) * mpmath.matrix([0.7, 0.2j])
+            ref = complex(ref[0]), complex(ref[1])
+        assert abs(f_t - ref[0]) <= 1e-15
+        assert abs(e_t - ref[1]) <= 1e-15
+
+    def test_slow_frequency_does_not_cancel(self, monkeypatch):
+        # mu = w0 = 1 and Gamma = 1e-10: Omega_- = i (mu - d) = i w0 Gamma / (mu + d)
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr("dissipon.tls.level_shifts", lambda p, cfg: LevelShifts(
+            delta1=(1.0 - 1e-10) / 2.0, delta2=0.0, ir_cutoff=cfg.ir_cutoff,
+            uv_cutoff=cfg.uv_cutoff))
+        spec = coherence_frequencies(canonical_tls(beta=1.0, omega0=1.0), shifts_config())
+        assert spec.mu == 1.0 and spec.gamma_shifted == pytest.approx(1e-10, rel=1e-6)
+        with mpmath.workdps(40):
+            gamma = mpmath.mpf(spec.gamma_shifted)
+            ref = complex(1j * (1 - mpmath.sqrt(1 - gamma)))
+        assert abs(spec.omega_minus - ref) <= 1e-15 * abs(ref)
+
     def test_closed_form_matches_ode_oracle(self):
         p = canonical_tls(beta=0.05)
         cfg = shifts_config()
@@ -334,33 +368,15 @@ class TestBlochIntegration:
         assert np.all(hist.sz == -1.0)
         assert np.all(hist.f == 0.0) and np.all(hist.e_im == 0.0)
 
-    def test_block_powers_match_stepwise_rk4(self):
+    def test_block_powers_match_closed_form(self):
         p = canonical_tls(beta=0.05)
         cfg = shifts_config()
-        spec = coherence_frequencies(p, cfg)
-        mu, gamma = spec.mu, spec.gamma_shifted
-        a_mat = np.array([[-2.0 * mu, 0.0, 0.0],
-                          [0.0, -2.0 * mu, -gamma],
-                          [0.0, p.omega0, 0.0]])
-        c_vec = np.array([-2.0 * mu, 0.0, 0.0])
         grid = np.linspace(0.0, 200.0, 20_001)
-        h = grid[1] - grid[0]
-        ref = np.empty((len(grid), 3))
-        ref[0] = y = np.array([0.0, 1.0, -0.5])
-
-        def rate(y):
-            return a_mat @ y + c_vec
-
-        for i in range(1, len(grid)):
-            k1 = rate(y)
-            k2 = rate(y + 0.5 * h * k1)
-            k3 = rate(y + 0.5 * h * k2)
-            k4 = rate(y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ref[i] = y
         hist = evolve_bloch_markov(p, BlochState(sz=0.0, f=1.0, e_im=-0.5), grid, cfg)
-        got = np.column_stack([hist.sz, hist.f, hist.e_im])
-        assert np.max(np.abs(got - ref)) <= 1e-12
+        f_c, e_c = coherence_evolution(p, 1.0, -0.5j, grid, cfg)
+        assert np.max(np.abs(hist.sz - sigma_z_evolution(p, 0.0, grid))) <= 1e-12
+        assert np.max(np.abs(hist.f - f_c)) <= 1e-12
+        assert np.max(np.abs(1j * hist.e_im - e_c)) <= 1e-12
 
     def test_emission_power_is_nonnegative(self):
         p = canonical_tls(beta=0.05)
@@ -371,16 +387,30 @@ class TestBlochIntegration:
         assert np.all(power >= -1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_unstable_step_rejected(self):
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 100.0, 11),
+                                      np.linspace(0.0, 1e308, 201)], ids=["h=10", "h=5e305"])
+    def test_coarse_step_is_exact(self, grid):
+        # the step map is the exact exponential: no step is too large
         p = canonical_tls(beta=0.05)
         cfg = shifts_config()
-        with pytest.raises(StabilityError):
-            evolve_bloch_markov(p, BlochState(sz=1.0),
-                                np.linspace(0.0, 100.0, 11), cfg)
-        # a step map whose Taylor terms overflow is unstable too
-        with pytest.raises(StabilityError):
-            evolve_bloch_markov(p, BlochState(sz=1.0),
-                                np.linspace(0.0, 1e308, 201), cfg)
+        hist = evolve_bloch_markov(p, BlochState(sz=1.0, f=0.5), grid, cfg)
+        assert np.max(np.abs(hist.sz - sigma_z_evolution(p, 1.0, grid))) <= 1e-12
+        # the closed form's psi(2 d t) passes the float range past t ~ 1e308 / 2|d|
+        rows = grid < 1e307
+        f_c, e_c = coherence_evolution(p, 0.5, 0.0, grid[rows], cfg)
+        assert np.max(np.abs(hist.f[rows] - f_c)) <= 1e-12
+        assert np.max(np.abs(1j * hist.e_im[rows] - e_c)) <= 1e-12
+        if grid[-1] > 1e300:  # e^{-mu t} underflows: the ground state, exactly
+            assert (hist.sz[-1], hist.f[-1], hist.e_im[-1]) == (-1.0, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_negative_gamma_is_a_regime_error(self):
+        # an infrared cutoff near w0 makes D1 large: Gamma < 0 and the pair grows
+        p = canonical_tls(beta=0.5)
+        cfg = QuadratureConfig(ir_cutoff=0.9, uv_cutoff=100.0)
+        assert coherence_frequencies(p, cfg).gamma_shifted < 0
+        with pytest.raises(RegimeError, match="Gamma = .* is negative"):
+            evolve_bloch_markov(p, BlochState(sz=1.0), np.linspace(0.0, 1.0, 11), cfg)
 
     def test_state_validation(self):
         with pytest.raises(DomainError):
