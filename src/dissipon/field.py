@@ -16,7 +16,8 @@ sigma = (2/dt)^2 sin^2(w dt/2), under which a free step rotates each mode
 by exactly w dt (W. Gautschi, Numer. Math. 3 (1961) 381; M. Hochbruck and
 Ch. Lubich, Numer. Math. 83 (1999) 403).  Both follow the dispersion
 w = |k| of the lattice memory kernel, so the particle and either field
-describe one discrete system.  The leapfrog enforces dt < dx/sqrt(3).
+describe one discrete system.  The leapfrog requires w dt < pi on every
+masked mode: dt < dx/sqrt(3) without a UV cutoff, dt < pi/Lambda with one.
 
 Both run on shells of equivalent modes, one i^2 + j^2 + l^2 of the fft
 index triple (i, j, l): one |k|, one coupling, one symbol.  A grid builds
@@ -260,10 +261,10 @@ def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
     velocity; ``leapfrog`` steps Y with the exact-phase symbol and the
     lattice source shapes.  Both advance one state per shell (see the
     module docstring) and rebuild the modes and fields once, at the end.
-    The trajectory's grid sets the time step.  The leapfrog's CFL bound
-    dt < dx / sqrt(3) keeps w dt < pi on every mode (|k| <= sqrt(3) pi / dx),
-    so w~ = sin(w dt)/dt, by which its state z = Pi - i w~ Y scales Y, stays
-    positive.
+    The trajectory's grid sets the time step.  The leapfrog needs
+    w dt < pi on every masked mode, so that w~ = sin(w dt)/dt, by which its
+    state z = Pi - i w~ Y scales Y, stays positive: dt < dx / sqrt(3)
+    without a UV cutoff (|k| <= sqrt(3) pi / dx), dt < pi / Lambda with one.
 
     Returns the energy trace (bath Hamiltonian identity form) at every
     time and the final field state.
@@ -271,10 +272,11 @@ def evolve_field_with_source(traj, coupling, grid, method="kspace", *,
     if method == "kspace":
         return _evolve_kspace(traj, coupling, grid, initial_amplitudes)
     if method == "leapfrog":
-        if traj.step >= grid.dx / np.sqrt(3.0):
+        phase = float(grid.geometry.w.max()) * traj.step
+        if not phase < np.pi:
             raise StabilityError(
-                f"CFL violation: dt = {traj.step:.3g} >= dx/sqrt(3) = "
-                f"{grid.dx / np.sqrt(3.0):.3g}")
+                f"CFL violation: the fastest masked mode turns by w dt = {phase:.6g} "
+                f">= pi per step of dt = {traj.step:.3g}")
         return _evolve_leapfrog(traj, coupling, grid, initial_amplitudes)
     raise DomainError(f"unknown method {method!r}")
 

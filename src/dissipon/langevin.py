@@ -11,15 +11,16 @@ with a harmonic potential (k = m w^2) or a free particle (k = 0); a
 nonlinear force would not close on the mean.  It is solved with a
 velocity-Verlet-style step and a trapezoidal memory sum (second order
 overall).  The Markovian specialisation replaces the convolution by a
-local friction beta * x'; that constant-coefficient pair is stepped by
+local friction beta * x'; that constant-coefficient pair is solved by
 its exact exponential (:func:`_damped_pair`), exact at any step.
 
-Every step is one fixed linear map, so neither solver loops over time
-steps: the Markov solver propagates blocks of rows with precomputed
-powers of its 2x2 step map, and the memory solver propagates blocks of
-B steps with a precomputed response of the block to the history known
-at its start.  That history is a divide-and-conquer fast convolution
-(Hairer, Lubich & Schlichte), one FFT product per block, O(n log^2 n).
+Neither solver loops over time steps.  The Markov solver samples its
+exact solution: each row is the exponential at a block start times the
+exponential at an offset (:func:`_pair_rows`).  Every memory step is one
+fixed linear map, so the memory solver propagates blocks of B steps with
+a precomputed response of the block to the history known at its start.
+That history is a divide-and-conquer fast convolution (Hairer, Lubich &
+Schlichte), one FFT product per block, O(n log^2 n).
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def _check_grid(grid, name="time grid"):
 
 # the energy guard looks at rows 1, 1 + G, 1 + 2G, ...
 _GUARD_EVERY = 256
-# rows filled per batched product when a fixed step map is propagated
-_POWER_BLOCK = 1024
+# row offsets per block start at which :func:`_pair_rows` evaluates the exponential
+_ROW_BLOCK = 1024
 # a Volterra block response stops short of a full block once an entry
 # passes this, so an unstable step stays finite until the guard sees it
 _GROWTH_CAP = 1e30
@@ -153,8 +154,11 @@ def _damped_pair(mu, omega_sq, t, upper, lower):
     omega_sq << mu^2.  Putzer's form (E. J. Putzer, Amer. Math. Monthly 73
     (1966) 2), e^{tA} = e^{s_- t} I + c (A - s_- I) with c = e^{s_+ t} t psi(2dt),
     psi(x) = (1 - e^{-x}) / x, psi(0) = 1, holds through d = 0; its 0 corner is
-    written e^{s_+ t} - c s_+, which is exactly 1 at omega_sq = 0.  The shape
-    is (2, 2) + t's; past the float range the matrix is not finite, unwarned.
+    written e^{s_+ t} - c s_+, which is exactly 1 at omega_sq = 0.  Every entry
+    is bounded by the slower mode e^{Re(s_+) t}, so the map is 0 where that has
+    underflowed; elsewhere a phase 2dt past the float range is a DomainError.
+    The shape is (2, 2) + t's; past the float range otherwise the matrix is
+    not finite, unwarned.
     """
     w = cmath.sqrt(omega_sq)
     d = cmath.sqrt(mu - w) * cmath.sqrt(mu + w)
@@ -163,34 +167,40 @@ def _damped_pair(mu, omega_sq, t, upper, lower):
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         x = 2.0 * d * t
-        psi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+        decayed = np.exp(s_plus.real * t) == 0.0
+        if np.any(np.isinf(x) & ~decayed):
+            raise DomainError(f"the phase 2|d| t = 2 x {abs(d):.3g} x {t.max():.3g} of "
+                              "the pair's exponential passes the float range")
+        # psi is 1 to rounding below the smallest normal x, where NumPy's
+        # complex division (by way of 1/x) would overflow
+        psi = np.divide(-np.expm1(-x), x, out=np.ones_like(x),
+                        where=np.abs(x) >= np.finfo(float).tiny)
         lead, slow = np.exp(s_minus * t), np.exp(s_plus * t)
         cross = slow * t * psi
-        return s_minus, s_plus, np.array([[lead + cross * s_plus, cross * upper],
-                                          [cross * lower, slow - cross * s_plus]])
+        e_ta = np.array([[lead + cross * s_plus, cross * upper],
+                         [cross * lower, slow - cross * s_plus]])
+        return s_minus, s_plus, np.where(decayed, 0.0, e_ta)
 
 
-def _block_powers(step_map, state, n):
-    """Yield (start, rows), rows[j] = S^(start + j) state, until n rows are out.
+def _pair_rows(mu, omega_sq, upper, lower, state, n, h):
+    """Rows j < n of e^{jhA} state, A of :func:`_damped_pair`, for a real state
+    of shape (2,) or (2, k); the result has shape (n,) + state's.
 
-    Each block of rows is one product with the precomputed powers S^k,
-    k < _POWER_BLOCK, and the jump S^_POWER_BLOCK carries the state to the
-    next block.
+    Row s + r, s a multiple of _ROW_BLOCK and r below it, is
+    e^{rhA} (e^{shA} state): the map is evaluated once on the offsets r h
+    and once on the block starts s h, and every row comes out of one
+    product, with no propagation from row to row.
     """
+    size = min(_ROW_BLOCK, n)
+    near = _damped_pair(mu, omega_sq, np.arange(size) * h, upper, lower)[2].real
+    far = _damped_pair(mu, omega_sq, np.arange(0, n, size) * h, upper, lower)[2].real
+    if not (np.isfinite(near).all() and np.isfinite(far).all()):
+        raise DomainError(f"the exponential of the pair (mu, omega^2) = ({mu:.3g}, "
+                          f"{omega_sq:.3g}) passes the float range")
     state = np.asarray(state, dtype=float)
-    dim = len(step_map)
-    powers = np.eye(dim)[None]
-    while len(powers) < min(_POWER_BLOCK, n):
-        powers = np.concatenate([powers, powers @ (step_map @ powers[-1])])  # S^k .. S^(2k-1)
-    powers = powers[:min(_POWER_BLOCK, n)]
-    size = len(powers)
-    jump = step_map @ powers[-1]
-    stacked = powers.reshape(size * dim, dim)  # row dim * k + i holds (S^k)_i
-    for start in range(0, n, size):
-        rows = min(size, n - start)
-        yield start, (stacked[:dim * rows] @ state).reshape(rows, *state.shape)
-        if start + size < n:
-            state = jump @ state
+    starts = np.moveaxis(far, -1, 0) @ state.reshape(2, -1)  # e^{shA} state
+    rows = np.moveaxis(near, -1, 0).reshape(2 * size, 2) @ starts
+    return rows.reshape(-1, *state.shape)[:n]
 
 
 def _initial_state(m, k, x0, v0):
@@ -211,11 +221,10 @@ def _initial_state(m, k, x0, v0):
 def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     """Integrate m x'' + beta x' = -k x for the mean trajectory.
 
-    The step is the pair's exact exponential e^{hA} on each axis' (v, x),
-    A = [[-beta/m, -k/m], [1, 0]] (:func:`_damped_pair`), so the rows are
-    the exact solution at the grid's times, at any step, and no step size
-    is unstable.  The map is propagated a block of rows at a time by
-    :func:`_block_powers`.
+    Row j is the pair's exact exponential e^{jhA} on each axis' (v, x),
+    A = [[-beta/m, -k/m], [1, 0]], sampled by :func:`_pair_rows`, so the
+    rows are the exact solution at the grid's times, at any step, and no
+    step size is unstable.
     """
     if not 0 < m < np.inf:
         raise DomainError("mass must be positive and finite")
@@ -224,16 +233,9 @@ def evolve_mean_markov(m, pot, beta, x0, v0, grid):
     grid, h = _check_grid(grid)
     n = len(grid)
     w2 = pot.stiffness / m
-    pair = _damped_pair(0.5 * beta / m, w2, h, -w2, 1.0)[2].real
-    if not np.isfinite(pair).all():
-        raise DomainError(f"the exact step map of (m, beta, k) = ({m:.3g}, {beta:.3g}, "
-                          f"{pot.stiffness:.3g}) passes the float range")
     state, _ = _initial_state(m, pot.stiffness, x0, v0)
-    x = np.empty((n, 3))
-    v = np.empty((n, 3))
-    for start, rows in _block_powers(pair[::-1, ::-1], state, n):  # on (x, v)
-        x[start:start + len(rows)], v[start:start + len(rows)] = rows[:, 0], rows[:, 1]
-    return Trajectory(grid, x, v)
+    rows = _pair_rows(0.5 * beta / m, w2, -w2, 1.0, state[::-1], n, h)  # on (v, x)
+    return Trajectory(grid, rows[:, 1], rows[:, 0])
 
 
 # the Volterra block size B: lags inside a block couple its outputs

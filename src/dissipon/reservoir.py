@@ -216,15 +216,13 @@ class ReservoirState:
 
 
 def bose_factor(omega, temperature):
-    """Bose occupation 1/(e^(w/T) - 1), exactly 0 where w/T > 700.
+    """Bose occupation 1/(e^(w/T) - 1), exactly 0 where e^(w/T) overflows
+    (w/T past ~709.78), where the occupation is below the smallest normal float.
 
     A scalar ``omega`` gives a float, an array an array.
     """
-    with np.errstate(over="ignore"):  # w/T = inf is past 700 too
-        x = np.asarray(omega, dtype=float) / temperature
-    out = np.zeros_like(x)
-    warm = x <= 700.0
-    out[warm] = 1.0 / np.expm1(x[warm])
+    with np.errstate(over="ignore"):
+        out = 1.0 / np.expm1(np.asarray(omega, dtype=float) / temperature)
     return float(out) if out.ndim == 0 else out
 
 

@@ -27,7 +27,7 @@ imaginary part mu and the coherence envelope decays at exactly that rate
 the free mu = 0 oscillation, so it is fixed by the characteristic
 equation).  The closed form is Putzer's 2x2 exponential, one formula through
 the degenerate pair mu^2 = w0 Gamma (:func:`dissipon.langevin._damped_pair`),
-and the Bloch solver steps that same exponential, exact at any step.
+and the Bloch solver samples that same exponential, exact at any step.
 
 A unit dipole, |x12|^2 = 1, gives the bare constant (4 pi^2 w0^6 / 3) |f(w0)|^2.
 """
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .langevin import _block_powers, _check_grid, _damped_pair
+from .langevin import _check_grid, _damped_pair, _pair_rows
 from .reservoir import _principal_value
 
 __all__ = [
@@ -178,7 +178,8 @@ def sigma_z_evolution(p, sz0, t):
         raise DomainError("|<s_z>(0)| cannot exceed 1")
     mu = decay_rate_mu(p)
     t = np.asarray(t, dtype=float)
-    out = -1.0 + (1.0 + sz0) * np.exp(-2.0 * mu * t)
+    with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
+        out = -1.0 + (1.0 + sz0) * np.exp(-2.0 * mu * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,14 +200,13 @@ def coherence_evolution(p, f0, e0, t, cfg):
 def evolve_bloch_markov(p, initial, grid, cfg):
     """The Markovian Bloch equations on a uniform grid, exact at any step.
 
-    The system is linear and time invariant, so the step is one exact
-    map: e^{-2 mu h} on the population's deviation sz + 1 from the fixed
-    point y* = (-1, 0, 0), and the coherence pair's exponential
-    (:func:`dissipon.langevin._damped_pair`) on (f, e_im).  The ground
-    state therefore stays exactly stationary.  A negative Gamma makes the
-    pair grow, which is a ``RegimeError``; a map past the float range is
-    a ``DomainError``.  Rows are filled a block at a time by
-    :func:`dissipon.langevin._block_powers`.
+    The system is linear and time invariant, so the rows are its exact
+    solution: the population from :func:`sigma_z_evolution`, and the
+    coherence pair's exponential (:func:`dissipon.langevin._damped_pair`)
+    on (f, e_im), sampled by :func:`dissipon.langevin._pair_rows`.  The
+    ground state therefore stays exactly stationary.  A negative Gamma
+    makes the pair grow, which is a ``RegimeError``; an exponential past
+    the float range is a ``DomainError``.
     """
     grid, h = _check_grid(grid)
     spec = coherence_frequencies(p, cfg)
@@ -215,20 +215,10 @@ def evolve_bloch_markov(p, initial, grid, cfg):
         raise RegimeError(
             f"the shifted frequency Gamma = w0 - 2 D2 - 2 D1 = {gamma:.6g} is negative, so "
             "the coherence grows: the level shifts exceed the Markovian regime")
-
-    # state y = (sz, f, e_im):  f' = -2 mu f - Gamma e_im,  e_im' = w0 f
-    step_map = np.zeros((3, 3))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        step_map[0, 0] = np.exp(-2.0 * mu * h)
-        step_map[1:, 1:] = _damped_pair(mu, p.omega0 * gamma, h, -gamma, p.omega0)[2].real
-    if not np.isfinite(step_map).all():
-        raise DomainError(f"the exact step map of (w0, mu, Gamma) = ({p.omega0:.3g}, "
-                          f"{mu:.3g}, {gamma:.3g}) passes the float range")
-
-    fixed = np.array([-1.0, 0.0, 0.0])
-    out = np.empty((len(grid), 3))
-    d = np.array([initial.sz, initial.f, initial.e_im]) - fixed
-    for start, rows in _block_powers(step_map, d, len(grid)):
-        out[start:start + len(rows)] = rows + fixed
-    out[0] = (initial.sz, initial.f, initial.e_im)
-    return BlochHistory(times=grid, sz=out[:, 0], f=out[:, 1], e_im=out[:, 2])
+    # f' = -2 mu f - Gamma e_im,  e_im' = w0 f; a pair past the float range
+    # (mu = inf included) is rejected before the population is formed
+    pair = _pair_rows(mu, p.omega0 * gamma, -gamma, p.omega0, [initial.f, initial.e_im],
+                      len(grid), h)
+    sz = sigma_z_evolution(p, initial.sz, grid)
+    sz[0] = initial.sz
+    return BlochHistory(times=grid, sz=sz, f=pair[:, 0], e_im=pair[:, 1])

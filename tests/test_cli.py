@@ -344,6 +344,7 @@ class TestExitCodes:
         (["oscillator", "--m", "1e-308"], 1),
         (["oscillator", "--kt", "inf"], 1),
         (["tls", "--x12sq", "1e308", "--steps", "200"], 1),
+        (["tls", "--beta", "1e308"], 1),  # mu = inf: the pair is rejected first
         (["langevin", "--m", "0.5", "--beta", "1e308", "--tmax", "1"], 1),
         # level shifts that make Gamma = w0 - 2 D2 - 2 D1 negative: the
         # coherence grows, outside the Markovian regime

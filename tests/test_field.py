@@ -579,6 +579,23 @@ class TestEvolution:
             evolve_field_with_source(still_trajectory(times),
                                      CouplingFunction.zero(), g, method="leapfrog")
 
+    @pytest.mark.parametrize("dt", [0.8, 1.05, 1.15, 1.16])
+    def test_cutoff_sets_the_step_bound(self, dt):
+        # with a UV cutoff the fastest masked mode is below sqrt(3) pi / dx:
+        # the bound is w dt < pi there (dt < 1.1547 at w = 2.7207), not
+        # dt < dx/sqrt(3) = 0.577
+        g = FieldGrid(n=8, dx=1.0, uv_cutoff=2.8)
+        coupling = lattice_coupling("canonical", 2.8)
+        traj = driven_trajectory(dt, steps=60)
+        if dt * g.geometry.w.max() >= np.pi:
+            with pytest.raises(StabilityError, match=r"CFL violation: .* w dt = 3\.15"):
+                evolve_field_with_source(traj, coupling, g, method="leapfrog")
+            return
+        hist = evolve_field_with_source(traj, coupling, g, method="leapfrog")
+        refs = realspace_leapfrog(traj, coupling, g)
+        for value, ref in zip((hist.energy, hist.final_y, hist.final_pi), refs):
+            assert rel_dev(value, ref) <= 1e-12
+
     def test_leapfrog_order_against_analytic_mode(self):
         # t = 5: at t = 4 the mode has turned by k0 t = pi on every grid,
         # where the initial-momentum error term of an exact-phase step vanishes

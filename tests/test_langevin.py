@@ -158,7 +158,7 @@ class TestMarkov:
 
     @pytest.mark.parametrize("steps", [2, 1025, 5000])
     @pytest.mark.parametrize("omega", [0.0, 1.3])
-    def test_block_powers_match_expm(self, steps, omega):
+    def test_rows_match_expm(self, steps, omega):
         m, beta = 0.7, 0.3
         grid = np.arange(steps) * 5e-3
         pot = PotentialSpec.harmonic(m, omega)
@@ -167,6 +167,28 @@ class TestMarkov:
         x, v = markov_expm(m, pot, beta, x0, v0, grid)
         assert np.max(np.abs(traj.positions - x)) <= 1e-12
         assert np.max(np.abs(traj.velocities - v)) <= 1e-12
+
+    def test_long_grid_matches_mpmath(self):
+        # every row is two exact maps, e^{rhA} e^{shA}: no rounding builds up
+        # along 10^6 rows
+        mpmath = pytest.importorskip("mpmath")
+        m, beta = 1.0, 0.02
+        grid = np.linspace(0.0, 1e4, 1_000_001)
+        traj = evolve_mean_markov(m, PotentialSpec.harmonic(m, 1.0), beta, [1, 0, 0],
+                                  [0, 0, 0], grid)
+        with mpmath.workdps(40):
+            generator = mpmath.matrix([[0, 1], [-1, -mpmath.mpf(beta) / m]])
+            x = (mpmath.expm(generator * grid[-1]) * mpmath.matrix([1, 0]))[0]
+        envelope = np.exp(-0.5 * beta / m * grid[-1])
+        assert abs(traj.positions[-1, 0] - float(x)) <= 2e-12 * envelope
+
+    @pytest.mark.filterwarnings("error")
+    def test_undamped_phase_past_float_range_rejected(self):
+        # beta = 0: nothing decays, so a phase 2|d| t past the float range has
+        # no limit the exponential could take
+        with pytest.raises(DomainError, match=r"phase 2\|d\| t = 2 x 1 x 1e\+308"):
+            evolve_mean_markov(1.0, PotentialSpec.harmonic(1.0, 1.0), 0.0, [1, 0, 0],
+                               [0, 0, 0], np.linspace(0.0, 1e308, 201))
 
 
 @pytest.mark.parametrize("first", [0, 1, 200, 257])
@@ -225,6 +247,17 @@ def test_free_particle_far_out_runs():
     traj = evolve_mean_markov(1.0, PotentialSpec.free(), 0.1, [1e308, 0, 0], [0, 0, 0],
                               uniform_grid(1.0, 0.01))
     assert np.all(traj.positions[:, 0] == 1e308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_friction_runs():
+    # beta h / m = 5e-324: psi(2 d t) divides by no subnormal, whose
+    # complex reciprocal would overflow
+    grid = np.arange(4) * 0.5
+    traj = evolve_mean_markov(1.0, PotentialSpec.free(), 1e-323, [1, 0, 0], [0.5, 0, 0],
+                              grid)
+    assert np.all(traj.positions[:, 0] == 1.0 + 0.5 * grid)
+    assert np.all(traj.velocities[:, 0] == 0.5)
 
 
 @pytest.mark.parametrize("beta, h", [(0.1, 0.01), (3.65, 0.365), (5.69, 0.231)])

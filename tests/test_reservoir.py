@@ -682,7 +682,8 @@ class TestReservoirState:
 
     def test_thermal_frozen(self):
         assert bose_factor(100.0, 1.0) == pytest.approx(0.0, abs=1e-40)
-        assert bose_factor(100.0, 0.1) == 0.0  # w/T > 700: frozen out exactly
+        assert bose_factor(705.0, 1.0) == pytest.approx(np.exp(-705.0), rel=1e-14)
+        assert bose_factor(100.0, 0.1) == 0.0  # e^(w/T) overflows: frozen out exactly
 
     @pytest.mark.filterwarnings("error")
     def test_thermal_frozen_when_ratio_overflows(self):

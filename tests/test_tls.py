@@ -204,6 +204,14 @@ class TestPopulation:
         p = canonical_tls()
         assert sigma_z_evolution(p, 0.3, 1e4) == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_exponent_past_float_range_decays_to_ground(self):
+        # -2 mu t = -1e313 overflows; e^{-inf} = 0, with no warning, since the
+        # Bloch solver reads every row's population from here
+        p = canonical_tls(x12=(1e3, 0.0, 0.0))
+        assert 2.0 * decay_rate_mu(p) * 1e308 == np.inf
+        assert sigma_z_evolution(p, 0.3, np.array([0.0, 1e308]))[1] == -1.0
+
     def test_log_population_is_affine(self):
         p = canonical_tls(beta=0.08)
         mu = decay_rate_mu(p)
@@ -368,7 +376,7 @@ class TestBlochIntegration:
         assert np.all(hist.sz == -1.0)
         assert np.all(hist.f == 0.0) and np.all(hist.e_im == 0.0)
 
-    def test_block_powers_match_closed_form(self):
+    def test_rows_match_closed_form(self):
         p = canonical_tls(beta=0.05)
         cfg = shifts_config()
         grid = np.linspace(0.0, 200.0, 20_001)
@@ -395,13 +403,27 @@ class TestBlochIntegration:
         cfg = shifts_config()
         hist = evolve_bloch_markov(p, BlochState(sz=1.0, f=0.5), grid, cfg)
         assert np.max(np.abs(hist.sz - sigma_z_evolution(p, 1.0, grid))) <= 1e-12
-        # the closed form's psi(2 d t) passes the float range past t ~ 1e308 / 2|d|
-        rows = grid < 1e307
-        f_c, e_c = coherence_evolution(p, 0.5, 0.0, grid[rows], cfg)
-        assert np.max(np.abs(hist.f[rows] - f_c)) <= 1e-12
-        assert np.max(np.abs(1j * hist.e_im[rows] - e_c)) <= 1e-12
+        # past t ~ 1e308 / 2|d| the phase overflows, but e^{-mu t} has
+        # underflowed: the map is exactly 0 there
+        f_c, e_c = coherence_evolution(p, 0.5, 0.0, grid, cfg)
+        assert np.max(np.abs(hist.f - f_c)) <= 1e-12
+        assert np.max(np.abs(1j * hist.e_im - e_c)) <= 1e-12
         if grid[-1] > 1e300:  # e^{-mu t} underflows: the ground state, exactly
             assert (hist.sz[-1], hist.f[-1], hist.e_im[-1]) == (-1.0, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", ["bloch", "closed form"])
+    def test_undamped_phase_past_float_range_rejected(self, solve):
+        # mu = 0: nothing decays, so a phase 2|d| t past the float range has
+        # no limit the exponential could take
+        p = TwoLevelParams(1.0, (1, 0, 0), CouplingFunction.zero(uv_cutoff=10.0))
+        cfg = QuadratureConfig(ir_cutoff=1e-6, uv_cutoff=10.0)
+        grid = np.linspace(0.0, 1e308, 201)
+        with pytest.raises(DomainError, match=r"phase 2\|d\| t = 2 x 1 x 1e\+308"):
+            if solve == "bloch":
+                evolve_bloch_markov(p, BlochState(sz=0.25, f=0.5), grid, cfg)
+            else:
+                coherence_evolution(p, 0.5, 0.0, grid, cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_negative_gamma_is_a_regime_error(self):
