@@ -156,7 +156,8 @@ def _damped_pair(mu, omega_sq, t, upper, lower):
     psi(x) = (1 - e^{-x}) / x, psi(0) = 1, holds through d = 0; its 0 corner is
     written e^{s_+ t} - c s_+, which is exactly 1 at omega_sq = 0.  Every entry
     is bounded by the slower mode e^{Re(s_+) t}, so the map is 0 where that has
-    underflowed; elsewhere a phase 2dt past the float range is a DomainError.
+    underflowed; elsewhere a phase Im(2dt) past the float range is a
+    DomainError, and a real 2dt past it has e^{-2dt} = 0, so t psi = 1/(2d).
     The shape is (2, 2) + t's; past the float range otherwise the matrix is
     not finite, unwarned.
     """
@@ -168,7 +169,7 @@ def _damped_pair(mu, omega_sq, t, upper, lower):
     with np.errstate(over="ignore", invalid="ignore"):
         x = 2.0 * d * t
         decayed = np.exp(s_plus.real * t) == 0.0
-        if np.any(np.isinf(x) & ~decayed):
+        if np.any(np.isinf(x.imag) & ~decayed):
             raise DomainError(f"the phase 2|d| t = 2 x {abs(d):.3g} x {t.max():.3g} of "
                               "the pair's exponential passes the float range")
         # psi is 1 to rounding below the smallest normal x, where NumPy's
@@ -177,6 +178,9 @@ def _damped_pair(mu, omega_sq, t, upper, lower):
                         where=np.abs(x) >= np.finfo(float).tiny)
         lead, slow = np.exp(s_minus * t), np.exp(s_plus * t)
         cross = slow * t * psi
+        overflow = np.isinf(x)  # d != 0 there
+        if overflow.any():
+            cross = np.where(overflow, slow * (0.5 / d), cross)
         e_ta = np.array([[lead + cross * s_plus, cross * upper],
                          [cross * lower, slow - cross * s_plus]])
         return s_minus, s_plus, np.where(decayed, 0.0, e_ta)

@@ -219,6 +219,7 @@ def evolve_bloch_markov(p, initial, grid, cfg):
     # (mu = inf included) is rejected before the population is formed
     pair = _pair_rows(mu, p.omega0 * gamma, -gamma, p.omega0, [initial.f, initial.e_im],
                       len(grid), h)
-    sz = sigma_z_evolution(p, initial.sz, grid)
+    # row j lies j h after the first time; a grid from 0 needs no shifted copy
+    sz = sigma_z_evolution(p, initial.sz, grid - grid[0] if grid[0] else grid)
     sz[0] = initial.sz
     return BlochHistory(times=grid, sz=sz, f=pair[:, 0], e_im=pair[:, 1])

@@ -190,6 +190,16 @@ class TestMarkov:
             evolve_mean_markov(1.0, PotentialSpec.harmonic(1.0, 1.0), 0.0, [1, 0, 0],
                                [0, 0, 0], np.linspace(0.0, 1e308, 201))
 
+    @pytest.mark.filterwarnings("error")
+    def test_damped_free_particle_past_float_range_of_2dt(self):
+        # k = 0, beta/2m = 1: a real 2dt = 2t overflows, but e^{-2t} = 0 there,
+        # so x = x0 + v0 (1 - e^{-2t}) / 2 tends to x0 + v0 / 2
+        grid = np.linspace(0.0, 1e308, 201)
+        traj = evolve_mean_markov(1.0, PotentialSpec.free(), 2.0, [1, 0, 0], [0.5, 0, 0],
+                                  grid)
+        assert np.all(traj.positions[1:, 0] == 1.25)
+        assert np.all(traj.velocities[1:] == 0.0)
+
 
 @pytest.mark.parametrize("first", [0, 1, 200, 257])
 def test_energy_guard_reads_rows_one_mod_256(first):

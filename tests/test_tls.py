@@ -411,6 +411,18 @@ class TestBlochIntegration:
         if grid[-1] > 1e300:  # e^{-mu t} underflows: the ground state, exactly
             assert (hist.sz[-1], hist.f[-1], hist.e_im[-1]) == (-1.0, 0.0, 0.0)
 
+    def test_shifted_grid_gives_the_same_rows(self):
+        # the equations are autonomous: row j lies j h after the initial state,
+        # wherever the grid starts
+        p = canonical_tls(beta=0.05)
+        cfg = shifts_config()
+        grid = np.linspace(0.0, 5.0, 501)
+        start = BlochState(sz=0.3, f=0.5, e_im=-0.2)
+        at_zero = evolve_bloch_markov(p, start, grid, cfg)
+        shifted = evolve_bloch_markov(p, start, grid + 5.0, cfg)
+        for row in ("sz", "f", "e_im"):
+            assert np.max(np.abs(getattr(shifted, row) - getattr(at_zero, row))) <= 1e-12
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("solve", ["bloch", "closed form"])
     def test_undamped_phase_past_float_range_rejected(self, solve):
